@@ -18,9 +18,10 @@ from typing import Optional
 import numpy as np
 
 from . import bayes
-from .bayes import (AverageVariance, GaussianPrior, GridDistribution, Interval,
-                    average_posterior_variance)
+from .bayes import (AverageVariance, GaussianOutcomeStrategy, GaussianPrior,
+                    GridDistribution, average_posterior_variance)
 from .measurement import HETERODYNE, Measurement, MeasurementKind
+from .phasespace import gamma_qq
 
 __all__ = [
     "DisplacementTask",
@@ -96,10 +97,6 @@ def het_avg_total_variance(sigma0sq: float, r: float) -> float:
             + het_coordinate_variance(sigma0sq, r, "I"))
 
 
-def _hom_gamma_qq(r: float, phi: float) -> float:
-    return math.cosh(2.0 * r) - math.cos(phi) * math.sinh(2.0 * r)
-
-
 def hom_posterior(task: DisplacementTask, q: float):
     """Closed-form posterior after a q-quadrature homodyne outcome.
 
@@ -108,7 +105,7 @@ def hom_posterior(task: DisplacementTask, q: float):
     """
     if task.measurement.kind is not MeasurementKind.HOMODYNE:
         raise ValueError("task is not a homodyne task")
-    g = _hom_gamma_qq(task.probe_r, task.probe_phi)
+    g = gamma_qq(task.probe_r, task.probe_phi)
     post_r = bayes.gaussian_update(task.prior_r(), q / math.sqrt(2.0), g / 4.0)
     return post_r, task.prior_i()
 
@@ -145,58 +142,35 @@ def repeated_variance(sigma0sq: float, r: float, m: int) -> float:
 # engine strategies (numerical cross-checks of the closed forms)
 
 
-class _GaussianOutcomeStrategy:
-    """1-D strategy with outcome ~ N(loc(theta), scale^2); loc linear in theta."""
-
-    circular = False
-    scheme = "outcome_grid"
-
-    def __init__(self, prior: GaussianPrior, like_sd: float, outcome_of_theta=None,
-                 base_nodes: int = 512):
-        self.prior = prior
-        self.like_sd = like_sd
-        self._loc = outcome_of_theta or (lambda t: t)
-        self._base = base_nodes
-        # outcome extent: prior-induced mean range plus likelihood tails
-        sd0 = math.sqrt(prior.var0)
-        locs = self._loc(np.array([prior.mu0 - 7.0 * sd0, prior.mu0 + 7.0 * sd0]))
-        pad = 7.0 * like_sd
-        self._lo = float(min(locs)) - pad
-        self._hi = float(max(locs)) + pad
-
-    def likelihood_matrix(self, thetas, outcomes):
-        mu = self._loc(np.asarray(thetas, dtype=float))[None, :]
-        m = np.real(np.asarray(outcomes))[:, None]
-        var = self.like_sd**2
-        return np.exp(-((m - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-    def sample_outcomes_given(self, thetas, rng):
-        return rng.normal(self._loc(np.asarray(thetas, dtype=float)), self.like_sd)
-
-    def outcome_nodes(self, level):
-        n = self._base * 2**level + 1
-        nodes = np.linspace(self._lo, self._hi, n)
-        w = np.full(n, nodes[1] - nodes[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return nodes, w
+def _coordinate_model(prior: GaussianPrior, gain: float, like_var: float,
+                      base_nodes: int = 512):
+    """Moment map and outcome rule of an outcome ~ N(gain theta, like_var):
+    a trapezoid over the prior-induced mean range plus likelihood tails."""
+    sd0 = math.sqrt(prior.var0)
+    locs = gain * np.array([prior.mu0 - 7.0 * sd0, prior.mu0 + 7.0 * sd0])
+    pad = 7.0 * math.sqrt(like_var)
+    lo = float(min(locs)) - pad
+    hi = float(max(locs)) + pad
+    return (lambda t: (gain * t, np.full(t.shape, like_var)),
+            lambda level: bayes.trapezoid(lo, hi, base_nodes * 2**level + 1))
 
 
-class HeterodyneCoordinateStrategy(_GaussianOutcomeStrategy):
+class HeterodyneCoordinateStrategy(GaussianOutcomeStrategy):
     """One real coordinate of the heterodyne displacement problem."""
 
     def __init__(self, sigma0sq, r, coord="R", mu0=0.0):
-        super().__init__(GaussianPrior(mu0, sigma0sq),
-                         math.sqrt(_het_like_var(r, coord)))
+        self.prior = GaussianPrior(mu0, sigma0sq)
+        super().__init__(*_coordinate_model(self.prior, 1.0, _het_like_var(r, coord)),
+                         dim=1, circular=False)
 
 
-class HomodyneQuadratureStrategy(_GaussianOutcomeStrategy):
+class HomodyneQuadratureStrategy(GaussianOutcomeStrategy):
     """q-homodyne displacement problem; outcome q ~ N(sqrt2 theta, Gqq/2)."""
 
     def __init__(self, sigma0sq, r, phi=0.0, mu0=0.0):
-        g = _hom_gamma_qq(r, phi)
-        super().__init__(GaussianPrior(mu0, sigma0sq), math.sqrt(g / 2.0),
-                         outcome_of_theta=lambda t: math.sqrt(2.0) * t)
+        self.prior = GaussianPrior(mu0, sigma0sq)
+        super().__init__(*_coordinate_model(self.prior, math.sqrt(2.0), gamma_qq(r, phi) / 2.0),
+                         dim=1, circular=False)
 
 
 def _coordinate_engine(strategy, method, samples, rng, grid_nodes) -> AverageVariance:

@@ -314,7 +314,6 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     keys = [k for k in SWEEP_KEYS if k in config.sweep]
     grids = [config.sweep[k] for k in keys]
     records = []
-    index = [0] * len(keys)
     total = 1
     for g in grids:
         total *= len(g)

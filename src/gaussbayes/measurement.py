@@ -26,7 +26,6 @@ __all__ = [
     "homodyne_density",
     "homodyne_moments",
     "husimi_moments",
-    "sample_outcome",
     "sample_outcomes",
 ]
 
@@ -90,7 +89,3 @@ def sample_outcomes(st: GaussianState, meas: Measurement, rng: np.random.Generat
     chol = np.linalg.cholesky(cov)
     z = rng.standard_normal((size, 2)) @ chol.T
     return mean + z[:, 0] + 1j * z[:, 1]
-
-
-def sample_outcome(st: GaussianState, meas: Measurement, rng: np.random.Generator):
-    return sample_outcomes(st, meas, rng, 1)[0]

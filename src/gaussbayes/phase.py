@@ -23,10 +23,10 @@ from typing import Optional
 import numpy as np
 
 from . import specfun
-from .bayes import (AverageVariance, Circle, GridDistribution,
-                    average_posterior_variance)
+from .bayes import (AverageVariance, Circle, GaussianOutcomeStrategy, GridDistribution,
+                    average_posterior_variance, trapezoid)
 from .measurement import Measurement, MeasurementKind
-from .phasespace import ProbeSpec
+from .phasespace import ProbeSpec, gamma_qq
 from .specfun import DEFAULT_CONTROL, SeriesControl, TruncationError
 
 __all__ = [
@@ -216,13 +216,20 @@ def _sh_rows(alpha, r, rho, trunc, ctl):
     return rows_u, rows_v
 
 
-def _sh_sum(rows_u, rows_v, order_shift: int, n_max: int, weights=None):
-    """sum_n I_n(u) I_{|2n + shift|}(v), scaled; optional per-order weights."""
+def _sh_sum(rows_u, rows_v, order_shift: int, n_max: int):
+    """Terms I_n(u) I_{|2n + shift|}(v), scaled, for |n| <= n_max."""
     n = np.arange(-n_max, n_max + 1)
-    fac_u = rows_u[:, np.abs(n)]
-    fac_v = rows_v[:, np.abs(2 * n + order_shift)]
-    terms = fac_u * fac_v if weights is None else fac_u * fac_v * weights[None, :]
-    return terms, n
+    return rows_u[:, np.abs(n)] * rows_v[:, np.abs(2 * n + order_shift)]
+
+
+def _sh_var_terms(rows_u, rows_v, n_max: int):
+    """Terms I_n(u) [2 I_2n(v) - I_2n-2(v) - I_2n+2(v)], scaled, whose sum
+    over n is 2 k (1 - <cos 2(theta - est)>) with k the normalization sum."""
+    n = np.arange(-n_max, n_max + 1)
+    bracket = (2.0 * rows_v[:, np.abs(2 * n)]
+               - rows_v[:, np.abs(2 * n - 2)]
+               - rows_v[:, np.abs(2 * n + 2)])
+    return rows_u[:, np.abs(n)] * bracket
 
 
 def _sh_check_tail(terms, totals, tail_tol):
@@ -233,12 +240,15 @@ def _sh_check_tail(terms, totals, tail_tol):
             "series tail exceeds the declared bound; increase the index cutoff")
 
 
-def _sh_norm_sum(alpha, r, rho, trunc, ctl):
-    rows_u, rows_v = _sh_rows(alpha, r, rho, trunc, ctl)
-    terms, _ = _sh_sum(rows_u, rows_v, 0, trunc.n_max)
+def _sh_point(alpha, r, babs, trunc, ctl):
+    """Normalization sum k, the Bessel rows and the cutoff at one radius."""
+    if trunc is None:
+        trunc = _sh_truncation(alpha, r, babs)
+    rows_u, rows_v = _sh_rows(alpha, r, np.array([float(babs)]), trunc, ctl)
+    terms = _sh_sum(rows_u, rows_v, 0, trunc.n_max)
     k = terms.sum(axis=1)
     _sh_check_tail(terms, k, trunc.tail_tol)
-    return k, rows_u, rows_v
+    return float(k[0]), rows_u, rows_v, trunc.n_max
 
 
 def squeezed_het_outcome_density(alpha: float, r: float, beta: complex,
@@ -251,28 +261,18 @@ def squeezed_het_outcome_density(alpha: float, r: float, beta: complex,
     only n = 0 survives and the coherent form is recovered.
     """
     babs = abs(complex(beta))
-    if trunc is None:
-        trunc = _sh_truncation(alpha, r, babs)
-    rho = np.array([babs])
-    k, _, _ = _sh_norm_sum(alpha, r, rho, trunc, ctl)
+    k = _sh_point(alpha, r, babs, trunc, ctl)[0]
     t = math.tanh(r)
-    return math.exp(-(1.0 - t) * (babs - alpha) ** 2) * float(k[0]) / (math.pi * math.cosh(r))
+    return math.exp(-(1.0 - t) * (babs - alpha) ** 2) * k / (math.pi * math.cosh(r))
 
 
 def squeezed_het_posterior_variance(alpha: float, r: float, abs_beta: float,
                                     trunc: Optional[SeriesTruncation] = None,
                                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Circular posterior variance at outcome radius |beta| (angle drops out)."""
-    if trunc is None:
-        trunc = _sh_truncation(alpha, r, abs_beta)
-    rho = np.array([float(abs_beta)])
-    k, rows_u, rows_v = _sh_norm_sum(alpha, r, rho, trunc, ctl)
-    n = np.arange(-trunc.n_max, trunc.n_max + 1)
-    bracket = (2.0 * rows_v[:, np.abs(2 * n)]
-               - rows_v[:, np.abs(2 * n - 2)]
-               - rows_v[:, np.abs(2 * n + 2)])
-    var_terms = 0.5 * rows_u[:, np.abs(n)] * bracket
-    return float(var_terms.sum(axis=1)[0] / k[0])
+    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs_beta, trunc, ctl)
+    # <sin^2(theta - est)> = (1 - <cos 2(theta - est)>) / 2 = sum / (4 k)
+    return float(0.25 * _sh_var_terms(rows_u, rows_v, n_max).sum() / k)
 
 
 def squeezed_het_estimator(alpha: float, r: float, beta: complex,
@@ -280,15 +280,10 @@ def squeezed_het_estimator(alpha: float, r: float, beta: complex,
                            ctl: SeriesControl = DEFAULT_CONTROL) -> Optional[float]:
     """Phase estimator arg <e^{i theta}>: phi_beta when the moment series is
     positive, phi_beta + pi when negative, None when it vanishes."""
-    babs = abs(complex(beta))
-    if trunc is None:
-        trunc = _sh_truncation(alpha, r, babs)
-    rho = np.array([babs])
-    k, rows_u, rows_v = _sh_norm_sum(alpha, r, rho, trunc, ctl)
-    terms, _ = _sh_sum(rows_u, rows_v, 1, trunc.n_max)
-    moment = float(terms.sum(axis=1)[0])
-    if k[0] > 0:
-        moment /= float(k[0])
+    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs(complex(beta)), trunc, ctl)
+    moment = float(_sh_sum(rows_u, rows_v, 1, n_max).sum())
+    if k > 0:
+        moment /= k
     if abs(moment) < 1e-12:
         return None
     phi = phase_of_outcome(beta)
@@ -316,26 +311,19 @@ def squeezed_het_average_variance(alpha: float, r: float,
     if trunc is None:
         trunc = _sh_truncation(alpha, r, extent)
     t = math.tanh(r)
-    n = np.arange(-trunc.n_max, trunc.n_max + 1)
     # keep the initial radial step comparable across extents
     base = base_nodes * max(1, math.ceil(extent / 8.0))
 
     def level_value(level):
-        m = base * 2**level + 1
-        rho = np.linspace(0.0, extent, m)
+        rho, w = trapezoid(0.0, extent, base * 2**level + 1)
         rows_u, rows_v = _sh_rows(alpha, r, rho, trunc, ctl)
-        bracket = (2.0 * rows_v[:, np.abs(2 * n)]
-                   - rows_v[:, np.abs(2 * n - 2)]
-                   - rows_v[:, np.abs(2 * n + 2)])
-        var_terms = 0.5 * rows_u[:, np.abs(n)] * bracket
+        var_terms = 0.5 * _sh_var_terms(rows_u, rows_v, trunc.n_max)
         s = var_terms.sum(axis=1)
-        # tail measured against the normalization sum: V_post = s/k <= 1/2
-        k = (rows_u[:, np.abs(n)] * rows_v[:, np.abs(2 * n)]).sum(axis=1)
+        # tail measured against the normalization sum: V_post = s/(2k) <= 1/2
+        k = _sh_sum(rows_u, rows_v, 0, trunc.n_max).sum(axis=1)
         _sh_check_tail(var_terms, k, trunc.tail_tol)
+        # p(rho) V_post(rho) 2 pi rho = rho e^{-(1-t)(rho-alpha)^2} s / cosh r
         integrand = rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)
-        w = np.full(m, rho[1] - rho[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
         return float(w @ integrand)
 
     prev = level_value(0)
@@ -350,11 +338,6 @@ def squeezed_het_average_variance(alpha: float, r: float,
 
 # ---------------------------------------------------------------------------
 # coherent probe, homodyne detection (series); squeezed probe (numeric only)
-
-
-def gamma_qq(r: float, phi) -> float | np.ndarray:
-    """Doubled q-variance cosh 2r - cos(phi) sinh 2r of a squeezed state."""
-    return np.cosh(2.0 * r) - np.cos(phi) * np.sinh(2.0 * r)
 
 
 def coherent_hom_likelihood(alpha: float, q: float, thetas):
@@ -428,25 +411,17 @@ def coherent_hom_circular_moment(alpha: float, q: float,
 # strategies for the generic engine
 
 
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.full(nodes.size, nodes[1] - nodes[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-class HeterodynePhaseStrategy:
+class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
     """Phase encoding on D(alpha) S(-r) |0> read out by heterodyne detection.
 
-    Outcome quadrature runs over the radial coordinate only: the posterior
-    is covariant under rotations of beta, so the angular integral
-    contributes a factor 2 pi |beta| (checked by the rotational-covariance
-    property tests).  Setting ``angular_symmetry=False`` integrates the
-    full polar grid instead.
+    Rotating the probe by theta gives the Husimi mean alpha e^{-i theta}
+    and covariance R diag(vx, vy) R^T with R the rotation by -theta and
+    vx, vy = (1 + e^{+-2r}) / 4.  Outcome quadrature runs over the radial
+    coordinate only: the posterior is covariant under rotations of beta,
+    so the angular integral contributes a factor 2 pi |beta| (checked by
+    the rotational-covariance property tests).  Setting
+    ``angular_symmetry=False`` integrates the full polar grid instead.
     """
-
-    circular = True
-    scheme = "outcome_grid"
 
     def __init__(self, alpha: float, r: float = 0.0, base_radial: int = 128,
                  angular_nodes: int = 256, angular_symmetry: bool = True):
@@ -458,42 +433,19 @@ class HeterodynePhaseStrategy:
         self.angular_nodes = angular_nodes
         self.angular_symmetry = angular_symmetry
         self.support = HET_SUPPORT
+        super().__init__(self._moments, self._nodes, dim=2, circular=True)
 
-    def likelihood_matrix(self, thetas, outcomes):
-        thetas = np.asarray(thetas, dtype=float)
-        betas = np.asarray(outcomes, dtype=complex)
-        z = np.exp(1j * thetas)[None, :] * betas[:, None] - self.alpha
-        ch = math.cosh(self.r)
-        return np.exp(-(math.exp(-self.r) * z.real**2
-                        + math.exp(self.r) * z.imag**2) / ch) / (math.pi * ch)
+    def _moments(self, thetas):
+        half_sum = (math.cosh(2.0 * self.r) + 1.0) / 4.0
+        half_diff = math.sinh(2.0 * self.r) / 4.0
+        c2, s2 = np.cos(2.0 * thetas), np.sin(2.0 * thetas)
+        cov = (half_sum + half_diff * c2, half_sum - half_diff * c2, -half_diff * s2)
+        return self.alpha * np.exp(-1j * thetas), cov
 
-    def sample_outcomes_given(self, thetas, rng):
-        thetas = np.asarray(thetas, dtype=float)
-        # Husimi moments of the rotated probe, sampled per theta
-        mean_q = math.sqrt(2.0) * self.alpha * np.cos(thetas)
-        mean_p = -math.sqrt(2.0) * self.alpha * np.sin(thetas)
-        ch2, sh2 = math.cosh(2 * self.r), math.sinh(2 * self.r)
-        phi = math.pi + 2.0 * thetas  # probe squeezing angle after rotation
-        sqq = 0.5 * (ch2 - np.cos(phi) * sh2)
-        spp = 0.5 * (ch2 + np.cos(phi) * sh2)
-        sqp = 0.5 * np.sin(phi) * sh2
-        a11 = sqq + 0.5
-        a22 = spp + 0.5
-        a12 = sqp
-        # cholesky of [[a11, a12], [a12, a22]] per sample
-        l11 = np.sqrt(a11)
-        l21 = a12 / l11
-        l22 = np.sqrt(a22 - l21**2)
-        z = rng.standard_normal((thetas.size, 2))
-        x = mean_q + l11 * z[:, 0]
-        p = mean_p + l21 * z[:, 0] + l22 * z[:, 1]
-        return (x + 1j * p) / math.sqrt(2.0)
-
-    def outcome_nodes(self, level):
+    def _nodes(self, level):
         extent = _sh_radial_extent(self.alpha, self.r)
         m = self.base_radial * max(1, math.ceil(extent / 8.0)) * 2**level + 1
-        rho = np.linspace(0.0, extent, m)
-        wr = _trapezoid_weights(rho)
+        rho, wr = trapezoid(0.0, extent, m)
         if self.angular_symmetry:
             return rho.astype(complex), 2.0 * math.pi * rho * wr
         k = self.angular_nodes
@@ -504,11 +456,9 @@ class HeterodynePhaseStrategy:
         return betas, weights
 
 
-class HomodynePhaseStrategy:
-    """Phase encoding on D(alpha) S(r e^{i phi_s}) |0> read out by q-homodyne."""
-
-    circular = True
-    scheme = "outcome_grid"
+class HomodynePhaseStrategy(GaussianOutcomeStrategy):
+    """Phase encoding on D(alpha) S(r e^{i phi_s}) |0> read out by q-homodyne:
+    q ~ N(sqrt2 alpha cos theta, gamma_qq(r, phi_s + 2 theta) / 2)."""
 
     def __init__(self, alpha: float, r: float = 0.0, phi_s: float = 0.0,
                  base_nodes: int = 512):
@@ -517,25 +467,12 @@ class HomodynePhaseStrategy:
         self.phi_s = float(phi_s)
         self.base_nodes = base_nodes
         self.support = HOM_SUPPORT
-
-    def likelihood_matrix(self, thetas, outcomes):
-        thetas = np.asarray(thetas, dtype=float)
-        qs = np.real(np.asarray(outcomes))[:, None]
-        g = gamma_qq(self.r, self.phi_s + 2.0 * thetas)[None, :]
-        mu = (math.sqrt(2.0) * self.alpha * np.cos(thetas))[None, :]
-        return np.exp(-((qs - mu) ** 2) / g) / np.sqrt(math.pi * g)
-
-    def sample_outcomes_given(self, thetas, rng):
-        thetas = np.asarray(thetas, dtype=float)
-        g = gamma_qq(self.r, self.phi_s + 2.0 * thetas)
-        mu = math.sqrt(2.0) * self.alpha * np.cos(thetas)
-        return rng.normal(mu, np.sqrt(g / 2.0))
-
-    def outcome_nodes(self, level):
-        m = self.base_nodes * 2**level + 1
         extent = math.sqrt(2.0) * self.alpha + 6.0 * math.exp(abs(self.r)) / math.sqrt(2.0) + 1.0
-        qs = np.linspace(-extent, extent, m)
-        return qs, _trapezoid_weights(qs)
+        super().__init__(
+            lambda t: (math.sqrt(2.0) * self.alpha * np.cos(t),
+                       gamma_qq(self.r, self.phi_s + 2.0 * t) / 2.0),
+            lambda level: trapezoid(-extent, extent, base_nodes * 2**level + 1),
+            dim=1, circular=True)
 
 
 def task_strategy(task: PhaseTask):

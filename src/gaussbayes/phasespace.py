@@ -24,6 +24,7 @@ __all__ = [
     "rotate",
     "squeeze_matrix",
     "rotation_matrix",
+    "gamma_qq",
     "wigner",
     "fidelity",
     "mean_photon",
@@ -138,6 +139,12 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+def gamma_qq(r: float, phi):
+    """Doubled q-variance cosh 2r - cos(phi) sinh 2r of the squeezed vacuum
+    S(r e^{i phi}) |0>; vectorized over phi."""
+    return np.cosh(2.0 * r) - np.cos(phi) * np.sinh(2.0 * r)
+
+
 def _symplectic_apply(st: GaussianState, m: np.ndarray) -> GaussianState:
     """Moments under the symplectic matrix m (det m = 1).
 
@@ -187,17 +194,21 @@ def fidelity(a: GaussianState, b: GaussianState) -> float:
     """Uhlmann fidelity of two single-mode Gaussian states.
 
     Closed form in the first moments and the doubled covariances
-    G = 2*cov; exact for mixed states of one mode as well.
+    G = 2*cov; exact for mixed states of one mode as well.  Determinants
+    come from the carried invariants ``det``: lam = (1 - det G_a)(1 - det G_b)
+    is exactly 0 for pure states, and with c11 = (det + c01^2) / c00 for
+    each state det(cov_a + cov_b) is a sum of nonnegative terms, accurate
+    also where the entries of a squeezed state dwarf its determinant.
     """
-    g1 = 2.0 * a.cov
-    g2 = 2.0 * b.cov
-    gsum = g1 + g2
-    d = a.mean - b.mean
-    expo = -float(d @ np.linalg.solve(gsum, d))
-    lam = (1.0 - np.linalg.det(g1)) * (1.0 - np.linalg.det(g2))
-    lam = max(lam, 0.0)  # rounding can push the pure-state value below 0
-    denom = math.sqrt(np.linalg.det(gsum) + lam) - math.sqrt(lam)
-    f = 2.0 * math.exp(expo) / denom
+    (a0, a1), (_, a2) = a.cov.tolist()
+    (b0, b1), (_, b2) = b.cov.tolist()
+    cross = a0 * b1 - b0 * a1
+    det_s = a.det * (1.0 + b0 / a0) + b.det * (1.0 + a0 / b0) + cross * cross / (a0 * b0)
+    d0, d1 = (a.mean - b.mean).tolist()
+    # d^T (G_a + G_b)^{-1} d = d^T adj(cov_a + cov_b) d / (2 det_s)
+    quad = ((a2 + b2) * d0 * d0 - 2.0 * (a1 + b1) * d0 * d1 + (a0 + b0) * d1 * d1) / (2.0 * det_s)
+    lam = max((1.0 - 4.0 * a.det) * (1.0 - 4.0 * b.det), 0.0)
+    f = 2.0 * math.exp(-quad) / (math.sqrt(4.0 * det_s + lam) - math.sqrt(lam))
     return min(max(f, 0.0), 1.0)
 
 

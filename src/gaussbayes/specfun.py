@@ -35,6 +35,11 @@ __all__ = [
 # so that both branches agree to better than 1e-9 in an overlap test.
 SERIES_CUTOFF = 25.0
 
+# Below this argument two power-series terms give I_n to rounding (the
+# third is under eps/2 relative), and the backward recurrence, which
+# overflows in p * 2k/x below x ~ 1e-56, is not used.
+SMALL_ARG = 1e-4
+
 # exp(x) overflows IEEE double just above this
 _EXP_OVERFLOW = 709.0
 
@@ -139,6 +144,19 @@ def _miller_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
     return rows / norm[:, None]
 
 
+def _small_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
+    """e^{-x} I_n(x) for n = 0..nmax and 0 <= x < SMALL_ARG, vectorized:
+    e^{-x} (x/2)^n / n! (1 + x^2 / (4(n+1))), the leading factor in log
+    space as in ``_series_i``."""
+    n = np.arange(nmax + 1)
+    lgam = np.array([math.lgamma(k + 1.0) for k in n])
+    x = xs[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        lead = np.exp(n * (np.log(x) - math.log(2.0)) - lgam)
+    lead[:, 0] = 1.0  # 0 * log 0 is nan at x = 0
+    return lead * (1.0 + 0.25 * x * x / (n + 1.0)) * np.exp(-x)
+
+
 def bessel_i_scaled_rows(x, nmax: int, ctl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
     """Rows of e^{-|x|} I_n(x) for n = 0..nmax, vectorized over x.
 
@@ -151,13 +169,16 @@ def bessel_i_scaled_rows(x, nmax: int, ctl: SeriesControl = DEFAULT_CONTROL) -> 
         raise DomainError("bessel argument must be finite")
     out = np.zeros((x.size, nmax + 1))
     ax = np.abs(x)
-    nz = ax > 0.0
-    if np.any(nz):
-        out[nz] = _miller_scaled(ax[nz], nmax)
-    out[~nz, 0] = 1.0
+    small = ax < SMALL_ARG
+    if np.any(small):
+        out[small] = _small_scaled(ax[small], nmax)
+    if not np.all(small):
+        out[~small] = _miller_scaled(ax[~small], nmax)
     neg = x < 0.0
     if np.any(neg):
         out[neg] *= (-1.0) ** np.arange(nmax + 1)[None, :]
+    if not np.all(np.isfinite(out)):
+        raise DomainError("scaled Bessel rows are not finite")
     return out
 
 

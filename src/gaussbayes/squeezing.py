@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bayes
-from .bayes import (AverageVariance, GammaPrior, GaussianPrior, GridDistribution,
-                    Interval, average_posterior_variance)
-from .phasespace import GaussianState, ProbeSpec, _symplectic_apply
+from .bayes import (AverageVariance, GammaPrior, GaussianOutcomeStrategy, GaussianPrior,
+                    GridDistribution, Interval, average_posterior_variance, trapezoid)
+from .phasespace import GaussianState, ProbeSpec, _symplectic_apply, gamma_qq
 from .specfun import gamma_fn
 
 __all__ = [
@@ -79,7 +79,7 @@ def conditional_moments(probe: ProbeSpec, r):
     """Mean and standard deviation of the q outcome given the strength r."""
     r = np.asarray(r, dtype=float)
     alpha_r = complex(probe.alpha).real
-    g = math.cosh(2.0 * probe.s) - math.cos(probe.psi) * math.sinh(2.0 * probe.s)
+    g = gamma_qq(probe.s, probe.psi)
     mu = math.sqrt(2.0) * alpha_r * np.exp(-r)
     sd = np.exp(-r) * math.sqrt(g / 2.0)
     return mu, sd
@@ -140,7 +140,7 @@ def posterior(task: SqueezeTask, q: float,
     return bayes.grid_update(grid, lambda r, m: homodyne_likelihood(task.probe, r, m), q)
 
 
-class SqueezeStrategy:
+class SqueezeStrategy(GaussianOutcomeStrategy):
     """Engine adapter for squeezing estimation.
 
     The conditional outcome scale e^{-r} spans orders of magnitude across
@@ -153,8 +153,6 @@ class SqueezeStrategy:
     keeps clean step-halving behavior.
     """
 
-    circular = False
-
     def __init__(self, probe: ProbeSpec, prior: GaussianPrior,
                  span_sigmas: float = 6.0, base_nodes: int = 256):
         self.probe = probe
@@ -166,23 +164,14 @@ class SqueezeStrategy:
         _, sd_hi = conditional_moments(probe, np.array([r_hi]))
         self._u_hi = math.log(float(mu_lo[0]) + 9.0 * float(sd_lo[0]))
         self._u_lo = math.log(float(sd_hi[0])) - 8.0
+        super().__init__(self._moments, self._nodes, dim=1, circular=False)
 
-    def likelihood_matrix(self, rs, outcomes):
-        mu, sd = conditional_moments(self.probe, np.asarray(rs, dtype=float))
-        var = (sd * sd)[None, :]
-        qs = np.real(np.asarray(outcomes))[:, None]
-        return np.exp(-((qs - mu[None, :]) ** 2) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+    def _moments(self, rs):
+        mu, sd = conditional_moments(self.probe, rs)
+        return mu, sd * sd
 
-    def sample_outcomes_given(self, rs, rng):
-        mu, sd = conditional_moments(self.probe, np.asarray(rs, dtype=float))
-        return rng.normal(mu, sd)
-
-    def outcome_nodes(self, level):
-        m = self.base_nodes * 2**level + 1
-        u = np.linspace(self._u_lo, self._u_hi, m)
-        wu = np.full(m, u[1] - u[0])
-        wu[0] *= 0.5
-        wu[-1] *= 0.5
+    def _nodes(self, level):
+        u, wu = trapezoid(self._u_lo, self._u_hi, self.base_nodes * 2**level + 1)
         q = np.exp(u)
         w = q * wu  # dq = e^u du
         return np.concatenate([-q[::-1], q]), np.concatenate([w[::-1], w])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaussbayes import bayes, displacement as disp, phase, squeezing as sq
+from gaussbayes import bayes, displacement as disp, measurement as meas, phase
+from gaussbayes import phasespace as ps, squeezing as sq
 from gaussbayes.bayes import (Circle, GammaPrior, GaussianPrior, GridDistribution,
                               InconsistentOutcomeError, Interval, ToleranceError,
                               average_posterior_variance)
@@ -305,3 +306,154 @@ class TestEngines:
         prior = GridDistribution.from_gaussian(strat.prior, 201, 8.0)
         with pytest.raises(ValueError):
             average_posterior_variance(strat, prior, method="montecarlo", samples=10)
+
+    def test_monte_carlo_merges_chunks_exactly(self):
+        # three chunks, the last one partial: the merged mean and standard
+        # error are those of all spreads at once
+        strat = disp.HomodyneQuadratureStrategy(0.7, 0.2)
+        prior = GridDistribution.from_gaussian(strat.prior, 301, 8.0)
+        samples = 2 * bayes._MC_CHUNK + 123
+        res = average_posterior_variance(strat, prior, method="montecarlo",
+                                         samples=samples, rng=rng_for(13))
+        rng = rng_for(13)
+        calc = bayes._SpreadCalculator(prior, strat)
+        spreads = []
+        for size in (bayes._MC_CHUNK, bayes._MC_CHUNK, 123):
+            outcomes = strat.sample_outcomes_given(prior.sample(rng, size), rng)
+            spreads.append(calc.spreads(outcomes)[0])
+        v = np.concatenate(spreads)
+        assert res.value == pytest.approx(v.mean(), rel=1e-13)
+        assert res.std_error == pytest.approx(v.std() / math.sqrt(v.size), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian-outcome strategy and its low-rank likelihood kernel
+
+KINDS = ("het", "het_full", "hom", "squeeze", "disp_het", "disp_hom")
+
+
+@st.composite
+def engine_cases(draw, kinds=KINDS):
+    """(kind, strategy, prior grid, outcomes): nodes of the strategy's own
+    outcome rule and outcomes sampled from it, in counts that split into
+    several kernel blocks with a partial last one."""
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(600, 2100))
+    alpha = draw(st.floats(0.1, 3.0))
+    r = draw(st.floats(0.0, 1.5))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    if kind == "het":
+        strat = phase.HeterodynePhaseStrategy(alpha, r)
+    elif kind == "het_full":
+        strat = phase.HeterodynePhaseStrategy(alpha, r, base_radial=8,
+                                              angular_nodes=draw(st.integers(3, 40)),
+                                              angular_symmetry=False)
+    elif kind == "hom":
+        strat = phase.HomodynePhaseStrategy(alpha, r, angle)
+    elif kind == "squeeze":
+        gp = GaussianPrior(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.05, 1.0)))
+        strat = sq.SqueezeStrategy(ProbeSpec(alpha, r, angle), gp)
+        prior = GridDistribution.from_gaussian(gp, n, 6.0)
+    else:
+        sigma0sq, mu0 = draw(st.floats(0.05, 2.0)), draw(st.floats(-2.0, 2.0))
+        if kind == "disp_het":
+            strat = disp.HeterodyneCoordinateStrategy(sigma0sq, r, draw(st.sampled_from("RI")),
+                                                      mu0)
+        else:
+            strat = disp.HomodyneQuadratureStrategy(sigma0sq, r, angle, mu0)
+        prior = GridDistribution.from_gaussian(strat.prior, n, 8.0)
+    if kind in ("het", "het_full", "hom"):
+        prior = phase.flat_prior(strat.support, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes, _ = strat.outcome_nodes(0)
+    picked = rng.choice(nodes, size=min(nodes.size, draw(st.integers(1, 250))), replace=False)
+    sampled = strat.sample_outcomes_given(prior.sample(rng, draw(st.integers(1, 250))), rng)
+    return kind, strat, prior, np.concatenate([picked, sampled])
+
+
+def pointwise_likelihood(kind, strat, thetas, m):
+    """p(m | theta) from the module-level density of each task, which the
+    engine does not use."""
+    if kind in ("het", "het_full"):
+        return phase.squeezed_het_likelihood(strat.alpha, strat.r, m, thetas)
+    if kind == "hom":
+        return phase.squeezed_hom_likelihood(strat.alpha, strat.r, strat.phi_s, m.real, thetas)
+    if kind == "squeeze":
+        return sq.homodyne_likelihood(strat.probe, thetas, m.real)
+    mean, var = strat.outcome_moments(thetas)
+    return gaussian_like(var[0])(mean, m.real)
+
+
+class TestGaussianOutcomeKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(engine_cases())
+    def test_blocked_spreads_match_dense_likelihood(self, case):
+        _, strat, prior, outcomes = case
+        calc = bayes._SpreadCalculator(prior, strat)
+        v, z = calc.spreads(outcomes)
+        v_ref, z_ref = calc.finish(strat.likelihood_matrix(prior.nodes, outcomes)
+                                   @ calc.moments)
+        # below ~1e-280 the kernel's floor of 9e-308 per cell shows
+        seen = z_ref > 1e-280
+        np.testing.assert_allclose(z[seen], z_ref[seen], rtol=1e-12)
+        # v is a difference of posterior moments (1/2 - <cos 2(theta - est)>/2
+        # or <theta^2> - <theta>^2); its rounding scales with those moments
+        scale = 1.0 if strat.circular else float(np.max(prior.nodes**2))
+        np.testing.assert_allclose(v[seen], v_ref[seen], rtol=1e-12, atol=1e-14 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(engine_cases())
+    def test_likelihood_within_documented_rounding(self, case):
+        # |error in log p| <= c eps (1 + |log p| + (|m|^2 + |mu|^2) / sigma^2),
+        # c = 16; sigma^2 is the outcome variance along its narrowest axis
+        kind, strat, prior, outcomes = case
+        thetas = prior.nodes[::7]
+        like = strat.likelihood_matrix(thetas, outcomes)
+        mean, cov = strat.outcome_moments(thetas)
+        var_min = cov if strat.dim == 1 else np.linalg.eigvalsh(
+            np.stack([np.stack([cov[0], cov[2]], -1), np.stack([cov[2], cov[1]], -1)], -2))[:, 0]
+        for row, m in zip(like, outcomes):
+            want = pointwise_likelihood(kind, strat, thetas, m)
+            seen = want > 1e-290
+            log_want = np.log(want[seen])
+            size = 1.0 + np.abs(log_want) + ((abs(m) ** 2 + np.abs(mean) ** 2) / var_min)[seen]
+            err = np.abs(np.log(row[seen]) - log_want)
+            assert np.all(err <= 16.0 * np.finfo(float).eps * size)
+
+    def test_moment_maps_match_rotated_probes(self):
+        # the engine's outcome moments against the phase-space module
+        thetas = np.linspace(-3.0, 3.0, 7)
+        het = phase.HeterodynePhaseStrategy(1.3, 0.6)
+        mean, (vxx, vyy, vxy) = het.outcome_moments(thetas)
+        hom = phase.HomodynePhaseStrategy(0.8, 0.5, 1.1)
+        q_mean, q_var = hom.outcome_moments(thetas)
+        for k, t in enumerate(thetas):
+            st_het = ps.rotate(ProbeSpec(1.3, 0.6, math.pi).state(), t)
+            b_mean, b_cov = meas.husimi_moments(st_het)
+            assert mean[k] == pytest.approx(b_mean, abs=1e-14)
+            np.testing.assert_allclose([vxx[k], vyy[k], vxy[k]],
+                                       [b_cov[0, 0], b_cov[1, 1], b_cov[0, 1]], atol=1e-14)
+            mu, var = meas.homodyne_moments(ps.rotate(ProbeSpec(0.8, 0.5, 1.1).state(), t))
+            assert (q_mean[k], q_var[k]) == pytest.approx((mu, var), abs=1e-14)
+
+    def test_samplers_use_mean_plus_cholesky_draws(self):
+        # 1-D: mean + sd z; 2-D: mean + L z with z = standard_normal((n, 2))
+        thetas = np.linspace(-3.0, 3.0, 50)
+        hom = phase.HomodynePhaseStrategy(0.8, 0.5, 1.1)
+        mu, var = hom.outcome_moments(thetas)
+        z = np.random.default_rng(5).standard_normal(thetas.size)
+        np.testing.assert_allclose(hom.sample_outcomes_given(thetas, np.random.default_rng(5)),
+                                   mu + np.sqrt(var) * z, rtol=1e-14)
+        het = phase.HeterodynePhaseStrategy(1.3, 0.6)
+        mean, (vxx, vyy, vxy) = het.outcome_moments(thetas)
+        z = np.random.default_rng(6).standard_normal((thetas.size, 2))
+        got = het.sample_outcomes_given(thetas, np.random.default_rng(6))
+        for k in range(thetas.size):
+            chol = np.linalg.cholesky([[vxx[k], vxy[k]], [vxy[k], vyy[k]]])
+            x, y = chol @ z[k]
+            assert got[k] == pytest.approx(mean[k] + complex(x, y), abs=1e-13)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            bayes.GaussianOutcomeStrategy(lambda t: (t, t), lambda level: None, dim=3,
+                                          circular=False)

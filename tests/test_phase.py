@@ -124,6 +124,27 @@ class TestSqueezedHeterodyne:
             want = bayes.circular_mean(post)
             assert est == pytest.approx(want, abs=1e-6)
 
+    def test_posterior_variance_coherent_limit(self):
+        for alpha, babs in ((0.4, 0.3), (1.3, 0.7), (2.0, 2.5)):
+            assert phase.squeezed_het_posterior_variance(alpha, 0.0, babs) == pytest.approx(
+                phase.coherent_het_posterior_variance(alpha, babs), rel=1e-12)
+
+    def test_posterior_variance_flat_at_origin(self):
+        # |beta| = 0 carries no phase information: sin^2 averages to 1/2;
+        # tiny radii go through the small-argument Bessel rows
+        for babs in (0.0, 1e-170, 5e-324):
+            assert phase.squeezed_het_posterior_variance(1.0, 0.5, babs) == pytest.approx(
+                0.5, rel=1e-12)
+
+    def test_posterior_variance_matches_grid_oracle(self):
+        prior = phase.flat_prior(phase.HET_SUPPORT, 4096)
+        for alpha, r, babs in ((1.0, 0.25, 0.8), (0.6, 0.75, 2.0), (2.2, 1.1, 1.4)):
+            post = bayes.grid_update(
+                prior, lambda t, m: phase.squeezed_het_likelihood(alpha, r, m, t), babs)
+            want = bayes.variance_circular(post, bayes.circular_mean(post))
+            assert phase.squeezed_het_posterior_variance(alpha, r, babs) == pytest.approx(
+                want, rel=1e-9)
+
     def test_estimator_coherent_case_is_outcome_phase(self):
         beta = 0.9 * complex(math.cos(1.1), -math.sin(1.1))
         assert phase.squeezed_het_estimator(1.0, 0.0, beta) == pytest.approx(1.1, abs=1e-12)

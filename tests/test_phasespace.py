@@ -109,6 +109,28 @@ class TestFidelity:
         assert ps.fidelity(ps.vacuum(), ps.squeeze(ps.vacuum(), 1.0)) == pytest.approx(
             1.0 / math.cosh(1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("r", [1.0, 4.0, 8.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.9, 2.0])
+    @pytest.mark.parametrize("shift", [1e-3, 1e-3j, 2e-3 - 1e-3j])
+    def test_strongly_squeezed_pure_pair(self, r, theta, shift):
+        # pure states with equal covariance: F = exp(-d^T (4 cov)^{-1} d), and
+        # (4 cov)^{-1} = adj(cov) because det cov = 1/4
+        a = ps.rotate(ps.squeeze(ps.vacuum(), r, 0.3), theta)
+        b = ps.displace(a, shift)
+        d = a.mean - b.mean
+        adj = np.array([[a.cov[1, 1], -a.cov[0, 1]], [-a.cov[0, 1], a.cov[0, 0]]])
+        want = math.exp(-float(d @ adj @ d))
+        assert ps.fidelity(a, b) == pytest.approx(want, rel=1e-12)
+        assert ps.fidelity(b, a) == pytest.approx(want, rel=1e-12)
+
+    def test_mixed_states(self):
+        # thermal states of mean photon number n1, n2: F = 1 / (sqrt(..) - sqrt(..))
+        def thermal(n):
+            return ps.GaussianState(np.zeros(2), (n + 0.5) * np.eye(2))
+        n1, n2 = 0.3, 1.7
+        want = 1.0 / (math.sqrt((n1 + 1) * (n2 + 1)) - math.sqrt(n1 * n2)) ** 2
+        assert ps.fidelity(thermal(n1), thermal(n2)) == pytest.approx(want, rel=1e-12)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_symmetry_and_range(self, seed):

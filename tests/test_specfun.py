@@ -117,6 +117,38 @@ class TestScaled:
                                        rtol=1e-12, atol=1e-290)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(5e-324, 1e-6), st.integers(0, 40))
+    @example(5e-324, 1)
+    @example(1e-100, 3)
+    def test_rows_at_tiny_arguments(self, x, nmax):
+        # the backward recurrence overflows below ~1e-56; these rows come
+        # from the two-term series and must match the scalar series
+        rows = bessel_i_scaled_rows([x, -x], nmax)
+        for n in range(nmax + 1):
+            want = specfun._series_i(n, x, specfun.DEFAULT_CONTROL) * math.exp(-x)
+            assert rows[0, n] == pytest.approx(want, rel=1e-12, abs=1e-305)
+            assert rows[1, n] == pytest.approx((-1.0) ** n * want, rel=1e-12, abs=1e-305)
+
+    def test_small_branch_meets_recurrence(self):
+        x = specfun.SMALL_ARG
+        below = bessel_i_scaled_rows([x * (1.0 - 1e-12)], 9)[0]
+        above = bessel_i_scaled_rows([x], 9)[0]
+        np.testing.assert_allclose(below, above, rtol=1e-11)
+
+    def test_nonfinite_row_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_miller_scaled",
+                            lambda xs, nmax: np.full((xs.size, nmax + 1), np.nan))
+        with pytest.raises(DomainError):
+            bessel_i_scaled_rows([1.0], 3)
+
+    def test_tiny_arguments_downstream(self):
+        from gaussbayes import phase
+        assert phase.coherent_hom_outcome_density(1.0, 1e-200) == pytest.approx(
+            phase.coherent_hom_outcome_density(1.0, 0.0), rel=1e-14)
+        assert math.isfinite(phase.squeezed_het_posterior_variance(1.0, 0.5, 1e-170))
+
+
 class TestJacobiAnger:
     def test_partial_sums_converge_monotonically(self):
         # e^{x cos t} = sum_n I_n(x) e^{i n t}; symmetric partial sums
