@@ -38,6 +38,8 @@ __all__ = [
     "van_trees_bound",
     "AverageVariance",
     "GaussianOutcomeStrategy",
+    "gaussian_outcome_density",
+    "sample_gaussian_outcomes",
     "trapezoid",
     "average_posterior_variance",
     "LINEAR_GRID_NODES",
@@ -358,6 +360,35 @@ def trapezoid(lo: float, hi: float, n: int):
     return nodes, weights
 
 
+def gaussian_outcome_density(m, mean, cov):
+    """p(m) of a Gaussian outcome in direct form, broadcast over m and the
+    moments: real m, mean and variance ``cov`` (homodyne), or complex
+    m = x + iy and mean with ``cov = (vxx, vyy, vxy)`` (heterodyne).  The
+    reference for the low-rank kernel: no terms in its exponent cancel."""
+    d = m - mean
+    if not isinstance(cov, tuple):
+        return np.exp(-(d**2) / (2.0 * cov)) / np.sqrt(2.0 * math.pi * cov)
+    vxx, vyy, vxy = cov
+    det = vxx * vyy - vxy * vxy
+    dx, dy = np.real(d), np.imag(d)
+    quad = (vyy * dx * dx - 2.0 * vxy * dx * dy + vxx * dy * dy) / det
+    return np.exp(-0.5 * quad) / (2.0 * math.pi * np.sqrt(det))
+
+
+def sample_gaussian_outcomes(mean, cov, rng: np.random.Generator, size: int):
+    """``size`` outcomes with the moments of ``gaussian_outcome_density``:
+    mean + sd z in 1-D; mean + L z in 2-D, z = standard_normal((size, 2))
+    and L the lower Cholesky factor of the covariance."""
+    if not isinstance(cov, tuple):
+        return mean + np.sqrt(cov) * rng.standard_normal(size)
+    vxx, vyy, vxy = cov
+    l11 = np.sqrt(vxx)
+    l21 = vxy / l11
+    l22 = np.sqrt(vyy - l21 * l21)
+    z = rng.standard_normal((size, 2))
+    return mean + l11 * z[:, 0] + 1j * (l21 * z[:, 0] + l22 * z[:, 1])
+
+
 class GaussianOutcomeStrategy:
     """Estimation strategy whose outcome given theta is Gaussian.
 
@@ -415,18 +446,9 @@ class GaussianOutcomeStrategy:
         return np.exp(self.outcome_features(outcomes) @ self.node_coefficients(thetas))
 
     def sample_outcomes_given(self, thetas, rng):
-        """One outcome per theta: mean + sd z in 1-D; mean + L z with the
-        lower Cholesky factor L of the covariance in 2-D."""
+        """One outcome per theta."""
         thetas = np.asarray(thetas, dtype=float)
-        mean, cov = self.outcome_moments(thetas)
-        if self.dim == 1:
-            return mean + np.sqrt(cov) * rng.standard_normal(thetas.size)
-        vxx, vyy, vxy = cov
-        l11 = np.sqrt(vxx)
-        l21 = vxy / l11
-        l22 = np.sqrt(vyy - l21 * l21)
-        z = rng.standard_normal((thetas.size, 2))
-        return mean + l11 * z[:, 0] + 1j * (l21 * z[:, 0] + l22 * z[:, 1])
+        return sample_gaussian_outcomes(*self.outcome_moments(thetas), rng, thetas.size)
 
 
 # one row block of the likelihood kernel: small enough to stay in L2 cache
@@ -502,13 +524,13 @@ class _SpreadCalculator:
         return self.finish(m)
 
 
-def _quadrature_outcome_grid(strategy, prior, rel_tol, max_level):
-    calc = _SpreadCalculator(prior, strategy)
+def _quadrature_outcome_grid(level_value, rel_tol, max_level):
+    """Step-halving driver over ``level_value(level)``, the outcome average
+    on a rule whose step halves with each level; ToleranceError carries
+    the last value when ``max_level`` is passed."""
     prev = None
     for level in range(max_level + 1):
-        outcomes, weights = strategy.outcome_nodes(level)
-        v, z = calc.spreads(outcomes)
-        value = float(weights @ (z * v))
+        value = level_value(level)
         if prev is not None:
             # one Richardson step cancels the trapezoid h^2 error, so the
             # returned value carries error well below the |delta|/3 estimate
@@ -554,8 +576,14 @@ def average_posterior_variance(strategy, prior: GridDistribution, method: str = 
     standard error reported).  Monte Carlo draws are chunked at a fixed
     size so results depend only on the generator's seed.
     """
-    if method in ("quadrature", "quad"):
-        return _quadrature_outcome_grid(strategy, prior, rel_tol, max_level)
-    if method in ("montecarlo", "monte-carlo", "mc"):
+    if method == "quadrature":
+        calc = _SpreadCalculator(prior, strategy)
+
+        def level_value(level):
+            outcomes, weights = strategy.outcome_nodes(level)
+            v, z = calc.spreads(outcomes)
+            return float(weights @ (z * v))
+        return _quadrature_outcome_grid(level_value, rel_tol, max_level)
+    if method == "montecarlo":
         return _monte_carlo(strategy, prior, samples, rng)
     raise ValueError(f"unknown method {method!r}")

@@ -194,7 +194,7 @@ def _truncation(config: ExperimentConfig):
     return phase.SeriesTruncation(config.trunc_n, config.tail_tol)
 
 
-def _resolve_alpha(params: dict, squeeze_key: str, task: str):
+def _resolve_alpha(params: dict, squeeze_key: str):
     """alpha from n at fixed squeezing (infeasible when n < sinh^2)."""
     if "n" not in params:
         return float(params.get("alpha", 0.0))
@@ -207,10 +207,10 @@ def _resolve_alpha(params: dict, squeeze_key: str, task: str):
 
 def _engine_phase_task(task: str, params: dict) -> phase.PhaseTask:
     if task == "PhaseHet":
-        alpha = _resolve_alpha(params, "r", task)
+        alpha = _resolve_alpha(params, "r")
         probe = ProbeSpec(alpha, params.get("r", 0.0), math.pi if params.get("r", 0.0) > 0 else 0.0)
         return phase.PhaseTask(probe, HETERODYNE)
-    alpha = _resolve_alpha(params, "r", task)
+    alpha = _resolve_alpha(params, "r")
     probe = ProbeSpec(alpha, params.get("r", 0.0), params.get("psi", 0.0))
     return phase.PhaseTask(probe, homodyne(0.0))
 
@@ -223,7 +223,7 @@ def _closed_form(task: str, params: dict, config: ExperimentConfig):
         m = int(params.get("m_rounds", 1))
         return disp.repeated_variance(params["sigma0sq"], params.get("r", 0.0), m), "closed-form"
     if task == "PhaseHet":
-        alpha = _resolve_alpha(params, "r", task)
+        alpha = _resolve_alpha(params, "r")
         r = params.get("r", 0.0)
         if r == 0.0:
             return phase.coherent_het_average_variance(alpha), "closed-form"
@@ -250,7 +250,7 @@ def _engine_value(task: str, params: dict, config: ExperimentConfig,
         return phase.average_variance_numeric(ptask, method=method,
                                               samples=config.samples, rng=rng)
     if task == "Squeeze":
-        alpha = _resolve_alpha(params, "s", task)
+        alpha = _resolve_alpha(params, "s")
         probe = ProbeSpec(alpha, params.get("s", 0.0), params.get("psi", 0.0))
         prior = GaussianPrior(params.get("r0", 0.0), params["sigma0sq"])
         stask = squeezing.SqueezeTask(probe, prior)

@@ -15,7 +15,11 @@ from enum import Enum
 
 import numpy as np
 
-from .phasespace import GaussianState, coherent, fidelity, rotate
+from .bayes import gaussian_outcome_density, sample_gaussian_outcomes
+from .phasespace import GaussianState, rotate
+# not called here: the benchmark's tracer (perfbench/tracer.py) wraps
+# measurement.fidelity by name, so the name stays bound
+from .phasespace import fidelity  # noqa: F401
 
 __all__ = [
     "MeasurementKind",
@@ -53,9 +57,11 @@ def homodyne(angle: float = 0.0) -> Measurement:
     return Measurement(MeasurementKind.HOMODYNE, angle)
 
 
-def heterodyne_density(st: GaussianState, beta: complex) -> float:
-    """Probability density over the complex plane for heterodyne outcome beta."""
-    return fidelity(coherent(beta), st) / math.pi
+def heterodyne_density(st: GaussianState, beta):
+    """Probability density over the complex plane for heterodyne outcome
+    beta, the bivariate Gaussian of ``husimi_moments``; vectorized in beta."""
+    out = gaussian_outcome_density(np.asarray(beta, dtype=complex), *_heterodyne_law(st))
+    return float(out) if out.ndim == 0 else out
 
 
 def husimi_moments(st: GaussianState):
@@ -66,6 +72,12 @@ def husimi_moments(st: GaussianState):
     return mean, cov
 
 
+def _heterodyne_law(st: GaussianState):
+    """``husimi_moments`` with the covariance as (vxx, vyy, vxy)."""
+    mean, cov = husimi_moments(st)
+    return mean, (cov[0, 0], cov[1, 1], cov[0, 1])
+
+
 def homodyne_moments(st: GaussianState, angle: float = 0.0):
     """Mean and variance of the measured quadrature."""
     rotated = rotate(st, -angle) if angle != 0.0 else st
@@ -74,18 +86,12 @@ def homodyne_moments(st: GaussianState, angle: float = 0.0):
 
 def homodyne_density(st: GaussianState, q, angle: float = 0.0):
     """Gaussian marginal of the (rotated) Wigner function; vectorized in q."""
-    mu, var = homodyne_moments(st, angle)
-    q = np.asarray(q, dtype=float)
-    out = np.exp(-((q - mu) ** 2) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+    out = gaussian_outcome_density(np.asarray(q, dtype=float), *homodyne_moments(st, angle))
     return float(out) if out.ndim == 0 else out
 
 
 def sample_outcomes(st: GaussianState, meas: Measurement, rng: np.random.Generator, size: int):
     """Draw ``size`` independent outcomes; deterministic given the generator state."""
     if meas.kind is MeasurementKind.HOMODYNE:
-        mu, var = homodyne_moments(st, meas.quadrature_angle)
-        return rng.normal(mu, math.sqrt(var), size)
-    mean, cov = husimi_moments(st)
-    chol = np.linalg.cholesky(cov)
-    z = rng.standard_normal((size, 2)) @ chol.T
-    return mean + z[:, 0] + 1j * z[:, 1]
+        return sample_gaussian_outcomes(*homodyne_moments(st, meas.quadrature_angle), rng, size)
+    return sample_gaussian_outcomes(*_heterodyne_law(st), rng, size)

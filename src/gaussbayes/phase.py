@@ -24,7 +24,8 @@ import numpy as np
 
 from . import specfun
 from .bayes import (AverageVariance, Circle, GaussianOutcomeStrategy, GridDistribution,
-                    average_posterior_variance, trapezoid)
+                    _quadrature_outcome_grid, average_posterior_variance,
+                    gaussian_outcome_density, trapezoid)
 from .measurement import Measurement, MeasurementKind
 from .phasespace import ProbeSpec, gamma_qq
 from .specfun import DEFAULT_CONTROL, SeriesControl, TruncationError
@@ -142,11 +143,20 @@ class PhaseTask:
 # coherent probe, heterodyne detection (closed forms)
 
 
+def _het_moments(alpha: float, r: float, thetas):
+    """Husimi mean alpha e^{-i theta} and covariance (vxx, vyy, vxy) of
+    D(alpha) S(-r) |0> rotated by theta: R diag(vx, vy) R^T with R the
+    rotation by -theta and vx, vy = (1 + e^{+-2r}) / 4."""
+    half_sum = (math.cosh(2.0 * r) + 1.0) / 4.0
+    half_diff = math.sinh(2.0 * r) / 4.0
+    c2, s2 = np.cos(2.0 * thetas), np.sin(2.0 * thetas)
+    cov = (half_sum + half_diff * c2, half_sum - half_diff * c2, -half_diff * s2)
+    return alpha * np.exp(-1j * thetas), cov
+
+
 def coherent_het_likelihood(alpha: float, beta: complex, thetas):
     """p(beta | theta) for a coherent probe: (1/pi) e^{-|e^{i theta} beta - alpha|^2}."""
-    thetas = np.asarray(thetas, dtype=float)
-    z = np.exp(1j * thetas) * complex(beta) - alpha
-    return np.exp(-(z.real**2 + z.imag**2)) / math.pi
+    return squeezed_het_likelihood(alpha, 0.0, beta, thetas)
 
 
 def coherent_het_outcome_density(alpha: float, beta: complex,
@@ -169,15 +179,14 @@ def coherent_het_posterior(alpha: float, beta: complex,
 
 def coherent_het_posterior_variance(alpha: float, abs_beta: float,
                                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Circular posterior variance 0F1(2; alpha^2 |beta|^2) / (2 I_0 Gamma(2))."""
+    """Circular posterior variance I_1(k) / (k I_0(k)), k = 2 alpha |beta|."""
     k = 2.0 * alpha * abs_beta
     if k == 0.0:
         return 0.5
     # both factors grow like e^k; evaluate the ratio through scaled values
-    # using 0F1(2; x^2) = I_1(2x)/x
     i1 = specfun.bessel_i_log_scaled(1, k, ctl)
     i0 = specfun.bessel_i_log_scaled(0, k, ctl)
-    return i1 / (0.5 * k * i0 * 2.0 * specfun.gamma_fn(2.0))
+    return i1 / (k * i0)
 
 
 def coherent_het_average_variance(alpha: float) -> float:
@@ -194,13 +203,11 @@ def coherent_het_average_variance(alpha: float) -> float:
 
 def squeezed_het_likelihood(alpha: float, r: float, beta: complex, thetas):
     """p(beta | theta) for the probe D(alpha) S(-r) |0>."""
-    thetas = np.asarray(thetas, dtype=float)
-    z = np.exp(1j * thetas) * complex(beta) - alpha
-    ch = math.cosh(r)
-    return np.exp(-(math.exp(-r) * z.real**2 + math.exp(r) * z.imag**2) / ch) / (math.pi * ch)
+    return gaussian_outcome_density(complex(beta),
+                                    *_het_moments(alpha, r, np.asarray(thetas, dtype=float)))
 
 
-def _sh_rows(alpha, r, rho, trunc, ctl):
+def _sh_rows(alpha, r, rho, trunc):
     """Scaled Bessel rows for the resummed series at radial nodes rho.
 
     Returns (rows_u, rows_v) with rows_u[:, n] = e^{-u} I_n(u) at
@@ -211,8 +218,8 @@ def _sh_rows(alpha, r, rho, trunc, ctl):
     t = math.tanh(r)
     u = rho * rho * t
     v = 2.0 * alpha * rho * (1.0 - t)
-    rows_u = specfun.bessel_i_scaled_rows(u, trunc.n_max, ctl)
-    rows_v = specfun.bessel_i_scaled_rows(v, 2 * trunc.n_max + 3, ctl)
+    rows_u = specfun.bessel_i_scaled_rows(u, trunc.n_max)
+    rows_v = specfun.bessel_i_scaled_rows(v, 2 * trunc.n_max + 3)
     return rows_u, rows_v
 
 
@@ -240,11 +247,11 @@ def _sh_check_tail(terms, totals, tail_tol):
             "series tail exceeds the declared bound; increase the index cutoff")
 
 
-def _sh_point(alpha, r, babs, trunc, ctl):
+def _sh_point(alpha, r, babs, trunc):
     """Normalization sum k, the Bessel rows and the cutoff at one radius."""
     if trunc is None:
         trunc = _sh_truncation(alpha, r, babs)
-    rows_u, rows_v = _sh_rows(alpha, r, np.array([float(babs)]), trunc, ctl)
+    rows_u, rows_v = _sh_rows(alpha, r, np.array([float(babs)]), trunc)
     terms = _sh_sum(rows_u, rows_v, 0, trunc.n_max)
     k = terms.sum(axis=1)
     _sh_check_tail(terms, k, trunc.tail_tol)
@@ -252,8 +259,7 @@ def _sh_point(alpha, r, babs, trunc, ctl):
 
 
 def squeezed_het_outcome_density(alpha: float, r: float, beta: complex,
-                                 trunc: Optional[SeriesTruncation] = None,
-                                 ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                                 trunc: Optional[SeriesTruncation] = None) -> float:
     """p(beta) for the squeezed probe as a Bessel series.
 
     Equals e^{-(1-t)(|beta|-alpha)^2} sum_n I_n(|beta|^2 t)
@@ -261,26 +267,24 @@ def squeezed_het_outcome_density(alpha: float, r: float, beta: complex,
     only n = 0 survives and the coherent form is recovered.
     """
     babs = abs(complex(beta))
-    k = _sh_point(alpha, r, babs, trunc, ctl)[0]
+    k = _sh_point(alpha, r, babs, trunc)[0]
     t = math.tanh(r)
     return math.exp(-(1.0 - t) * (babs - alpha) ** 2) * k / (math.pi * math.cosh(r))
 
 
 def squeezed_het_posterior_variance(alpha: float, r: float, abs_beta: float,
-                                    trunc: Optional[SeriesTruncation] = None,
-                                    ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                                    trunc: Optional[SeriesTruncation] = None) -> float:
     """Circular posterior variance at outcome radius |beta| (angle drops out)."""
-    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs_beta, trunc, ctl)
+    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs_beta, trunc)
     # <sin^2(theta - est)> = (1 - <cos 2(theta - est)>) / 2 = sum / (4 k)
     return float(0.25 * _sh_var_terms(rows_u, rows_v, n_max).sum() / k)
 
 
 def squeezed_het_estimator(alpha: float, r: float, beta: complex,
-                           trunc: Optional[SeriesTruncation] = None,
-                           ctl: SeriesControl = DEFAULT_CONTROL) -> Optional[float]:
+                           trunc: Optional[SeriesTruncation] = None) -> Optional[float]:
     """Phase estimator arg <e^{i theta}>: phi_beta when the moment series is
     positive, phi_beta + pi when negative, None when it vanishes."""
-    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs(complex(beta)), trunc, ctl)
+    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs(complex(beta)), trunc)
     moment = float(_sh_sum(rows_u, rows_v, 1, n_max).sum())
     if k > 0:
         moment /= k
@@ -297,26 +301,29 @@ def _sh_radial_extent(alpha: float, r: float) -> float:
     return alpha + 7.0 / math.sqrt(1.0 - math.tanh(r))
 
 
+def _radial_rule(alpha: float, r: float, base: int, level: int):
+    """Trapezoid nodes and weights on the outcome radius [0, extent]; the
+    level-0 step stays comparable across extents, and each level halves it."""
+    extent = _sh_radial_extent(alpha, r)
+    return trapezoid(0.0, extent, base * max(1, math.ceil(extent / 8.0)) * 2**level + 1)
+
+
 def squeezed_het_average_variance(alpha: float, r: float,
                                   trunc: Optional[SeriesTruncation] = None,
                                   rel_tol: float = 1e-6,
-                                  base_nodes: int = 512, max_level: int = 4,
-                                  ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                                  base_nodes: int = 512, max_level: int = 4) -> float:
     """Average circular posterior variance by radial quadrature of the series.
 
-    Step-halving trapezoid with one Richardson extrapolation; raises
-    ToleranceError via the caller's tolerance if refinement stalls.
+    The engine's step-halving driver with one Richardson extrapolation;
+    raises ToleranceError carrying the last value if refinement stalls.
     """
-    extent = _sh_radial_extent(alpha, r)
     if trunc is None:
-        trunc = _sh_truncation(alpha, r, extent)
+        trunc = _sh_truncation(alpha, r, _sh_radial_extent(alpha, r))
     t = math.tanh(r)
-    # keep the initial radial step comparable across extents
-    base = base_nodes * max(1, math.ceil(extent / 8.0))
 
     def level_value(level):
-        rho, w = trapezoid(0.0, extent, base * 2**level + 1)
-        rows_u, rows_v = _sh_rows(alpha, r, rho, trunc, ctl)
+        rho, w = _radial_rule(alpha, r, base_nodes, level)
+        rows_u, rows_v = _sh_rows(alpha, r, rho, trunc)
         var_terms = 0.5 * _sh_var_terms(rows_u, rows_v, trunc.n_max)
         s = var_terms.sum(axis=1)
         # tail measured against the normalization sum: V_post = s/(2k) <= 1/2
@@ -326,50 +333,44 @@ def squeezed_het_average_variance(alpha: float, r: float,
         integrand = rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)
         return float(w @ integrand)
 
-    prev = level_value(0)
-    for level in range(1, max_level + 1):
-        cur = level_value(level)
-        delta = cur - prev
-        if abs(delta) / 3.0 <= max(rel_tol * abs(cur), 1e-13):
-            return cur + delta / 3.0
-        prev = cur
-    raise TruncationError("radial quadrature for the average variance did not settle")
+    return _quadrature_outcome_grid(level_value, rel_tol, max_level).value
 
 
 # ---------------------------------------------------------------------------
 # coherent probe, homodyne detection (series); squeezed probe (numeric only)
 
 
+def _hom_moments(alpha: float, r: float, phi_s: float, thetas):
+    """q-homodyne mean sqrt2 alpha cos theta and variance gamma_qq(r, phi_s
+    + 2 theta) / 2 of D(alpha) S(r e^{i phi_s}) |0> rotated by theta."""
+    return math.sqrt(2.0) * alpha * np.cos(thetas), gamma_qq(r, phi_s + 2.0 * thetas) / 2.0
+
+
 def coherent_hom_likelihood(alpha: float, q: float, thetas):
     """p(q | theta) = e^{-(q - sqrt2 alpha cos theta)^2} / sqrt(pi)."""
-    thetas = np.asarray(thetas, dtype=float)
-    return np.exp(-((q - math.sqrt(2.0) * alpha * np.cos(thetas)) ** 2)) / math.sqrt(math.pi)
+    return squeezed_hom_likelihood(alpha, 0.0, 0.0, q, thetas)
 
 
 def squeezed_hom_likelihood(alpha: float, r: float, phi_s: float, q: float, thetas):
-    """p(q | theta) for the probe D(alpha) S(r e^{i phi_s}) |0>; the rotated
-    covariance enters through gamma_qq(r, phi_s + 2 theta)."""
-    thetas = np.asarray(thetas, dtype=float)
-    g = gamma_qq(r, phi_s + 2.0 * thetas)
-    mu = math.sqrt(2.0) * alpha * np.cos(thetas)
-    return np.exp(-((q - mu) ** 2) / g) / np.sqrt(math.pi * g)
+    """p(q | theta) for the probe D(alpha) S(r e^{i phi_s}) |0>."""
+    return gaussian_outcome_density(q, *_hom_moments(alpha, r, phi_s,
+                                                      np.asarray(thetas, dtype=float)))
 
 
-def _hom_rows(alpha, q, trunc, ctl):
+def _hom_rows(alpha, q, trunc):
     a = 2.0 * math.sqrt(2.0) * q * alpha
     b = -alpha * alpha
-    rows_a = specfun.bessel_i_scaled_rows(a, 2 * trunc.n_max + 2, ctl)[0]
-    rows_b = specfun.bessel_i_scaled_rows(b, trunc.n_max, ctl)[0]
+    rows_a = specfun.bessel_i_scaled_rows(a, 2 * trunc.n_max + 2)[0]
+    rows_b = specfun.bessel_i_scaled_rows(b, trunc.n_max)[0]
     return rows_a, rows_b, abs(a), abs(b)
 
 
 def coherent_hom_outcome_density(alpha: float, q: float,
-                                 trunc: Optional[SeriesTruncation] = None,
-                                 ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                                 trunc: Optional[SeriesTruncation] = None) -> float:
     """p(q) = e^{-q^2-alpha^2} sum_m I_{2m}(2 sqrt2 q alpha) I_m(-alpha^2) / sqrt(pi)."""
     if trunc is None:
         trunc = default_truncation(2.0 * math.sqrt(2.0) * abs(q) * alpha, alpha * alpha)
-    rows_a, rows_b, ea, eb = _hom_rows(alpha, q, trunc, ctl)
+    rows_a, rows_b, ea, eb = _hom_rows(alpha, q, trunc)
     m = np.arange(-trunc.n_max, trunc.n_max + 1)
     terms = rows_a[np.abs(2 * m)] * rows_b[np.abs(m)]
     total = float(terms.sum())
@@ -380,8 +381,7 @@ def coherent_hom_outcome_density(alpha: float, q: float,
 
 
 def coherent_hom_circular_moment(alpha: float, q: float,
-                                 trunc: Optional[SeriesTruncation] = None,
-                                 ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
+                                 trunc: Optional[SeriesTruncation] = None) -> complex:
     """<e^{i theta}> under the posterior p(theta | q) on [0, pi].
 
     Real part: ratio of single Bessel sums; imaginary part: double sum
@@ -392,7 +392,7 @@ def coherent_hom_circular_moment(alpha: float, q: float,
         raise ValueError("alpha must be positive")
     if trunc is None:
         trunc = default_truncation(2.0 * math.sqrt(2.0) * abs(q) * alpha, alpha * alpha)
-    rows_a, rows_b, _, _ = _hom_rows(alpha, q, trunc, ctl)
+    rows_a, rows_b, _, _ = _hom_rows(alpha, q, trunc)
     n = np.arange(-trunc.n_max, trunc.n_max + 1)
     norm = float((rows_a[np.abs(2 * n)] * rows_b[np.abs(n)]).sum())
     if abs(norm) < 1e-300:
@@ -414,9 +414,7 @@ def coherent_hom_circular_moment(alpha: float, q: float,
 class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
     """Phase encoding on D(alpha) S(-r) |0> read out by heterodyne detection.
 
-    Rotating the probe by theta gives the Husimi mean alpha e^{-i theta}
-    and covariance R diag(vx, vy) R^T with R the rotation by -theta and
-    vx, vy = (1 + e^{+-2r}) / 4.  Outcome quadrature runs over the radial
+    Outcome moments as in ``squeezed_het_likelihood``.  Outcome quadrature runs over the radial
     coordinate only: the posterior is covariant under rotations of beta,
     so the angular integral contributes a factor 2 pi |beta| (checked by
     the rotational-covariance property tests).  Setting
@@ -433,19 +431,11 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
         self.angular_nodes = angular_nodes
         self.angular_symmetry = angular_symmetry
         self.support = HET_SUPPORT
-        super().__init__(self._moments, self._nodes, dim=2, circular=True)
-
-    def _moments(self, thetas):
-        half_sum = (math.cosh(2.0 * self.r) + 1.0) / 4.0
-        half_diff = math.sinh(2.0 * self.r) / 4.0
-        c2, s2 = np.cos(2.0 * thetas), np.sin(2.0 * thetas)
-        cov = (half_sum + half_diff * c2, half_sum - half_diff * c2, -half_diff * s2)
-        return self.alpha * np.exp(-1j * thetas), cov
+        super().__init__(lambda t: _het_moments(self.alpha, self.r, t), self._nodes,
+                         dim=2, circular=True)
 
     def _nodes(self, level):
-        extent = _sh_radial_extent(self.alpha, self.r)
-        m = self.base_radial * max(1, math.ceil(extent / 8.0)) * 2**level + 1
-        rho, wr = trapezoid(0.0, extent, m)
+        rho, wr = _radial_rule(self.alpha, self.r, self.base_radial, level)
         if self.angular_symmetry:
             return rho.astype(complex), 2.0 * math.pi * rho * wr
         k = self.angular_nodes
@@ -457,8 +447,8 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
 
 
 class HomodynePhaseStrategy(GaussianOutcomeStrategy):
-    """Phase encoding on D(alpha) S(r e^{i phi_s}) |0> read out by q-homodyne:
-    q ~ N(sqrt2 alpha cos theta, gamma_qq(r, phi_s + 2 theta) / 2)."""
+    """Phase encoding on D(alpha) S(r e^{i phi_s}) |0> read out by q-homodyne,
+    outcome moments as in ``squeezed_hom_likelihood``."""
 
     def __init__(self, alpha: float, r: float = 0.0, phi_s: float = 0.0,
                  base_nodes: int = 512):
@@ -469,8 +459,7 @@ class HomodynePhaseStrategy(GaussianOutcomeStrategy):
         self.support = HOM_SUPPORT
         extent = math.sqrt(2.0) * self.alpha + 6.0 * math.exp(abs(self.r)) / math.sqrt(2.0) + 1.0
         super().__init__(
-            lambda t: (math.sqrt(2.0) * self.alpha * np.cos(t),
-                       gamma_qq(self.r, self.phi_s + 2.0 * t) / 2.0),
+            lambda t: _hom_moments(self.alpha, self.r, self.phi_s, t),
             lambda level: trapezoid(-extent, extent, base_nodes * 2**level + 1),
             dim=1, circular=True)
 

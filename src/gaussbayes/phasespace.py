@@ -205,8 +205,20 @@ def fidelity(a: GaussianState, b: GaussianState) -> float:
     cross = a0 * b1 - b0 * a1
     det_s = a.det * (1.0 + b0 / a0) + b.det * (1.0 + a0 / b0) + cross * cross / (a0 * b0)
     d0, d1 = (a.mean - b.mean).tolist()
-    # d^T (G_a + G_b)^{-1} d = d^T adj(cov_a + cov_b) d / (2 det_s)
-    quad = ((a2 + b2) * d0 * d0 - 2.0 * (a1 + b1) * d0 * d1 + (a0 + b0) * d1 * d1) / (2.0 * det_s)
+    # d^T (G_a + G_b)^{-1} d = d^T S^{-1} d / 2, S = cov_a + cov_b, in the
+    # eigenbasis of S: its large eigenvalue big is a sum of nonnegative terms
+    # and the small one det_s / big (the adjugate form cancels along big)
+    s0, s1, s2 = a0 + b0, a1 + b1, a2 + b2
+    half = 0.5 * (s0 - s2)
+    h = math.hypot(half, s1)
+    big = 0.5 * (s0 + s2) + h
+    u0, u1 = (half + h, s1) if half >= 0.0 else (s1, h - half)
+    norm = math.hypot(u0, u1)
+    if norm == 0.0:  # S is a multiple of the identity
+        u0, norm = 1.0, 1.0
+    p = (d0 * u0 + d1 * u1) / norm
+    q = (d1 * u0 - d0 * u1) / norm
+    quad = 0.5 * (p * p / big + q * q * big / det_s)
     lam = max((1.0 - 4.0 * a.det) * (1.0 - 4.0 * b.det), 0.0)
     f = 2.0 * math.exp(-quad) / (math.sqrt(4.0 * det_s + lam) - math.sqrt(lam))
     return min(max(f, 0.0), 1.0)

@@ -1,5 +1,4 @@
-"""Special-function kernel: modified Bessel functions I_n, the confluent
-hypergeometric limit function 0F1, and the gamma function.
+"""Special-function kernel: modified Bessel functions I_n of integer order.
 
 Everything here is self-contained (power series, backward recurrence,
 asymptotics) so that accuracy is controlled by an explicit truncation
@@ -27,8 +26,6 @@ __all__ = [
     "bessel_i_log_scaled",
     "bessel_i_scaled_row",
     "bessel_i_scaled_rows",
-    "hyp0f1",
-    "gamma_fn",
 ]
 
 # Branch point between the power series and the scaled recurrence.  Chosen
@@ -53,7 +50,7 @@ class RangeError(OverflowError):
 
 
 class DomainError(ValueError):
-    """Argument outside the function's domain (e.g. a gamma pole)."""
+    """Argument outside the function's domain (e.g. a non-finite argument)."""
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def _small_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
     return lead * (1.0 + 0.25 * x * x / (n + 1.0)) * np.exp(-x)
 
 
-def bessel_i_scaled_rows(x, nmax: int, ctl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
+def bessel_i_scaled_rows(x, nmax: int) -> np.ndarray:
     """Rows of e^{-|x|} I_n(x) for n = 0..nmax, vectorized over x.
 
     The parity sign for negative arguments is applied, so
@@ -182,9 +179,9 @@ def bessel_i_scaled_rows(x, nmax: int, ctl: SeriesControl = DEFAULT_CONTROL) -> 
     return out
 
 
-def bessel_i_scaled_row(x: float, nmax: int, ctl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
+def bessel_i_scaled_row(x: float, nmax: int) -> np.ndarray:
     """Single row of e^{-|x|} I_n(x), n = 0..nmax."""
-    return bessel_i_scaled_rows([x], nmax, ctl)[0]
+    return bessel_i_scaled_rows([x], nmax)[0]
 
 
 def bessel_i_log_scaled(n: int, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -223,36 +220,3 @@ def bessel_i(n: int, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     if ax > _EXP_OVERFLOW:
         raise RangeError(f"I_{n}({x}): e^|x| scaling overflows for |x| > {_EXP_OVERFLOW}")
     return sign * float(_miller_scaled(np.array([ax]), n)[0, n]) * math.exp(ax)
-
-
-def hyp0f1(b: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Confluent hypergeometric limit function 0F1(b; z).
-
-    Power series sum_k z^k / ((b)_k k!); b must not be a non-positive
-    integer.
-    """
-    b = float(b)
-    z = float(z)
-    if b <= 0.0 and b == int(b):
-        raise DomainError(f"0F1 undefined at non-positive integer b={b}")
-    term = 1.0
-    total = 1.0
-    small_count = 0
-    for k in range(ctl.max_terms):
-        term *= z / ((b + k) * (k + 1.0))
-        total += term
-        if abs(term) < ctl.rel_tol * abs(total) or abs(term) < ctl.abs_tol:
-            small_count += 1
-            if small_count >= 3:
-                return total
-        else:
-            small_count = 0
-    raise TruncationError(f"0F1({b}; {z}) not converged after {ctl.max_terms} terms")
-
-
-def gamma_fn(z: float) -> float:
-    """Euler gamma function for real z, poles excluded."""
-    z = float(z)
-    if z <= 0.0 and z == int(z):
-        raise DomainError(f"gamma pole at z={z}")
-    return math.gamma(z)

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import bayes
 from .bayes import (AverageVariance, GammaPrior, GaussianOutcomeStrategy, GaussianPrior,
-                    GridDistribution, Interval, average_posterior_variance, trapezoid)
+                    GridDistribution, Interval, average_posterior_variance,
+                    gaussian_outcome_density, trapezoid)
 from .phasespace import GaussianState, ProbeSpec, _symplectic_apply, gamma_qq
-from .specfun import gamma_fn
 
 __all__ = [
     "SqueezeTask",
@@ -89,8 +89,7 @@ def homodyne_likelihood(probe: ProbeSpec, r, q):
     """p(q | r): Gaussian with mean sqrt2 Re(alpha) e^{-r} and variance
     e^{-2r} (cosh 2s - cos psi sinh 2s)/2; vectorized over r."""
     mu, sd = conditional_moments(probe, r)
-    var = sd * sd
-    return np.exp(-((q - mu) ** 2) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+    return gaussian_outcome_density(q, mu, sd * sd)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +119,7 @@ def gamma_density_over_r(gp: GammaPrior, r_nodes) -> np.ndarray:
     lambda = 2 e^{2r} (Jacobian dlambda/dr = 2 lambda included)."""
     lam = precision_of_r(r_nodes)
     log_dens = (gp.a * np.log(gp.b) + gp.a * np.log(lam) - gp.b * lam
-                + math.log(2.0) - math.log(gamma_fn(gp.a)))
+                + math.log(2.0) - math.lgamma(gp.a))
     return np.exp(log_dens)
 
 

@@ -287,7 +287,7 @@ def criterion_8_invariants(seed=DEFAULT_SEED) -> CriterionResult:
         for _ in range(6):
             op = rng.integers(3)
             if op == 0:
-                st = ps.displace(st, complex(rng.normal(), rng.normal()))
+                st = ps.displace(st, complex(rng.standard_normal(), rng.standard_normal()))
             elif op == 1:
                 st = ps.squeeze(st, rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi))
             else:
@@ -339,7 +339,7 @@ def criterion_8_invariants(seed=DEFAULT_SEED) -> CriterionResult:
     # conjugacy closure on the grid
     prior = GaussianPrior(0.3, 0.25)
     grid = GridDistribution.from_gaussian(prior, 4001)
-    like = lambda t, m: np.exp(-((m - t) ** 2) / (2 * 0.5)) / math.sqrt(2 * math.pi * 0.5)
+    like = lambda t, m: bayes.gaussian_outcome_density(m, t, 0.5)
     post = bayes.grid_update(grid, like, 1.0)
     exact = bayes.gaussian_update(prior, 1.0, 0.5)
     mean = bayes.mean_estimator(post)

@@ -41,6 +41,16 @@ class TestHeterodyneDensity:
             total += float(np.trapezoid(vals * rho, rho))
         assert total * (2 * math.pi / ang.size) == pytest.approx(1.0, abs=1e-5)
 
+    def test_broadcasts_and_matches_coherent_overlap(self):
+        # Q(beta) = <beta|rho|beta> / pi, the fidelity with a coherent state
+        st = ps.displace(ps.squeeze(ps.vacuum(), 0.7, 0.9), 1.0 - 0.5j)
+        betas = np.array([[0.0, 1.0 - 0.5j, 2.5], [2.0 + 1.0j, -0.3j, -1.5 + 2.0j]])
+        got = meas.heterodyne_density(st, betas)
+        assert got.shape == betas.shape
+        want = [[ps.fidelity(ps.coherent(b), st) / math.pi for b in row] for row in betas]
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+        assert isinstance(meas.heterodyne_density(st, 0.5j), float)
+
     def test_displacement_covariance(self):
         # p_alpha(beta) = p_0(beta - alpha)
         base = ps.squeeze(ps.vacuum(), 0.5, 1.3)
@@ -99,6 +109,20 @@ class TestSampler:
         assert abs(betas.real.mean() - 1.0) < 3.0 / math.sqrt(n)
         assert betas.real.var() == pytest.approx(0.5, rel=0.05)
         assert betas.imag.var() == pytest.approx(0.5, rel=0.05)
+
+    def test_draws_match_reference_constructions(self):
+        # homodyne: the same draws as rng.normal, bit for bit; heterodyne:
+        # z = standard_normal((n, 2)) times the Cholesky factor, to rounding
+        st = ps.displace(ps.squeeze(ps.vacuum(), 0.6, 0.7), 0.8 + 0.2j)
+        for angle in (0.0, 1.1):
+            mu, var = meas.homodyne_moments(st, angle)
+            np.testing.assert_array_equal(
+                meas.sample_outcomes(st, homodyne(angle), rng_for(6), 500),
+                rng_for(6).normal(mu, math.sqrt(var), 500))
+        mean, cov = meas.husimi_moments(st)
+        z = rng_for(7).standard_normal((500, 2)) @ np.linalg.cholesky(cov).T
+        np.testing.assert_allclose(meas.sample_outcomes(st, HETERODYNE, rng_for(7), 500),
+                                   mean + z[:, 0] + 1j * z[:, 1], rtol=0, atol=4e-15)
 
     def test_determinism(self):
         st = ps.displace(ps.squeeze(ps.vacuum(), 0.4, 0.2), 0.3)

@@ -123,6 +123,20 @@ class TestFidelity:
         assert ps.fidelity(a, b) == pytest.approx(want, rel=1e-12)
         assert ps.fidelity(b, a) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("r", [1.0, 4.0, 8.0])
+    @pytest.mark.parametrize("quad", [0.1, 0.5, 1.0, 2.0])
+    def test_shift_along_anti_squeezed_axis(self, r, quad):
+        # d along the eigenvector of variance e^{2r}/2: F = exp(-|d|^2 e^{-2r}/2).
+        # The adjugate form of the exponent cancels there, by up to
+        # eps e^{4r} relative; 1 - F is what qfi_fidelity differences
+        a = ps.rotate(ps.squeeze(ps.vacuum(), r, 0.3), 0.9)
+        axis = np.linalg.eigh(a.cov)[1][:, 1]
+        d = math.sqrt(2.0 * quad) * math.exp(r) * axis
+        b = ps.GaussianState(a.mean + d, a.cov, det=a.det)
+        want = -math.expm1(-float(d @ d) * math.exp(-2.0 * r) / 2.0)
+        assert 1.0 - ps.fidelity(a, b) == pytest.approx(want, rel=1e-12)
+        assert 1.0 - ps.fidelity(b, a) == pytest.approx(want, rel=1e-12)
+
     def test_mixed_states(self):
         # thermal states of mean photon number n1, n2: F = 1 / (sqrt(..) - sqrt(..))
         def thermal(n):

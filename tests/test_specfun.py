@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from gaussbayes import specfun
 from gaussbayes.specfun import (DomainError, RangeError, SeriesControl,
                                 TruncationError, bessel_i, bessel_i_log_scaled,
-                                bessel_i_scaled_row, bessel_i_scaled_rows,
-                                gamma_fn, hyp0f1)
+                                bessel_i_scaled_row, bessel_i_scaled_rows)
 
 
 def series_oracle(n, x, terms=80):
@@ -164,44 +163,6 @@ class TestJacobiAnger:
                 assert errs[-1] < 1e-12
                 slack = 1e-15 * math.exp(min(x, 1.0))
                 assert all(b <= a + slack for a, b in zip(errs, errs[1:]))
-
-
-class TestHyp0f1:
-    def test_unit_at_zero(self):
-        assert hyp0f1(2.0, 0.0) == 1.0
-
-    def test_bessel_identity_spot(self):
-        # 0F1(2; x^2) = I_1(2x)/x
-        assert hyp0f1(2.0, 1.0) == pytest.approx(bessel_i(1, 2.0), rel=1e-12)
-        assert hyp0f1(2.0, 4.0) == pytest.approx(bessel_i(1, 4.0) / 2.0, rel=1e-12)
-
-    def test_bessel_identity_range(self):
-        for z in np.linspace(0.25, 100.0, 25):
-            x = math.sqrt(z)
-            assert hyp0f1(2.0, z) == pytest.approx(bessel_i(1, 2.0 * x) / x, rel=1e-10)
-
-    def test_negative_argument(self):
-        # 0F1(3/2; -x^2/4) = cos(x) * ... check against cos via the identity
-        # 0F1(1/2; -x^2/4) = cos x
-        assert hyp0f1(0.5, -(1.3 ** 2) / 4.0) == pytest.approx(math.cos(1.3), rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            hyp0f1(0.0, 1.0)
-        with pytest.raises(DomainError):
-            hyp0f1(-3.0, 1.0)
-
-
-class TestGamma:
-    def test_values(self):
-        assert gamma_fn(2.0) == 1.0
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-        assert gamma_fn(5.0) == 24.0
-
-    def test_poles(self):
-        for z in (0.0, -1.0, -7.0):
-            with pytest.raises(DomainError):
-                gamma_fn(z)
 
 
 def test_series_control_validation():

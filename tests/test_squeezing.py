@@ -97,6 +97,17 @@ class TestGammaConjugacy:
             chained = sq.vacuum_gamma_update(chained, [q])
         assert chained == sq.vacuum_gamma_update(prior, qs)
 
+    def test_density_over_r_at_large_shape(self):
+        # Gamma(a) overflows for a > 171.6, which a vacuum probe reaches
+        # after about 340 conjugate outcomes
+        from scipy import stats
+        gp = GammaPrior(400.0, 1.0)
+        r = np.array([2.4, 2.65, 2.9])
+        lam = sq.precision_of_r(r)
+        # density over lambda times the Jacobian dlambda/dr = 2 lambda
+        want = stats.gamma.logpdf(lam, gp.a, scale=1.0 / gp.b) + np.log(2.0 * lam)
+        np.testing.assert_allclose(sq.gamma_density_over_r(gp, r), np.exp(want), rtol=1e-12)
+
     def test_grid_posterior_matches_gamma(self):
         gp = GammaPrior(2.0, 1.0)
         grid = sq.gamma_prior_r_grid(gp, -3.0, 3.0, 4001)
