@@ -8,6 +8,7 @@ criterion fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness, verify
@@ -34,18 +35,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    overrides = {key: value for key, value in
+                 (("seed", args.seed), ("method", args.method), ("samples", args.samples))
+                 if value is not None}
+    if args.force_both_paths:
+        overrides["force_both"] = True
     try:
-        config = harness.load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.method is not None:
-            config.method = args.method
-        if args.samples is not None:
-            config.samples = args.samples
-        if args.force_both_paths:
-            config.force_both = True
-        if config.method == "montecarlo" and config.seed is None:
-            raise harness.ConfigError("montecarlo requires a seed (config or --seed)")
+        # replace() re-runs the config's own checks on the overridden fields
+        config = dataclasses.replace(harness.load_config(args.config), **overrides)
     except (OSError, harness.ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,28 +44,68 @@ __all__ = [
     "format_value",
 ]
 
-TASKS = ("DisplacementHet", "DisplacementHom", "PhaseHet", "PhaseHom", "Squeeze")
-
 # Cartesian sweep order; also the parameter column order in the CSV.
 SWEEP_KEYS = ("alpha", "r", "s", "psi", "r0", "sigma0sq", "n", "m_rounds")
 
 CSV_COLUMNS = ("task",) + SWEEP_KEYS + ("mean_photon", "avg_variance",
                                         "std_error", "method", "status")
 
-_REQUIRED = {
-    "DisplacementHet": {"sigma0sq"},
-    "DisplacementHom": {"sigma0sq"},
-    "PhaseHet": set(),   # alpha or n, checked separately
-    "PhaseHom": set(),
-    "Squeeze": {"sigma0sq"},
+# value of each optional sweep key a row leaves out
+_DEFAULTS = {"alpha": 0.0, "r": 0.0, "s": 0.0, "psi": 0.0, "r0": 0.0, "m_rounds": 1.0}
+
+
+@dataclass(frozen=True)
+class _Task:
+    """What a task accepts and how one of its rows is evaluated.
+
+    ``closed(p, alpha, config)`` returns ``(value, method_tag)``;
+    ``engine(p, alpha, method=, samples=, rng=)`` returns an
+    ``AverageVariance``, or None where the engine does not cover the row.
+    ``p`` is the row's parameters over ``_DEFAULTS`` and ``alpha`` the
+    probe displacement, resolved from ``n`` when the row gives ``n``.
+    """
+
+    keys: frozenset
+    squeeze: str  # the sweep key that sets the probe's squeezing
+    needs_sigma0sq: bool
+    closed: Optional[Callable]
+    engine: Callable
+
+
+def _phase_het_closed(p, alpha, config):
+    if p["r"] == 0.0:
+        return phase.coherent_het_average_variance(alpha), "closed-form"
+    return phase.squeezed_het_average_variance(alpha, p["r"], trunc=_truncation(config)), "series"
+
+
+_TASKS = {
+    "DisplacementHet": _Task(
+        frozenset({"sigma0sq", "r"}), "r", True,
+        lambda p, alpha, config: (disp.het_avg_total_variance(p["sigma0sq"], p["r"]),
+                                  "closed-form"),
+        lambda p, alpha, **kw: disp.het_avg_total_variance_numeric(p["sigma0sq"], p["r"], **kw)),
+    "DisplacementHom": _Task(
+        frozenset({"sigma0sq", "r", "m_rounds"}), "r", True,
+        lambda p, alpha, config: (disp.repeated_variance(p["sigma0sq"], p["r"],
+                                                         int(p["m_rounds"])), "closed-form"),
+        # the engine covers single rounds only
+        lambda p, alpha, **kw: (disp.hom_avg_variance_q_numeric(p["sigma0sq"], p["r"], **kw)
+                                if int(p["m_rounds"]) == 1 else None)),
+    "PhaseHet": _Task(
+        frozenset({"alpha", "r", "n"}), "r", False, _phase_het_closed,
+        lambda p, alpha, **kw: phase.average_variance_numeric(phase.PhaseTask(
+            ProbeSpec(alpha, p["r"], math.pi if p["r"] > 0 else 0.0), HETERODYNE), **kw)),
+    "PhaseHom": _Task(
+        frozenset({"alpha", "r", "psi", "n"}), "r", False, None,
+        lambda p, alpha, **kw: phase.average_variance_numeric(phase.PhaseTask(
+            ProbeSpec(alpha, p["r"], p["psi"]), homodyne(0.0)), **kw)),
+    "Squeeze": _Task(
+        frozenset({"alpha", "s", "psi", "r0", "sigma0sq", "n"}), "s", True, None,
+        lambda p, alpha, **kw: squeezing.average_variance(squeezing.SqueezeTask(
+            ProbeSpec(alpha, p["s"], p["psi"]), GaussianPrior(p["r0"], p["sigma0sq"])), **kw)),
 }
-_ALLOWED = {
-    "DisplacementHet": {"sigma0sq", "r"},
-    "DisplacementHom": {"sigma0sq", "r", "m_rounds"},
-    "PhaseHet": {"alpha", "r", "n"},
-    "PhaseHom": {"alpha", "r", "psi", "n"},
-    "Squeeze": {"alpha", "s", "psi", "r0", "sigma0sq", "n"},
-}
+
+TASKS = tuple(_TASKS)
 
 
 class ConfigError(ValueError):
@@ -93,14 +133,13 @@ class ExperimentConfig:
             raise ConfigError("montecarlo requires a seed")
         if not self.sweep:
             raise ConfigError("sweep must be nonempty")
-        allowed = _ALLOWED[self.task]
+        spec = _TASKS[self.task]
         for key in self.sweep:
-            if key not in allowed:
+            if key not in spec.keys:
                 raise ConfigError(f"parameter {key!r} not valid for task {self.task}")
-        missing = _REQUIRED[self.task] - set(self.sweep)
-        if missing:
-            raise ConfigError(f"task {self.task} needs parameters {sorted(missing)}")
-        if self.task.startswith("Phase") or self.task == "Squeeze":
+        if spec.needs_sigma0sq and "sigma0sq" not in self.sweep:
+            raise ConfigError(f"task {self.task} needs sigma0sq")
+        if "alpha" in spec.keys:
             if "alpha" in self.sweep and "n" in self.sweep:
                 raise ConfigError("give either alpha or n, not both")
             if "alpha" not in self.sweep and "n" not in self.sweep:
@@ -137,6 +176,24 @@ def _parse_value(text: str, path: str, lineno: int):
         raise ConfigError(f"{path}:{lineno}: bad value {text!r} ({exc})") from None
 
 
+def _number(kind):
+    """Converter of a numeric field: the first value given, as ``kind``."""
+    return lambda text, path, lineno: kind(_parse_value(text, path, lineno)[0])
+
+
+# one converter per non-sweep key: (text, path, lineno) -> field value
+_FIELDS = {
+    "task": lambda text, path, lineno: text,
+    "method": lambda text, path, lineno: text.lower(),
+    "samples": _number(int),
+    "seed": _number(int),
+    "trunc_n": _number(int),
+    "tail_tol": _number(float),
+    "output": lambda text, path, lineno: text,
+    "force_both": lambda text, path, lineno: text.lower() in ("1", "true", "yes"),
+}
+
+
 def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     fields = {}
     sweep = {}
@@ -151,22 +208,8 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         value = value.strip()
         if key in SWEEP_KEYS:
             sweep[key] = _parse_value(value, path, lineno)
-        elif key == "task":
-            fields["task"] = value
-        elif key == "method":
-            fields["method"] = value.lower()
-        elif key == "samples":
-            fields["samples"] = int(_parse_value(value, path, lineno)[0])
-        elif key == "seed":
-            fields["seed"] = int(_parse_value(value, path, lineno)[0])
-        elif key == "trunc_n":
-            fields["trunc_n"] = int(_parse_value(value, path, lineno)[0])
-        elif key == "tail_tol":
-            fields["tail_tol"] = _parse_value(value, path, lineno)[0]
-        elif key == "output":
-            fields["output"] = value
-        elif key == "force_both":
-            fields["force_both"] = value.lower() in ("1", "true", "yes")
+        elif key in _FIELDS:
+            fields[key] = _FIELDS[key](value, path, lineno)
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     if "task" not in fields:
@@ -194,78 +237,15 @@ def _truncation(config: ExperimentConfig):
     return phase.SeriesTruncation(config.trunc_n, config.tail_tol)
 
 
-def _resolve_alpha(params: dict, squeeze_key: str):
+def _resolve_alpha(p: dict, squeeze_key: str):
     """alpha from n at fixed squeezing (infeasible when n < sinh^2)."""
-    if "n" not in params:
-        return float(params.get("alpha", 0.0))
-    floor = math.sinh(params.get(squeeze_key, 0.0)) ** 2
-    rest = params["n"] - floor
+    if "n" not in p:
+        return float(p["alpha"])
+    floor = math.sinh(p[squeeze_key]) ** 2
+    rest = p["n"] - floor
     if rest < -1e-12:
-        raise ValueError(f"n={params['n']} below the squeezing energy {floor:.6g}")
+        raise ValueError(f"n={p['n']} below the squeezing energy {floor:.6g}")
     return math.sqrt(max(rest, 0.0))
-
-
-def _engine_phase_task(task: str, params: dict) -> phase.PhaseTask:
-    if task == "PhaseHet":
-        alpha = _resolve_alpha(params, "r")
-        probe = ProbeSpec(alpha, params.get("r", 0.0), math.pi if params.get("r", 0.0) > 0 else 0.0)
-        return phase.PhaseTask(probe, HETERODYNE)
-    alpha = _resolve_alpha(params, "r")
-    probe = ProbeSpec(alpha, params.get("r", 0.0), params.get("psi", 0.0))
-    return phase.PhaseTask(probe, homodyne(0.0))
-
-
-def _closed_form(task: str, params: dict, config: ExperimentConfig):
-    """(value, method_tag) or None when no deterministic fast path exists."""
-    if task == "DisplacementHet":
-        return disp.het_avg_total_variance(params["sigma0sq"], params.get("r", 0.0)), "closed-form"
-    if task == "DisplacementHom":
-        m = int(params.get("m_rounds", 1))
-        return disp.repeated_variance(params["sigma0sq"], params.get("r", 0.0), m), "closed-form"
-    if task == "PhaseHet":
-        alpha = _resolve_alpha(params, "r")
-        r = params.get("r", 0.0)
-        if r == 0.0:
-            return phase.coherent_het_average_variance(alpha), "closed-form"
-        value = phase.squeezed_het_average_variance(alpha, r, trunc=_truncation(config))
-        return value, "series"
-    return None
-
-
-def _engine_value(task: str, params: dict, config: ExperimentConfig,
-                  rng: Optional[np.random.Generator]):
-    method = config.method
-    if task == "DisplacementHet":
-        return disp.het_avg_total_variance_numeric(
-            params["sigma0sq"], params.get("r", 0.0), method=method,
-            samples=config.samples, rng=rng)
-    if task == "DisplacementHom":
-        if int(params.get("m_rounds", 1)) != 1:
-            return None  # engine path covers single rounds only
-        return disp.hom_avg_variance_q_numeric(
-            params["sigma0sq"], params.get("r", 0.0), method=method,
-            samples=config.samples, rng=rng)
-    if task in ("PhaseHet", "PhaseHom"):
-        ptask = _engine_phase_task(task, params)
-        return phase.average_variance_numeric(ptask, method=method,
-                                              samples=config.samples, rng=rng)
-    if task == "Squeeze":
-        alpha = _resolve_alpha(params, "s")
-        probe = ProbeSpec(alpha, params.get("s", 0.0), params.get("psi", 0.0))
-        prior = GaussianPrior(params.get("r0", 0.0), params["sigma0sq"])
-        stask = squeezing.SqueezeTask(probe, prior)
-        return squeezing.average_variance(stask, method=method,
-                                          samples=config.samples, rng=rng)
-    raise ValueError(f"unknown task {task!r}")
-
-
-def _mean_photon(task: str, params: dict) -> float:
-    if task.startswith("Displacement"):
-        return math.sinh(params.get("r", 0.0)) ** 2
-    if "n" in params:
-        return params["n"]
-    key = "s" if task == "Squeeze" else "r"
-    return params.get("alpha", 0.0) ** 2 + math.sinh(params.get(key, 0.0)) ** 2
 
 
 def _evaluate_row(task, params, config, row_index) -> ResultRecord:
@@ -273,15 +253,18 @@ def _evaluate_row(task, params, config, row_index) -> ResultRecord:
     rng = None
     if config.seed is not None:
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, row_index)))
+    spec = _TASKS[task]
+    p = {**_DEFAULTS, **params}
+    engine_args = dict(method=config.method, samples=config.samples, rng=rng)
     status = "ok"
     try:
-        closed = _closed_form(task, params, config)
-        if closed is not None:
-            value, tag = closed
+        alpha = _resolve_alpha(p, spec.squeeze)
+        if spec.closed is not None:
+            value, tag = spec.closed(p, alpha, config)
             err = 0.0
             if config.force_both:
                 try:
-                    engine = _engine_value(task, params, config, rng)
+                    engine = spec.engine(p, alpha, **engine_args)
                 except (ToleranceError, TruncationError) as exc:
                     engine = None
                     status = f"cross-check-error:{type(exc).__name__}"
@@ -291,9 +274,9 @@ def _evaluate_row(task, params, config, row_index) -> ResultRecord:
                     if gap > tol:
                         status = f"cross-check-failed:engine={format_value(engine.value)}"
         else:
-            engine = _engine_value(task, params, config, rng)
+            engine = spec.engine(p, alpha, **engine_args)
             value, err, tag = engine.value, engine.std_error, engine.method
-        photon = _mean_photon(task, params)
+        photon = p["n"] if "n" in p else alpha ** 2 + math.sinh(p[spec.squeeze]) ** 2
     except (ToleranceError, TruncationError, RangeError, ValueError) as exc:
         estimate = getattr(exc, "estimate", None)
         value = math.nan if estimate is None else float(estimate)

@@ -73,9 +73,11 @@ def husimi_moments(st: GaussianState):
 
 
 def _heterodyne_law(st: GaussianState):
-    """``husimi_moments`` with the covariance as (vxx, vyy, vxy)."""
-    mean, cov = husimi_moments(st)
-    return mean, (cov[0, 0], cov[1, 1], cov[0, 1])
+    """``husimi_moments`` with the covariance as (vxx, vyy, vxy), read from
+    the state's covariance entries without building a 2x2 array."""
+    mean = (st.mean[0] + 1j * st.mean[1]) / math.sqrt(2.0)
+    cov = st.cov
+    return mean, ((cov[0, 0] + 0.5) / 2.0, (cov[1, 1] + 0.5) / 2.0, cov[0, 1] / 2.0)
 
 
 def homodyne_moments(st: GaussianState, angle: float = 0.0):

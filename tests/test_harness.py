@@ -1,12 +1,20 @@
 """Config parsing, sweep execution, CSV schema, determinism, CLI exit codes."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussbayes import cli, harness, phase
+from gaussbayes import cli, harness, phase, squeezing
+from gaussbayes import displacement as disp
+from gaussbayes.bayes import GaussianPrior
 from gaussbayes.harness import ConfigError, parse_config
+from gaussbayes.measurement import homodyne
+from gaussbayes.phasespace import ProbeSpec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParse:
@@ -56,13 +64,76 @@ class TestParse:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("task = PhaseHom\nalpha = 1\nmethod = montecarlo")
 
-    def test_parameter_task_mismatch(self):
-        with pytest.raises(ConfigError, match="not valid"):
-            parse_config("task = DisplacementHet\nsigma0sq = 1\npsi = 0")
+    @pytest.mark.parametrize("task,key", [
+        ("DisplacementHet", "alpha"),
+        ("DisplacementHet", "s"),
+        ("DisplacementHet", "psi"),
+        ("DisplacementHet", "r0"),
+        ("DisplacementHet", "n"),
+        ("DisplacementHet", "m_rounds"),
+        ("DisplacementHom", "alpha"),
+        ("DisplacementHom", "s"),
+        ("DisplacementHom", "psi"),
+        ("DisplacementHom", "r0"),
+        ("DisplacementHom", "n"),
+        ("PhaseHet", "s"),
+        ("PhaseHet", "psi"),
+        ("PhaseHet", "r0"),
+        ("PhaseHet", "sigma0sq"),
+        ("PhaseHet", "m_rounds"),
+        ("PhaseHom", "s"),
+        ("PhaseHom", "r0"),
+        ("PhaseHom", "sigma0sq"),
+        ("PhaseHom", "m_rounds"),
+        ("Squeeze", "r"),
+        ("Squeeze", "m_rounds"),
+    ])
+    def test_parameter_task_mismatch(self, task, key):
+        valid = {"DisplacementHet": "sigma0sq = 1", "DisplacementHom": "sigma0sq = 1",
+                 "PhaseHet": "alpha = 1", "PhaseHom": "alpha = 1",
+                 "Squeeze": "alpha = 1\nsigma0sq = 1"}[task]
+        with pytest.raises(ConfigError, match=f"'{key}' not valid for task {task}"):
+            parse_config(f"task = {task}\n{valid}\n{key} = 1")
+
+    @pytest.mark.parametrize("task", ["DisplacementHet", "DisplacementHom", "Squeeze"])
+    def test_sigma0sq_required(self, task):
+        rest = {"DisplacementHet": "r = 0", "DisplacementHom": "r = 0\nm_rounds = 2",
+                "Squeeze": "alpha = 1\ns = 0.5"}[task]
+        with pytest.raises(ConfigError, match=f"task {task} needs .*sigma0sq"):
+            parse_config(f"task = {task}\n{rest}")
 
     def test_empty_sweep(self):
         with pytest.raises(ConfigError, match="nonempty"):
             parse_config("task = DisplacementHet")
+
+
+# one row per task: (config lines, direct library value, mean photon number)
+_ALPHA_HET = math.sqrt(1.5 - math.sinh(0.25) ** 2)
+ENGINE_ROWS = {
+    "DisplacementHet": ("sigma0sq = 0.5\nr = 0.25",
+                        lambda: disp.het_avg_total_variance(0.5, 0.25), math.sinh(0.25) ** 2),
+    "DisplacementHom": ("sigma0sq = 0.5\nr = 0.25",
+                        lambda: disp.hom_avg_variance_q(0.5, 0.25), math.sinh(0.25) ** 2),
+    "PhaseHet": ("n = 1.5\nr = 0.25",
+                 lambda: phase.squeezed_het_average_variance(_ALPHA_HET, 0.25), 1.5),
+    "PhaseHom": ("alpha = 0.8\nr = 0.3\npsi = 0.2",
+                 lambda: phase.average_variance_numeric(phase.PhaseTask(
+                     ProbeSpec(0.8, 0.3, 0.2), homodyne(0.0))).value,
+                 0.8 ** 2 + math.sinh(0.3) ** 2),
+    "Squeeze": ("alpha = 0.6\ns = 0.5\npsi = 0.3\nr0 = -0.5\nsigma0sq = 1.0",
+                lambda: squeezing.average_variance(squeezing.SqueezeTask(
+                    ProbeSpec(0.6, 0.5, 0.3), GaussianPrior(-0.5, 1.0))).value,
+                0.6 ** 2 + math.sinh(0.5) ** 2),
+}
+
+
+@pytest.mark.parametrize("task", harness.TASKS)
+def test_one_row_per_task_is_the_library_call(task):
+    text, library_value, photon = ENGINE_ROWS[task]
+    rec = harness.run(parse_config(f"task = {task}\n{text}"))[0]
+    assert rec.status == "ok"
+    assert rec.avg_variance == library_value()
+    assert rec.mean_photon == photon
 
 
 class TestRun:
@@ -213,3 +284,15 @@ class TestCli:
         assert out.read_text().startswith("criterion,check,status")
         monkeypatch.setattr(verify, "CRITERIA", {"1": fake_fail})
         assert cli.main(["verify", "--suite", "fast"]) == 2
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")),
+                             ids=lambda path: path.name)
+    def test_parses(self, path):
+        assert harness.load_config(path).output
+
+    def test_readme_names_only_shipped_configs(self):
+        named = set(re.findall(r"configs/[\w.-]+\.cfg", (ROOT / "README.md").read_text()))
+        assert named
+        assert sorted(name for name in named if not (ROOT / name).is_file()) == []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussbayes import bayes
 from gaussbayes import measurement as meas
 from gaussbayes import phasespace as ps
 from gaussbayes.measurement import HETERODYNE, homodyne
@@ -50,6 +51,18 @@ class TestHeterodyneDensity:
         want = [[ps.fidelity(ps.coherent(b), st) / math.pi for b in row] for row in betas]
         np.testing.assert_allclose(got, want, rtol=1e-13)
         assert isinstance(meas.heterodyne_density(st, 0.5j), float)
+
+    def test_is_the_outcome_law_of_husimi_moments(self):
+        # the density reads its law from the state's covariance entries; it
+        # must be husimi_moments' law bit for bit
+        rng = rng_for(8)
+        betas = rng.normal(size=8) + 1j * rng.normal(size=8)
+        for r, phi, re, im in rng.uniform(-2.0, 2.0, size=(50, 4)):
+            st = ps.displace(ps.squeeze(ps.vacuum(), abs(r), phi), complex(re, im))
+            mean, cov = meas.husimi_moments(st)
+            np.testing.assert_array_equal(
+                meas.heterodyne_density(st, betas),
+                bayes.gaussian_outcome_density(betas, mean, (cov[0, 0], cov[1, 1], cov[0, 1])))
 
     def test_displacement_covariance(self):
         # p_alpha(beta) = p_0(beta - alpha)
