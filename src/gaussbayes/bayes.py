@@ -396,11 +396,15 @@ class GaussianOutcomeStrategy:
     ``(mean, var)`` for a real homodyne outcome (``dim=1``),
     ``(mean, (vxx, vyy, vxy))`` for a heterodyne outcome beta = x + iy
     (``dim=2``, complex mean).  ``nodes(level)`` is the task's outcome
-    quadrature rule, (outcomes, weights).  The log-likelihood is quadratic
-    in the outcome: log p(m | theta) = sum_k a_k(m) c_k(theta), with
-    features a = (1, q, q^2) or (1, x, y, x^2, y^2, xy) and coefficients
-    c(theta) from the moments.
+    quadrature rule, (outcomes, weights): ``outcome_rows`` trapezoid rules
+    of equal length laid end to end, each with a step that halves with
+    the level, so its nodes at one level are its even nodes at the next.
+    The log-likelihood is quadratic in the outcome: log p(m | theta) =
+    sum_k a_k(m) c_k(theta), with features a = (1, q, q^2) or
+    (1, x, y, x^2, y^2, xy) and coefficients c(theta) from the moments.
     """
+
+    outcome_rows = 1
 
     def __init__(self, moments, nodes, dim: int, circular: bool):
         if dim not in (1, 2):
@@ -453,6 +457,10 @@ class GaussianOutcomeStrategy:
 
 # one row block of the likelihood kernel: small enough to stay in L2 cache
 _KERNEL_BLOCK_BYTES = 512 * 1024
+# the kernel buffer starts on a cache line: at a 16-byte offset, which the
+# allocator hands out depending on the process's allocation history, the
+# Monte Carlo kernel ran 30% slower (2-vCPU AVX-512 Xeon, numpy 2.4)
+_KERNEL_ALIGN_BYTES = 64
 # floor of log p in the kernel: numpy's SIMD exp takes a 15-100x slower
 # path for results below about e^-708 (AVX-512 build, numpy 2.4), which
 # the far tails of a peaked likelihood hit.  A cell below e^-707 = 9e-308
@@ -491,7 +499,9 @@ class _SpreadCalculator:
         self.moments = np.column_stack(cols)
         self.coeffs = strategy.node_coefficients(nodes)
         rows = max(8, _KERNEL_BLOCK_BYTES // (8 * nodes.size))
-        self._buf = np.empty((rows, nodes.size))
+        raw = np.empty(rows * nodes.size + _KERNEL_ALIGN_BYTES // 8)
+        start = -raw.ctypes.data % _KERNEL_ALIGN_BYTES // 8
+        self._buf = raw[start:start + rows * nodes.size].reshape(rows, nodes.size)
 
     def finish(self, m):
         """(posterior variance, evidence) from the moment sums m."""
@@ -524,13 +534,31 @@ class _SpreadCalculator:
         return self.finish(m)
 
 
-def _quadrature_outcome_grid(level_value, rel_tol, max_level):
-    """Step-halving driver over ``level_value(level)``, the outcome average
-    on a rule whose step halves with each level; ToleranceError carries
-    the last value when ``max_level`` is passed."""
-    prev = None
+def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):
+    """Step-halving driver with one Richardson extrapolation.
+
+    ``rule(level)`` gives (points, weights) of trapezoid rules, trapezoid
+    axis last, whose step halves with each level, so the points of one
+    level are ``points[..., 0::2]`` of the next; ``integrand(points)``
+    gives one value per point.  Each point is evaluated once: a level
+    takes its even points' values from the level before and evaluates
+    only ``points[..., 1::2]``.  ToleranceError carries the last value
+    when ``max_level`` is passed.
+    """
+    prev = prev_points = prev_values = None
     for level in range(max_level + 1):
-        value = level_value(level)
+        points, weights = rule(level)
+        if prev_values is None:
+            values = integrand(points)
+        else:
+            # a rule that is not nested is a programming error, not a
+            # domain failure, so it is not a ValueError a caller may catch
+            if not np.array_equal(points[..., 0::2], prev_points):
+                raise RuntimeError(f"outcome rule is not nested at level {level}")
+            values = np.empty(points.shape)
+            values[..., 0::2] = prev_values
+            values[..., 1::2] = integrand(points[..., 1::2])
+        value = float(weights.ravel() @ values.ravel())
         if prev is not None:
             # one Richardson step cancels the trapezoid h^2 error, so the
             # returned value carries error well below the |delta|/3 estimate
@@ -538,7 +566,7 @@ def _quadrature_outcome_grid(level_value, rel_tol, max_level):
             if abs(delta) / 3.0 <= max(rel_tol * abs(value), 1e-300):
                 return AverageVariance(value + delta / 3.0, abs(delta) / 3.0,
                                        "quadrature", f"levels={level + 1}")
-        prev = value
+        prev, prev_points, prev_values = value, points, values
     raise ToleranceError("outcome quadrature did not converge "
                          f"(last delta at level {max_level})",
                          estimate=prev, std_error=None)
@@ -578,12 +606,16 @@ def average_posterior_variance(strategy, prior: GridDistribution, method: str = 
     """
     if method == "quadrature":
         calc = _SpreadCalculator(prior, strategy)
+        rows = strategy.outcome_rows
 
-        def level_value(level):
+        def rule(level):
             outcomes, weights = strategy.outcome_nodes(level)
-            v, z = calc.spreads(outcomes)
-            return float(weights @ (z * v))
-        return _quadrature_outcome_grid(level_value, rel_tol, max_level)
+            return outcomes.reshape(rows, -1), weights.reshape(rows, -1)
+
+        def integrand(outcomes):
+            v, z = calc.spreads(outcomes.ravel())
+            return (z * v).reshape(outcomes.shape)
+        return _quadrature_outcome_grid(rule, integrand, rel_tol, max_level)
     if method == "montecarlo":
         return _monte_carlo(strategy, prior, samples, rng)
     raise ValueError(f"unknown method {method!r}")

@@ -8,7 +8,6 @@ criterion fails.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import harness, verify
@@ -41,8 +40,7 @@ def _cmd_run(args) -> int:
     if args.force_both_paths:
         overrides["force_both"] = True
     try:
-        # replace() re-runs the config's own checks on the overridden fields
-        config = dataclasses.replace(harness.load_config(args.config), **overrides)
+        config = harness.load_config(args.config, overrides)
     except (OSError, harness.ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -178,7 +178,13 @@ def _parse_value(text: str, path: str, lineno: int):
 
 def _number(kind):
     """Converter of a numeric field: the first value given, as ``kind``."""
-    return lambda text, path, lineno: kind(_parse_value(text, path, lineno)[0])
+    def convert(text, path, lineno):
+        value = _parse_value(text, path, lineno)[0]
+        try:
+            return kind(value)
+        except (ValueError, OverflowError) as exc:  # int() of nan or inf
+            raise ConfigError(f"{path}:{lineno}: bad value {text.strip()!r} ({exc})") from None
+    return convert
 
 
 # one converter per non-sweep key: (text, path, lineno) -> field value
@@ -194,7 +200,10 @@ _FIELDS = {
 }
 
 
-def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
+def parse_config(text: str, path: str = "<config>",
+                 overrides: Optional[dict] = None) -> ExperimentConfig:
+    """The config of ``text``, with ``overrides`` (field -> value) applied
+    before it is built, so its checks see the merged fields."""
     fields = {}
     sweep = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -214,6 +223,7 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     if "task" not in fields:
         raise ConfigError(f"{path}: missing required key 'task'")
+    fields.update(overrides or {})
     try:
         return ExperimentConfig(sweep=sweep, **fields)
     except ConfigError:
@@ -222,9 +232,9 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), str(path))
+        return parse_config(fh.read(), str(path), overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -314,15 +314,15 @@ def squeezed_het_average_variance(alpha: float, r: float,
                                   base_nodes: int = 512, max_level: int = 4) -> float:
     """Average circular posterior variance by radial quadrature of the series.
 
-    The engine's step-halving driver with one Richardson extrapolation;
+    The engine's step-halving driver with one Richardson extrapolation,
+    which evaluates the series once per radial node across levels;
     raises ToleranceError carrying the last value if refinement stalls.
     """
     if trunc is None:
         trunc = _sh_truncation(alpha, r, _sh_radial_extent(alpha, r))
     t = math.tanh(r)
 
-    def level_value(level):
-        rho, w = _radial_rule(alpha, r, base_nodes, level)
+    def integrand(rho):
         rows_u, rows_v = _sh_rows(alpha, r, rho, trunc)
         var_terms = 0.5 * _sh_var_terms(rows_u, rows_v, trunc.n_max)
         s = var_terms.sum(axis=1)
@@ -330,10 +330,10 @@ def squeezed_het_average_variance(alpha: float, r: float,
         k = _sh_sum(rows_u, rows_v, 0, trunc.n_max).sum(axis=1)
         _sh_check_tail(var_terms, k, trunc.tail_tol)
         # p(rho) V_post(rho) 2 pi rho = rho e^{-(1-t)(rho-alpha)^2} s / cosh r
-        integrand = rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)
-        return float(w @ integrand)
+        return rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)
 
-    return _quadrature_outcome_grid(level_value, rel_tol, max_level).value
+    return _quadrature_outcome_grid(lambda level: _radial_rule(alpha, r, base_nodes, level),
+                                    integrand, rel_tol, max_level).value
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,8 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
     coordinate only: the posterior is covariant under rotations of beta,
     so the angular integral contributes a factor 2 pi |beta| (checked by
     the rotational-covariance property tests).  Setting
-    ``angular_symmetry=False`` integrates the full polar grid instead.
+    ``angular_symmetry=False`` integrates the full polar grid instead, one
+    radial rule per angle.
     """
 
     def __init__(self, alpha: float, r: float = 0.0, base_radial: int = 128,
@@ -430,6 +431,7 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
         self.base_radial = base_radial
         self.angular_nodes = angular_nodes
         self.angular_symmetry = angular_symmetry
+        self.outcome_rows = 1 if angular_symmetry else angular_nodes
         self.support = HET_SUPPORT
         super().__init__(lambda t: _het_moments(self.alpha, self.r, t), self._nodes,
                          dim=2, circular=True)
@@ -441,8 +443,8 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
         k = self.angular_nodes
         ang = -math.pi + (np.arange(k) + 0.5) * 2.0 * math.pi / k
         wa = np.full(k, 2.0 * math.pi / k)
-        betas = (rho[:, None] * np.exp(-1j * ang)[None, :]).ravel()
-        weights = ((rho * wr)[:, None] * wa[None, :]).ravel()
+        betas = (np.exp(-1j * ang)[:, None] * rho[None, :]).ravel()
+        weights = (wa[:, None] * (rho * wr)[None, :]).ravel()
         return betas, weights
 
 

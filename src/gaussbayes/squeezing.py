@@ -149,8 +149,11 @@ class SqueezeStrategy(GaussianOutcomeStrategy):
     at the origin only rules the small-r branch out).  The outcome
     quadrature therefore runs on a two-sided geometrically spaced grid,
     i.e. a uniform trapezoid in log |q|, which resolves all scales and
-    keeps clean step-halving behavior.
+    keeps clean step-halving behavior.  The two halves q < 0 and q > 0
+    are two trapezoid rules end to end.
     """
+
+    outcome_rows = 2
 
     def __init__(self, probe: ProbeSpec, prior: GaussianPrior,
                  span_sigmas: float = 6.0, base_nodes: int = 256):

@@ -362,8 +362,9 @@ def criterion_8_invariants(seed=DEFAULT_SEED) -> CriterionResult:
     prior_c = phase.flat_prior(phase.HET_SUPPORT)
     # rotation by an exact number of grid cells makes np.roll applicable
     phi0 = 300 * (2 * math.pi / prior_c.nodes.size)
-    posterior_a = bayes.grid_update(prior_c, lambda t, m: strat.likelihood_matrix(t, [m])[0], beta)
-    posterior_b = bayes.grid_update(prior_c, lambda t, m: strat.likelihood_matrix(t, [m])[0],
+    het_like = lambda t, m: bayes.gaussian_outcome_density(m, *strat.outcome_moments(t))
+    posterior_a = bayes.grid_update(prior_c, het_like, beta)
+    posterior_b = bayes.grid_update(prior_c, het_like,
                                     beta * complex(math.cos(phi0), -math.sin(phi0)))
     # beta -> e^{-i phi0} beta moves the posterior peak from theta* to theta* + phi0
     shift = int(round(phi0 / (2 * math.pi / prior_c.nodes.size)))

@@ -453,7 +453,150 @@ class TestGaussianOutcomeKernel:
             x, y = chol @ z[k]
             assert got[k] == pytest.approx(mean[k] + complex(x, y), abs=1e-13)
 
+    @pytest.mark.parametrize("n", [7, 301, 2001, 2048])
+    def test_kernel_buffer_starts_on_a_cache_line(self, n):
+        strat = disp.HomodyneQuadratureStrategy(0.7, 0.2)
+        calc = bayes._SpreadCalculator(GridDistribution.from_gaussian(strat.prior, n, 8.0), strat)
+        assert calc._buf.ctypes.data % 64 == 0
+        assert calc._buf.flags.c_contiguous and calc._buf.shape[1] == n
+
     def test_validation(self):
         with pytest.raises(ValueError):
             bayes.GaussianOutcomeStrategy(lambda t: (t, t), lambda level: None, dim=3,
                                           circular=False)
+
+
+# ---------------------------------------------------------------------------
+# nested outcome nodes: the step-halving driver evaluates each node once
+
+
+def _engine_row(kind):
+    """One quadrature row per strategy: (strategy, prior grid)."""
+    if kind == "het":
+        return phase.HeterodynePhaseStrategy(1.8, 1.0), phase.flat_prior(phase.HET_SUPPORT, 256)
+    if kind == "het_full":
+        strat = phase.HeterodynePhaseStrategy(1.0, 0.3, angular_nodes=16,
+                                              angular_symmetry=False)
+        return strat, phase.flat_prior(phase.HET_SUPPORT, 256)
+    if kind == "hom":
+        return phase.HomodynePhaseStrategy(1.0, 0.4, 0.3), phase.flat_prior(phase.HOM_SUPPORT, 256)
+    if kind == "squeeze":
+        gp = GaussianPrior(-0.5, 1.0)
+        return (sq.SqueezeStrategy(ProbeSpec(1.5, 0.4, 0.0), gp),
+                GridDistribution.from_gaussian(gp, 401, 6.0))
+    if kind == "disp_het":
+        strat = disp.HeterodyneCoordinateStrategy(0.25, 0.2, "I")
+    else:
+        strat = disp.HomodyneQuadratureStrategy(0.7, 0.2, 0.4)
+    return strat, GridDistribution.from_gaussian(strat.prior, 401, 8.0)
+
+
+def full_reevaluation(level_value, rel_tol, max_level):
+    """The step-halving loop that evaluates every node of every level:
+    (extrapolated value, levels)."""
+    prev = None
+    for level in range(max_level + 1):
+        value = level_value(level)
+        if prev is not None:
+            delta = value - prev
+            if abs(delta) / 3.0 <= max(rel_tol * abs(value), 1e-300):
+                return value + delta / 3.0, level + 1
+        prev = value
+    raise AssertionError("no convergence")
+
+
+def _levels(result):
+    return int(result.detail.removeprefix("levels="))
+
+
+class TestNestedOutcomeNodes:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_strategy_rules_are_nested(self, kind):
+        strat, _ = _engine_row(kind)
+        rows = strat.outcome_rows
+        for level in range(5):
+            coarse = strat.outcome_nodes(level)[0].reshape(rows, -1)
+            fine = strat.outcome_nodes(level + 1)[0].reshape(rows, -1)
+            assert np.array_equal(fine[:, 0::2], coarse)
+
+    @pytest.mark.parametrize("alpha,r", [(0.3, 0.0), (1.8, 1.0), (4.0, 1.25)])
+    def test_radial_rule_is_nested(self, alpha, r):
+        for level in range(5):
+            coarse = phase._radial_rule(alpha, r, 128, level)[0]
+            fine = phase._radial_rule(alpha, r, 128, level + 1)[0]
+            assert np.array_equal(fine[0::2], coarse)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_engine_matches_full_reevaluation(self, kind):
+        strat, prior = _engine_row(kind)
+        calc = bayes._SpreadCalculator(prior, strat)
+
+        def level_value(level):
+            outcomes, weights = strat.outcome_nodes(level)
+            v, z = calc.spreads(outcomes)
+            return float(weights @ (z * v))
+        want, levels = full_reevaluation(level_value, 1e-6, 5)
+        got = average_posterior_variance(strat, prior)
+        assert got.value == pytest.approx(want, rel=1e-14)
+        assert _levels(got) == levels
+
+    def test_series_matches_full_reevaluation(self):
+        alpha, r = 1.8, 1.0
+        trunc = phase._sh_truncation(alpha, r, phase._sh_radial_extent(alpha, r))
+        t = math.tanh(r)
+
+        def level_value(level):
+            rho, w = phase._radial_rule(alpha, r, 512, level)
+            rows_u, rows_v = phase._sh_rows(alpha, r, rho, trunc)
+            s = (0.5 * phase._sh_var_terms(rows_u, rows_v, trunc.n_max)).sum(axis=1)
+            return float(w @ (rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)))
+        want, _ = full_reevaluation(level_value, 1e-6, 4)
+        assert phase.squeezed_het_average_variance(alpha, r) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_outcome_node_is_evaluated_once(self, kind, monkeypatch):
+        # cost guard: the kernel sees exactly the nodes of the finest level
+        strat, prior = _engine_row(kind)
+        rows = []
+        spreads = bayes._SpreadCalculator.spreads
+
+        def counting(calc, outcomes):
+            rows.append(np.size(outcomes))
+            return spreads(calc, outcomes)
+        monkeypatch.setattr(bayes._SpreadCalculator, "spreads", counting)
+        levels = _levels(average_posterior_variance(strat, prior))
+        assert levels >= 2
+        assert len(rows) == levels
+        assert sum(rows) == strat.outcome_nodes(levels - 1)[0].size
+
+    def test_series_evaluates_each_radial_node_once(self, monkeypatch):
+        from gaussbayes import specfun
+        radii = []
+        rows = specfun.bessel_i_scaled_rows
+
+        def counting(x, nmax):
+            radii.append(np.size(x))
+            return rows(x, nmax)
+        monkeypatch.setattr(specfun, "bessel_i_scaled_rows", counting)
+        phase.squeezed_het_average_variance(1.8, 1.0, max_level=1, rel_tol=1.0)
+        # one u row and one v row per radius; levels 0 and 1
+        assert sum(radii) == 2 * phase._radial_rule(1.8, 1.0, 512, 1)[0].size
+
+    def test_non_nested_rule_raises(self):
+        def shifted(level):
+            return bayes.trapezoid(0.0, 1.0 + level, 4 * 2**level + 1)
+        with pytest.raises(RuntimeError, match="not nested") as err:
+            bayes._quadrature_outcome_grid(shifted, np.square, 1e-12, 3)
+        assert not isinstance(err.value, (ValueError, ToleranceError))
+
+    def test_non_nested_rule_is_not_a_row_status(self, monkeypatch):
+        from gaussbayes import harness
+        # read as one rule, the two halves of the squeeze grid are not nested
+        monkeypatch.setattr(sq.SqueezeStrategy, "outcome_rows", 1)
+        cfg = harness.parse_config("task = Squeeze\nalpha = 0.5\nsigma0sq = 1")
+        with pytest.raises(RuntimeError, match="not nested"):
+            harness.run(cfg)
+
+    def test_short_series_cutoff_still_raises(self):
+        with pytest.raises(phase.TruncationError):
+            phase.squeezed_het_average_variance(2.0, 0.75, trunc=phase.SeriesTruncation(1))

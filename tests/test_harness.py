@@ -64,6 +64,18 @@ class TestParse:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("task = PhaseHom\nalpha = 1\nmethod = montecarlo")
 
+    @pytest.mark.parametrize("key", ["samples", "seed", "trunc_n"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_integer_field(self, key, value):
+        with pytest.raises(ConfigError, match="cfg:3"):
+            parse_config(f"task = PhaseHet\nalpha = 1\n{key} = {value}", path="cfg")
+
+    def test_overrides_are_checked_once_merged(self):
+        text = "task = PhaseHom\nalpha = 1\nmethod = montecarlo"
+        assert parse_config(text, overrides={"seed": 3}).seed == 3
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config("task = PhaseHom\nalpha = 1", overrides={"method": "montecarlo"})
+
     @pytest.mark.parametrize("task,key", [
         ("DisplacementHet", "alpha"),
         ("DisplacementHet", "s"),
@@ -258,6 +270,22 @@ class TestCli:
                          "--seed", "3", "--out", str(out)])
         assert code == 0
         assert "monte-carlo" in out.read_text()
+
+    @pytest.mark.parametrize("seed_line,argv", [("seed = 3\n", []), ("", ["--seed", "3"])],
+                             ids=["config", "flag"])
+    def test_montecarlo_seed_from_config_or_flag(self, tmp_path, seed_line, argv):
+        # the README's promise: the seed may come from the config or --seed
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"task = PhaseHom\nalpha = 0.6\nmethod = montecarlo\n"
+                       f"samples = 500\n{seed_line}")
+        out = tmp_path / "rows.csv"
+        assert cli.main(["run", str(cfg), "--out", str(out)] + argv) == 0
+        rows = out.read_text()
+        assert "monte-carlo" in rows
+        seeded = tmp_path / "seeded.csv"
+        cfg.write_text("task = PhaseHom\nalpha = 0.6\nsamples = 500\nseed = 3\n")
+        assert cli.main(["run", str(cfg), "--method", "montecarlo", "--out", str(seeded)]) == 0
+        assert seeded.read_text() == rows
 
     def test_montecarlo_without_seed_rejected(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
