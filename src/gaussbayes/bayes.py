@@ -3,14 +3,18 @@
 The universal posterior representation is a density tabulated on a grid
 (:class:`GridDistribution`), with closed-form conjugate updates available
 for the Gaussian and Gamma families.  Average posterior variances are
-computed either by deterministic quadrature over the outcome space or by
-seeded Monte Carlo; both engines consume one strategy class,
-:class:`GaussianOutcomeStrategy`, built from the outcome mean and
-covariance given the parameter and an outcome-quadrature rule.
+computed either by deterministic quadrature over the outcome space and
+the prior, or by seeded Monte Carlo; both engines consume one strategy
+class, :class:`GaussianOutcomeStrategy`, built from the outcome mean and
+covariance given the parameter and an outcome-quadrature rule.  A
+:class:`PriorRule` tabulates a prior at any node count, which lets the
+quadrature engine choose its prior grid.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,6 +28,10 @@ __all__ = [
     "Interval",
     "Circle",
     "GridDistribution",
+    "PriorRule",
+    "MIDPOINT",
+    "TRAPEZOID",
+    "GAUSS_LEGENDRE",
     "InconsistentOutcomeError",
     "ToleranceError",
     "gaussian_update",
@@ -48,6 +56,12 @@ __all__ = [
 
 LINEAR_GRID_NODES = 2001
 CIRCLE_GRID_NODES = 2048
+
+# quadrature rules of a prior grid
+MIDPOINT = "midpoint"              # cell midpoints, equal weights
+TRAPEZOID = "trapezoid"            # both endpoints, weights from the node gaps
+GAUSS_LEGENDRE = "gauss-legendre"  # Legendre roots mapped onto the support
+_RULES = (MIDPOINT, TRAPEZOID, GAUSS_LEGENDRE)
 
 _MC_CHUNK = 4096  # fixed chunk size keeps Monte Carlo draws schedule-independent
 
@@ -127,19 +141,34 @@ class Circle:
 Support = Union[Interval, Circle]
 
 
+@functools.lru_cache(maxsize=32)
+def _legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only.  Cached:
+    ``leggauss`` is a dense eigen-solve, 9-12 ms at n = 128, more than a
+    whole engine row on its grid."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 @dataclass(frozen=True, eq=False)
 class GridDistribution:
-    """Probability density tabulated on a grid over an interval or circle.
+    """Probability density tabulated on the nodes of a quadrature rule.
 
-    Interval grids include both endpoints and integrate by the trapezoid
-    rule.  Circle grids place nodes at cell midpoints with uniform weights
-    (the periodic trapezoid rule), which integrates smooth non-periodic
-    densities at second order and periodic ones spectrally.
+    ``rule`` fixes the weights: ``MIDPOINT`` (cell midpoints, equal
+    weights; the default on a circle, where it is the periodic trapezoid
+    rule), ``TRAPEZOID`` (both endpoints; the default on an interval) or
+    ``GAUSS_LEGENDRE`` (the nodes of the constructors).  The periodic
+    midpoint rule integrates smooth periodic densities spectrally and
+    non-periodic ones at second order; Gauss-Legendre is spectral for any
+    smooth integrand.  Weights are computed on access, never stored.
     """
 
     support: Support
     nodes: np.ndarray
     density: np.ndarray
+    rule: Optional[str] = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float).copy()
@@ -150,6 +179,10 @@ class GridDistribution:
             raise ValueError("nodes must be strictly increasing")
         if np.any(dens < 0):
             raise ValueError("density must be nonnegative")
+        if self.rule is None:
+            object.__setattr__(self, "rule", _default_rule(self.support))
+        elif self.rule not in _RULES:
+            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         nodes.setflags(write=False)
         dens.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -160,9 +193,11 @@ class GridDistribution:
 
     @property
     def weights(self) -> np.ndarray:
-        if isinstance(self.support, Circle):
-            h = self.support.span / self.nodes.size
-            return np.full(self.nodes.size, h)
+        span = self.support.hi - self.support.lo
+        if self.rule == MIDPOINT:
+            return np.full(self.nodes.size, span / self.nodes.size)
+        if self.rule == GAUSS_LEGENDRE:
+            return _legendre(self.nodes.size)[1] * (0.5 * span)
         w = np.empty(self.nodes.size)
         d = np.diff(self.nodes)
         w[0] = d[0] / 2.0
@@ -175,11 +210,18 @@ class GridDistribution:
         return float(self.weights @ f)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Inverse-CDF draws from the tabulated density."""
-        if isinstance(self.support, Circle):
-            h = self.support.span / self.nodes.size
+        """Inverse-CDF draws from the density, constant on one cell per node."""
+        if self.rule == MIDPOINT:
+            h = (self.support.hi - self.support.lo) / self.nodes.size
             edges = np.concatenate([self.nodes - h / 2.0, [self.nodes[-1] + h / 2.0]])
             mass = self.weights * self.density
+        elif self.rule == GAUSS_LEGENDRE:
+            # cells of the nodes' own weights: each node lies inside its
+            # cell (Chebyshev-Markov-Stieltjes separation)
+            w = self.weights
+            edges = np.concatenate([[self.support.lo], self.support.lo + np.cumsum(w)])
+            edges[-1] = self.support.hi
+            mass = w * self.density
         else:
             mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
             edges = np.concatenate([[self.nodes[0]], mids, [self.nodes[-1]]])
@@ -191,35 +233,83 @@ class GridDistribution:
     # constructors -----------------------------------------------------
 
     @staticmethod
-    def uniform(support: Support, n: Optional[int] = None) -> "GridDistribution":
-        if isinstance(support, Circle):
-            n = CIRCLE_GRID_NODES if n is None else n
-            h = support.span / n
-            nodes = support.lo + (np.arange(n) + 0.5) * h
-            dens = np.full(n, 1.0 / support.span)
+    def uniform(support: Support, n: Optional[int] = None,
+                rule: Optional[str] = None) -> "GridDistribution":
+        """The flat density on ``n`` nodes of ``rule`` (default: the
+        support's rule)."""
+        rule = _default_rule(support) if rule is None else rule
+        if n is None:
+            n = CIRCLE_GRID_NODES if isinstance(support, Circle) else LINEAR_GRID_NODES
+        span = support.hi - support.lo
+        if rule == MIDPOINT:
+            nodes = support.lo + (np.arange(n) + 0.5) * (span / n)
+        elif rule == GAUSS_LEGENDRE:
+            nodes = support.lo + (_legendre(n)[0] + 1.0) * (0.5 * span)
         else:
-            n = LINEAR_GRID_NODES if n is None else n
             nodes = np.linspace(support.lo, support.hi, n)
-            dens = np.full(n, 1.0 / (support.hi - support.lo))
-        return GridDistribution(support, nodes, dens)
+        return GridDistribution(support, nodes, np.full(n, 1.0 / span), rule)
 
     @staticmethod
-    def from_function(support: Support, fn, n: Optional[int] = None) -> "GridDistribution":
-        base = GridDistribution.uniform(support, n)
+    def from_function(support: Support, fn, n: Optional[int] = None,
+                      rule: Optional[str] = None) -> "GridDistribution":
+        base = GridDistribution.uniform(support, n, rule)
         dens = np.asarray(fn(base.nodes), dtype=float)
         dens = np.clip(dens, 0.0, None)
         total = float(base.weights @ dens)
         if total <= 0:
             raise ValueError("density function integrates to zero")
-        return GridDistribution(support, base.nodes, dens / total)
+        return GridDistribution(support, base.nodes, dens / total, base.rule)
 
     @staticmethod
     def from_gaussian(prior: GaussianPrior, n: int = LINEAR_GRID_NODES,
                       span_sigmas: float = 6.0) -> "GridDistribution":
+        return PriorRule.gaussian(prior, n, span_sigmas).grid(n)
+
+
+def _default_rule(support: Support) -> str:
+    return MIDPOINT if isinstance(support, Circle) else TRAPEZOID
+
+
+@dataclass(frozen=True)
+class PriorRule:
+    """A prior that can be tabulated at any node count, n -> grid.
+
+    ``grid(n, rule)`` is the prior on ``n`` nodes of ``rule`` (default:
+    the support's own).  The quadrature engine tabulates it on ``rule``,
+    doubling ``n`` until two counts agree and using at most ``max_nodes``
+    nodes; Monte Carlo draws on ``grid(max_nodes)``.  ``density`` is the
+    unnormalized density, None for the flat prior.
+    """
+
+    support: Support
+    density: Optional[Callable[[np.ndarray], np.ndarray]]
+    max_nodes: int
+    rule: Optional[str] = None
+
+    def grid(self, n: int, rule: Optional[str] = None) -> GridDistribution:
+        if self.density is None:
+            return GridDistribution.uniform(self.support, n, rule)
+        return GridDistribution.from_function(self.support, self.density, n, rule)
+
+    def counts(self):
+        """The node counts the quadrature engine tries: 64 doubling (65,
+        129, ... on the trapezoid rule, whose step then halves), the last
+        one ``max_nodes``."""
+        odd = int((self.rule or _default_rule(self.support)) == TRAPEZOID)
+        n = 64 + odd
+        while n < self.max_nodes:
+            yield n
+            n = 2 * n - odd
+        yield self.max_nodes
+
+    @staticmethod
+    def gaussian(prior: GaussianPrior, max_nodes: int,
+                 span_sigmas: float = 6.0) -> "PriorRule":
+        """``prior`` truncated to mu0 +- span_sigmas sd, on trapezoid grids."""
         sd = math.sqrt(prior.var0)
         support = Interval(prior.mu0 - span_sigmas * sd, prior.mu0 + span_sigmas * sd)
-        return GridDistribution.from_function(
-            support, lambda t: np.exp(-0.5 * ((t - prior.mu0) / sd) ** 2), n)
+        return PriorRule(support, lambda t: np.exp(-0.5 * ((t - prior.mu0) / sd) ** 2),
+                         max_nodes)
 
 
 LikelihoodFn = Callable[[np.ndarray, object], np.ndarray]
@@ -272,7 +362,7 @@ def grid_update(prior: GridDistribution, like: LikelihoodFn, outcome) -> GridDis
     total = float(prior.weights @ post)
     if total <= 0.0:
         raise InconsistentOutcomeError("outcome has zero probability under the prior")
-    return GridDistribution(prior.support, prior.nodes, post / total)
+    return GridDistribution(prior.support, prior.nodes, post / total, prior.rule)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +435,16 @@ def van_trees_bound(prior_fi: float, qfi: float) -> float:
 
 @dataclass(frozen=True)
 class AverageVariance:
+    """An average posterior variance and how it was computed: the
+    quadrature's outcome ``levels`` and ``prior_nodes``, or the Monte
+    Carlo ``samples`` (0 where a field does not apply)."""
+
     value: float
     std_error: float
     method: str
-    detail: str = ""
+    levels: int = 0
+    prior_nodes: int = 0
+    samples: int = 0
 
 
 def trapezoid(lo: float, hi: float, n: int):
@@ -565,7 +661,7 @@ def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):
             delta = value - prev
             if abs(delta) / 3.0 <= max(rel_tol * abs(value), 1e-300):
                 return AverageVariance(value + delta / 3.0, abs(delta) / 3.0,
-                                       "quadrature", f"levels={level + 1}")
+                                       "quadrature", levels=level + 1)
         prev, prev_points, prev_values = value, points, values
     raise ToleranceError("outcome quadrature did not converge "
                          f"(last delta at level {max_level})",
@@ -591,31 +687,69 @@ def _monte_carlo(strategy, prior, samples, rng):
         m2 += chunk_m2 + delta * delta * done * m / total
         done = total
     se = math.sqrt(m2 / samples / samples)
-    return AverageVariance(mean, se, "monte-carlo", f"samples={samples}")
+    return AverageVariance(mean, se, "monte-carlo", prior_nodes=prior.nodes.size,
+                           samples=samples)
 
 
-def average_posterior_variance(strategy, prior: GridDistribution, method: str = "quadrature",
-                               samples: int = 100_000, rng: Optional[np.random.Generator] = None,
+def _grid_quadrature(strategy, prior: GridDistribution, rel_tol, max_level):
+    """Outcome quadrature on one prior grid."""
+    calc = _SpreadCalculator(prior, strategy)
+    rows = strategy.outcome_rows
+
+    def rule(level):
+        outcomes, weights = strategy.outcome_nodes(level)
+        return outcomes.reshape(rows, -1), weights.reshape(rows, -1)
+
+    def integrand(outcomes):
+        v, z = calc.spreads(outcomes.ravel())
+        return (z * v).reshape(outcomes.shape)
+    res = _quadrature_outcome_grid(rule, integrand, rel_tol, max_level)
+    return dataclasses.replace(res, prior_nodes=prior.nodes.size)
+
+
+def _refined_quadrature(strategy, prior: PriorRule, rel_tol, max_level):
+    """Outcome quadrature on prior grids of doubling node count.
+
+    Stops when two consecutive counts agree within rel_tol and returns
+    the finer one, its error the outcome-step error plus the gap; the
+    rules converge spectrally, so the gap bounds the finer count's
+    prior-grid error.  ToleranceError carries the last value when
+    ``prior.max_nodes`` is reached first.
+    """
+    prev = gap = None
+    for n in prior.counts():
+        res = _grid_quadrature(strategy, prior.grid(n, prior.rule), rel_tol, max_level)
+        if prev is not None:
+            gap = abs(res.value - prev.value)
+            if gap <= max(rel_tol * abs(res.value), 1e-300):
+                return dataclasses.replace(res, std_error=res.std_error + gap)
+        prev = res
+    raise ToleranceError(f"prior quadrature did not converge within {prior.max_nodes} nodes",
+                         estimate=prev.value,
+                         std_error=None if gap is None else prev.std_error + gap)
+
+
+def average_posterior_variance(strategy, prior: Union[GridDistribution, PriorRule],
+                               method: str = "quadrature", samples: int = 100_000,
+                               rng: Optional[np.random.Generator] = None,
                                rel_tol: float = 1e-6, max_level: int = 5) -> AverageVariance:
     """Outcome-averaged posterior variance of an estimation strategy.
 
     ``method`` is "quadrature" (deterministic, Richardson step-halving
     error estimate) or "montecarlo" (theta ~ prior, m ~ p(m|theta),
-    standard error reported).  Monte Carlo draws are chunked at a fixed
-    size so results depend only on the generator's seed.
+    standard error reported).  On a ``PriorRule`` quadrature also
+    chooses the prior node count (``_refined_quadrature``) and Monte
+    Carlo draws on the rule's grid of ``max_nodes``; a
+    ``GridDistribution`` is used as it is.  Monte Carlo draws are
+    chunked at a fixed size so results depend only on the generator's
+    seed.
     """
     if method == "quadrature":
-        calc = _SpreadCalculator(prior, strategy)
-        rows = strategy.outcome_rows
-
-        def rule(level):
-            outcomes, weights = strategy.outcome_nodes(level)
-            return outcomes.reshape(rows, -1), weights.reshape(rows, -1)
-
-        def integrand(outcomes):
-            v, z = calc.spreads(outcomes.ravel())
-            return (z * v).reshape(outcomes.shape)
-        return _quadrature_outcome_grid(rule, integrand, rel_tol, max_level)
+        if isinstance(prior, PriorRule):
+            return _refined_quadrature(strategy, prior, rel_tol, max_level)
+        return _grid_quadrature(strategy, prior, rel_tol, max_level)
     if method == "montecarlo":
+        if isinstance(prior, PriorRule):
+            prior = prior.grid(prior.max_nodes)
         return _monte_carlo(strategy, prior, samples, rng)
     raise ValueError(f"unknown method {method!r}")

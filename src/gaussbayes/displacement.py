@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bayes
 from .bayes import (AverageVariance, GaussianOutcomeStrategy, GaussianPrior,
-                    GridDistribution, average_posterior_variance)
+                    PriorRule, average_posterior_variance)
 from .measurement import HETERODYNE, Measurement, MeasurementKind
 from .phasespace import gamma_qq
 
@@ -177,7 +177,7 @@ def _coordinate_engine(strategy, method, samples, rng, grid_nodes) -> AverageVar
     # 8 sigma keeps the grid-truncation bias of the conjugate posterior
     # variance below machine noise, which the Monte Carlo standard error
     # of this outcome-independent quantity would otherwise expose
-    prior = GridDistribution.from_gaussian(strategy.prior, grid_nodes, span_sigmas=8.0)
+    prior = PriorRule.gaussian(strategy.prior, grid_nodes, span_sigmas=8.0)
     return average_posterior_variance(strategy, prior, method=method,
                                       samples=samples, rng=rng)
 
@@ -193,7 +193,11 @@ def het_avg_total_variance_numeric(sigma0sq: float, r: float, method: str = "qua
         parts.append(_coordinate_engine(strat, method, samples, rng, grid_nodes))
     value = parts[0].value + parts[1].value
     err = math.hypot(parts[0].std_error, parts[1].std_error)
-    return AverageVariance(value, err, parts[0].method, "sum of coordinates")
+    # the finer grid and the deeper level of the two; draws of both
+    return AverageVariance(value, err, parts[0].method,
+                           levels=max(p.levels for p in parts),
+                           prior_nodes=max(p.prior_nodes for p in parts),
+                           samples=sum(p.samples for p in parts))
 
 
 def hom_avg_variance_q_numeric(sigma0sq: float, r: float, phi: float = 0.0,

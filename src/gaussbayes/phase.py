@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import specfun
-from .bayes import (AverageVariance, Circle, GaussianOutcomeStrategy, GridDistribution,
+from .bayes import (CIRCLE_GRID_NODES, GAUSS_LEGENDRE, AverageVariance, Circle,
+                    GaussianOutcomeStrategy, GridDistribution, PriorRule,
                     _quadrature_outcome_grid, average_posterior_variance,
                     gaussian_outcome_density, trapezoid)
 from .measurement import Measurement, MeasurementKind
@@ -478,8 +479,15 @@ def average_variance_numeric(task: PhaseTask, method: str = "quadrature",
                              rng: Optional[np.random.Generator] = None,
                              grid_nodes: Optional[int] = None,
                              rel_tol: float = 1e-6) -> AverageVariance:
-    """Average circular posterior variance via the generic engine."""
+    """Average circular posterior variance via the generic engine, on at
+    most ``grid_nodes`` prior nodes (default ``bayes.CIRCLE_GRID_NODES``).
+
+    Quadrature runs on the periodic midpoint rule on [-pi, pi) and on
+    Gauss-Legendre nodes on [0, pi): the homodyne likelihood is not
+    pi-periodic, so the midpoint rule is only second order there.
+    """
     strategy = task_strategy(task)
-    prior = flat_prior(task.support, grid_nodes)
-    return average_posterior_variance(strategy, prior, method=method,
-                                      samples=samples, rng=rng, rel_tol=rel_tol)
+    rule = GAUSS_LEGENDRE if task.support == HOM_SUPPORT else None
+    n_max = CIRCLE_GRID_NODES if grid_nodes is None else grid_nodes
+    return average_posterior_variance(strategy, PriorRule(task.support, None, n_max, rule),
+                                      method=method, samples=samples, rng=rng, rel_tol=rel_tol)

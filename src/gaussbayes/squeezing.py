@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bayes
 from .bayes import (AverageVariance, GammaPrior, GaussianOutcomeStrategy, GaussianPrior,
-                    GridDistribution, Interval, average_posterior_variance,
+                    GridDistribution, Interval, PriorRule, average_posterior_variance,
                     gaussian_outcome_density, trapezoid)
 from .phasespace import GaussianState, ProbeSpec, _symplectic_apply, gamma_qq
 
@@ -60,6 +60,10 @@ class SqueezeTask:
         alpha = complex(self.probe.alpha)
         if alpha.imag != 0.0 or alpha.real < 0.0:
             raise ValueError("probe displacement must be real and >= 0")
+
+    def prior_rule(self) -> PriorRule:
+        """The prior truncated to ``span_sigmas``, on at most ``grid_nodes`` nodes."""
+        return PriorRule.gaussian(self.prior, self.grid_nodes, self.span_sigmas)
 
     def prior_grid(self) -> GridDistribution:
         return GridDistribution.from_gaussian(self.prior, self.grid_nodes,
@@ -184,7 +188,7 @@ def average_variance(task: SqueezeTask, method: str = "quadrature",
                      rng: Optional[np.random.Generator] = None,
                      rel_tol: float = 1e-5) -> AverageVariance:
     strategy = SqueezeStrategy(task.probe, task.prior, task.span_sigmas)
-    return average_posterior_variance(strategy, task.prior_grid(), method=method,
+    return average_posterior_variance(strategy, task.prior_rule(), method=method,
                                       samples=samples, rng=rng, rel_tol=rel_tol)
 
 

@@ -110,6 +110,73 @@ class TestGridDistribution:
         assert abs(np.exp(1j * draws).mean()) < 0.02
 
 
+def _sample_by_support(d, rng, size):
+    """GridDistribution.sample as it was before grids carried their rule:
+    cells chosen by the support type."""
+    if isinstance(d.support, Circle):
+        h = d.support.span / d.nodes.size
+        edges = np.concatenate([d.nodes - h / 2.0, [d.nodes[-1] + h / 2.0]])
+        mass = np.full(d.nodes.size, h) * d.density
+    else:
+        mids = 0.5 * (d.nodes[:-1] + d.nodes[1:])
+        edges = np.concatenate([[d.nodes[0]], mids, [d.nodes[-1]]])
+        mass = np.diff(edges) * d.density
+    cdf = np.concatenate([[0.0], np.cumsum(mass)])
+    cdf /= cdf[-1]
+    return np.interp(rng.random(size), cdf, edges)
+
+
+class TestGridRules:
+    @pytest.mark.parametrize("support", [Interval(0.5, 1.5), Circle(0.0, math.pi),
+                                         Interval(-3.0, 7.0)])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_gauss_legendre_integrates_degree_2n_minus_1(self, support, n):
+        d = GridDistribution.uniform(support, n, bayes.GAUSS_LEGENDRE)
+        span = support.hi - support.lo
+        t = (2.0 * d.nodes - support.lo - support.hi) / span  # back on [-1, 1]
+        for k in range(2 * n):
+            exact = span / (k + 1) if k % 2 == 0 else 0.0  # int t^k over the support
+            assert abs(d.weights @ t**k - exact) <= 1e-14 * span
+        # not one degree more: P_n vanishes on the nodes, but int P_n^2 > 0
+        p_n = np.polynomial.legendre.Legendre.basis(n)(t)
+        assert d.weights @ p_n**2 < 0.5 * span / (2 * n + 1)
+
+    def test_gauss_legendre_sampler_is_uniform_on_a_flat_grid(self):
+        for support in (Interval(0.5, 2.0), phase.HOM_SUPPORT):
+            d = GridDistribution.uniform(support, 64, bayes.GAUSS_LEGENDRE)
+            size = 200_000
+            draws = d.sample(rng_for(3), size)
+            lo, hi = support.lo, support.hi
+            span = hi - lo
+            assert draws.min() >= lo and draws.max() <= hi
+            assert abs(draws.mean() - (lo + hi) / 2.0) <= 4.0 * span / math.sqrt(12.0 * size)
+            var_se = math.sqrt((span**4 / 80.0 - span**4 / 144.0) / size)
+            assert abs(draws.var() - span**2 / 12.0) <= 4.0 * var_se
+
+    def test_grid_update_keeps_the_rule(self):
+        for rule in (bayes.MIDPOINT, bayes.TRAPEZOID, bayes.GAUSS_LEGENDRE):
+            prior = bayes.PriorRule.gaussian(GaussianPrior(0.2, 0.5), 65).grid(65, rule)
+            post = bayes.grid_update(prior, gaussian_like(0.8), -0.4)
+            assert prior.rule == post.rule == rule
+            np.testing.assert_array_equal(post.weights, prior.weights)
+
+    def test_default_rules_and_validation(self):
+        assert GridDistribution.uniform(Circle(0.0, 1.0), 8).rule == bayes.MIDPOINT
+        assert GridDistribution.uniform(Interval(0.0, 1.0), 9).rule == bayes.TRAPEZOID
+        with pytest.raises(ValueError, match="unknown quadrature rule"):
+            GridDistribution(Interval(0, 1), np.linspace(0, 1, 3), np.ones(3), "simpson")
+
+    @pytest.mark.parametrize("grid", [
+        GridDistribution.uniform(phase.HET_SUPPORT, 512),
+        GridDistribution.from_function(phase.HOM_SUPPORT, lambda t: 1.0 + np.cos(t) ** 2, 300),
+        GridDistribution.from_gaussian(GaussianPrior(-0.5, 1.0), 513),
+        GridDistribution.from_function(Interval(-1.0, 3.0), lambda t: np.exp(-t * t), 2001),
+    ])
+    def test_midpoint_and_trapezoid_draws_are_unchanged(self, grid):
+        want = _sample_by_support(grid, np.random.default_rng(17), 10_000)
+        np.testing.assert_array_equal(grid.sample(np.random.default_rng(17), 10_000), want)
+
+
 class TestGridUpdate:
     def test_flat_times_constant_is_flat(self):
         d = GridDistribution.uniform(Interval(0.0, 2.0), 201)
@@ -506,7 +573,7 @@ def full_reevaluation(level_value, rel_tol, max_level):
 
 
 def _levels(result):
-    return int(result.detail.removeprefix("levels="))
+    return result.levels
 
 
 class TestNestedOutcomeNodes:
@@ -600,3 +667,139 @@ class TestNestedOutcomeNodes:
     def test_short_series_cutoff_still_raises(self):
         with pytest.raises(phase.TruncationError):
             phase.squeezed_het_average_variance(2.0, 0.75, trunc=phase.SeriesTruncation(1))
+
+
+# ---------------------------------------------------------------------------
+# prior-grid refinement: the engine chooses the prior node count
+
+
+def _task_engine(task, p):
+    """One quadrature row of a harness task through its entry point:
+    (result, [(strategy, prior rule)] whose values it sums)."""
+    from gaussbayes.measurement import HETERODYNE, homodyne
+    if task in ("PhaseHet", "PhaseHom"):
+        if task == "PhaseHet":
+            t = phase.PhaseTask(ProbeSpec(p["alpha"], p["r"], math.pi), HETERODYNE)
+            rule = bayes.PriorRule(phase.HET_SUPPORT, None, bayes.CIRCLE_GRID_NODES)
+        else:
+            t = phase.PhaseTask(ProbeSpec(p["alpha"], p["r"], p["psi"]), homodyne())
+            rule = bayes.PriorRule(phase.HOM_SUPPORT, None, bayes.CIRCLE_GRID_NODES,
+                                   bayes.GAUSS_LEGENDRE)
+        return phase.average_variance_numeric(t), [(phase.task_strategy(t), rule)]
+    if task == "Squeeze":
+        alpha = math.sqrt(p["n"] - math.sinh(p["s"]) ** 2)
+        t = sq.SqueezeTask(ProbeSpec(alpha, p["s"], 0.0), GaussianPrior(p["r0"], p["sigma0sq"]))
+        return (sq.average_variance(t),
+                [(sq.SqueezeStrategy(t.probe, t.prior, t.span_sigmas), t.prior_rule())])
+    v, r = p["sigma0sq"], p["r"]
+    if task == "DisplacementHet":
+        strats = [disp.HeterodyneCoordinateStrategy(v, r, c) for c in "RI"]
+        got = disp.het_avg_total_variance_numeric(v, r)
+    else:
+        strats = [disp.HomodyneQuadratureStrategy(v, r)]
+        got = disp.hom_avg_variance_q_numeric(v, r)
+    return got, [(s, bayes.PriorRule.gaussian(s.prior, bayes.LINEAR_GRID_NODES, 8.0))
+                 for s in strats]
+
+
+def _reference(strat, rule):
+    """A high-resolution value: 8192 midpoint or 8193 trapezoid prior
+    nodes, or 1024 Gauss-Legendre nodes where the midpoint rule is second
+    order, a 4x finer heterodyne radial step (as the benchmark's
+    references) and a 100x tighter outcome tolerance."""
+    if isinstance(strat, phase.HeterodynePhaseStrategy):
+        strat = phase.HeterodynePhaseStrategy(strat.alpha, strat.r, base_radial=512)
+    if rule.rule == bayes.GAUSS_LEGENDRE:
+        grid = rule.grid(1024, bayes.GAUSS_LEGENDRE)
+    else:
+        grid = rule.grid(8192 if isinstance(rule.support, Circle) else 8193)
+    return average_posterior_variance(strat, grid, rel_tol=1e-8, max_level=7).value
+
+
+# a parameter sample of every quadrature task, with the corners that need
+# the most prior nodes or that the midpoint rule on [0, pi) got wrong
+C3_ROWS = [
+    ("PhaseHet", dict(alpha=0.5, r=0.15)),
+    ("PhaseHet", dict(alpha=2.0, r=0.5)),
+    ("PhaseHet", dict(alpha=4.0, r=1.25)),
+    ("PhaseHom", dict(alpha=0.7, r=0.0, psi=0.0)),
+    ("PhaseHom", dict(alpha=1.0, r=0.0, psi=0.0)),
+    ("PhaseHom", dict(alpha=2.0, r=0.5, psi=0.0)),
+    ("PhaseHom", dict(alpha=4.0, r=1.0, psi=math.pi / 2)),
+    ("Squeeze", dict(n=2.0, s=0.5, r0=-0.5, sigma0sq=1.0)),
+    ("Squeeze", dict(n=8.0, s=1.5, r0=-0.5, sigma0sq=1.0)),
+    ("Squeeze", dict(n=16.0, s=1.0, r0=0.0, sigma0sq=4.0)),
+    ("DisplacementHet", dict(sigma0sq=0.5, r=0.3)),
+    ("DisplacementHet", dict(sigma0sq=10.0, r=1.5)),
+    ("DisplacementHom", dict(sigma0sq=0.25, r=0.0)),
+    ("DisplacementHom", dict(sigma0sq=10.0, r=1.5)),
+]
+
+
+class TestPriorRefinement:
+    @pytest.mark.parametrize("task,p", C3_ROWS)
+    def test_reported_error_covers_the_real_error(self, task, p):
+        # |got - ref| is got's whole error: outcome steps and prior grid
+        got, parts = _task_engine(task, p)
+        ref = sum(_reference(strat, rule) for strat, rule in parts)
+        # 1e-13 relative: the rounding of the quadrature sums in both
+        # values, which no step-halving or grid-doubling gap resolves
+        assert abs(got.value - ref) <= got.std_error + 1e-13 * abs(ref)
+        # and the bar is not vacuous: at most the outcome and prior-grid
+        # tolerances, 1e-5 relative for Squeeze and 1e-6 elsewhere
+        assert got.std_error <= 2.0 * (1e-5 if task == "Squeeze" else 1e-6) * abs(ref)
+
+    @pytest.mark.parametrize("task,p", [
+        ("PhaseHet", dict(alpha=1.0, r=0.25)),
+        ("PhaseHom", dict(alpha=1.5, r=0.3, psi=math.pi / 2)),
+        ("Squeeze", dict(n=3.0, s=0.5, r0=-0.5, sigma0sq=1.0)),
+        ("DisplacementHet", dict(sigma0sq=0.5, r=0.3)),
+        ("DisplacementHom", dict(sigma0sq=1.0, r=0.3)),
+    ])
+    def test_cost_guard_prior_cells(self, task, p, monkeypatch):
+        # cells = outcome rows x prior nodes passed to the kernel; the
+        # fixed grid, 2048 midpoint or 2001 trapezoid nodes, is the one
+        # every quadrature row ran on before the engine chose the count
+        cells = []
+        spreads = bayes._SpreadCalculator.spreads
+
+        def counting(calc, outcomes):
+            cells.append(np.size(outcomes) * calc.moments.shape[0])
+            return spreads(calc, outcomes)
+        monkeypatch.setattr(bayes._SpreadCalculator, "spreads", counting)
+        got, parts = _task_engine(task, p)
+        refined = sum(cells)
+        assert got.prior_nodes <= 256
+        cells.clear()
+        for strat, rule in parts:
+            average_posterior_variance(strat, rule.grid(rule.max_nodes))
+        assert refined < sum(cells) / 4
+
+    def test_counts_double_up_to_the_ceiling(self):
+        flat = bayes.PriorRule(phase.HET_SUPPORT, None, 2048)
+        assert list(flat.counts()) == [64, 128, 256, 512, 1024, 2048]
+        gauss = bayes.PriorRule.gaussian(GaussianPrior(0.0, 1.0), 2001)
+        assert list(gauss.counts()) == [65, 129, 257, 513, 1025, 2001]
+        assert list(bayes.PriorRule(phase.HOM_SUPPORT, None, 100, bayes.GAUSS_LEGENDRE)
+                    .counts()) == [64, 100]
+
+    def test_ceiling_raises_with_the_estimate(self):
+        # alpha = 4, r = 1.25 needs 256 nodes
+        from gaussbayes.measurement import HETERODYNE
+        task = phase.PhaseTask(ProbeSpec(4.0, 1.25, math.pi), HETERODYNE)
+        want = phase.average_variance_numeric(task)
+        with pytest.raises(ToleranceError, match="within 128 nodes") as err:
+            phase.average_variance_numeric(task, grid_nodes=128)
+        assert err.value.estimate == pytest.approx(want.value, rel=1e-3)
+        assert err.value.std_error >= abs(err.value.estimate - want.value)
+
+    def test_monte_carlo_draws_on_the_ceiling_grid(self):
+        # a prior rule and its grid of max_nodes nodes give the same draws
+        strat = disp.HomodyneQuadratureStrategy(0.7, 0.2)
+        rule = bayes.PriorRule.gaussian(strat.prior, 301, 8.0)
+        got = average_posterior_variance(strat, rule, method="montecarlo", samples=5000,
+                                         rng=rng_for(14))
+        want = average_posterior_variance(strat, GridDistribution.from_gaussian(
+            strat.prior, 301, 8.0), method="montecarlo", samples=5000, rng=rng_for(14))
+        assert got == want
+        assert (got.prior_nodes, got.samples, got.levels) == (301, 5000, 0)
