@@ -580,11 +580,9 @@ class _SpreadCalculator:
     mean sin^2(theta - e) = 1/2 - [cos 2e <cos 2theta> + sin 2e <sin 2theta>]/2.
     """
 
-    def __init__(self, prior: GridDistribution, strategy: GaussianOutcomeStrategy,
-                 moment_tol: float = 1e-12):
+    def __init__(self, prior: GridDistribution, strategy: GaussianOutcomeStrategy):
         self.strategy = strategy
         self.circular = strategy.circular
-        self.moment_tol = moment_tol
         w = prior.weights * prior.density
         nodes = prior.nodes
         if self.circular:
@@ -607,7 +605,7 @@ class _SpreadCalculator:
         if self.circular:
             c1r, c1i = m[:, 1] / zi, m[:, 2] / zi
             c2r, c2i = m[:, 3] / zi, m[:, 4] / zi
-            est = np.where(np.hypot(c1r, c1i) > self.moment_tol,
+            est = np.where(np.hypot(c1r, c1i) > 1e-12,
                            np.arctan2(c1i, c1r), 0.0)
             v = 0.5 * (1.0 - c2r * np.cos(2.0 * est) - c2i * np.sin(2.0 * est))
         else:

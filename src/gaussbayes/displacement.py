@@ -142,8 +142,7 @@ def repeated_variance(sigma0sq: float, r: float, m: int) -> float:
 # engine strategies (numerical cross-checks of the closed forms)
 
 
-def _coordinate_model(prior: GaussianPrior, gain: float, like_var: float,
-                      base_nodes: int = 512):
+def _coordinate_model(prior: GaussianPrior, gain: float, like_var: float):
     """Moment map and outcome rule of an outcome ~ N(gain theta, like_var):
     a trapezoid over the prior-induced mean range plus likelihood tails."""
     sd0 = math.sqrt(prior.var0)
@@ -152,7 +151,7 @@ def _coordinate_model(prior: GaussianPrior, gain: float, like_var: float,
     lo = float(min(locs)) - pad
     hi = float(max(locs)) + pad
     return (lambda t: (gain * t, np.full(t.shape, like_var)),
-            lambda level: bayes.trapezoid(lo, hi, base_nodes * 2**level + 1))
+            lambda level: bayes.trapezoid(lo, hi, 512 * 2**level + 1))
 
 
 class HeterodyneCoordinateStrategy(GaussianOutcomeStrategy):

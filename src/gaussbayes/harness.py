@@ -27,8 +27,8 @@ from . import displacement as disp
 from . import phase, squeezing
 from .bayes import GaussianPrior, ToleranceError
 from .measurement import HETERODYNE, homodyne
+from .phase import TruncationError
 from .phasespace import ProbeSpec
-from .specfun import RangeError, TruncationError
 
 __all__ = [
     "ConfigError",
@@ -139,6 +139,10 @@ class ExperimentConfig:
                 raise ConfigError(f"parameter {key!r} not valid for task {self.task}")
         if spec.needs_sigma0sq and "sigma0sq" not in self.sweep:
             raise ConfigError(f"task {self.task} needs sigma0sq")
+        for key, values in self.sweep.items():
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"parameter {key!r} has a non-finite value")
+        _truncation(self)  # the series cutoff's own checks, before any row runs
         if "alpha" in spec.keys:
             if "alpha" in self.sweep and "n" in self.sweep:
                 raise ConfigError("give either alpha or n, not both")
@@ -287,7 +291,7 @@ def _evaluate_row(task, params, config, row_index) -> ResultRecord:
             engine = spec.engine(p, alpha, **engine_args)
             value, err, tag = engine.value, engine.std_error, engine.method
         photon = p["n"] if "n" in p else alpha ** 2 + math.sinh(p[spec.squeeze]) ** 2
-    except (ToleranceError, TruncationError, RangeError, ValueError) as exc:
+    except (ToleranceError, TruncationError, ValueError) as exc:
         estimate = getattr(exc, "estimate", None)
         value = math.nan if estimate is None else float(estimate)
         err = math.nan

@@ -29,9 +29,9 @@ from .bayes import (CIRCLE_GRID_NODES, GAUSS_LEGENDRE, AverageVariance, Circle,
                     gaussian_outcome_density, trapezoid)
 from .measurement import Measurement, MeasurementKind
 from .phasespace import ProbeSpec, gamma_qq
-from .specfun import DEFAULT_CONTROL, SeriesControl, TruncationError
 
 __all__ = [
+    "TruncationError",
     "SeriesTruncation",
     "default_truncation",
     "PhaseTask",
@@ -63,6 +63,10 @@ HET_SUPPORT = Circle(-math.pi, math.pi)
 HOM_SUPPORT = Circle(0.0, math.pi)
 
 
+class TruncationError(RuntimeError):
+    """A series tail exceeds the declared bound."""
+
+
 @dataclass(frozen=True)
 class SeriesTruncation:
     """Symmetric index cutoff |n| <= n_max plus a declared tail bound."""
@@ -73,7 +77,7 @@ class SeriesTruncation:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.tail_tol <= 0:
+        if not self.tail_tol > 0:  # nan would switch the tail check off
             raise ValueError("tail_tol must be positive")
 
 
@@ -160,13 +164,11 @@ def coherent_het_likelihood(alpha: float, beta: complex, thetas):
     return squeezed_het_likelihood(alpha, 0.0, beta, thetas)
 
 
-def coherent_het_outcome_density(alpha: float, beta: complex,
-                                 ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def coherent_het_outcome_density(alpha: float, beta: complex) -> float:
     """p(beta) = e^{-(alpha^2+|beta|^2)} I_0(2 alpha |beta|) / pi."""
     babs = abs(complex(beta))
-    k = 2.0 * alpha * babs
-    scaled = specfun.bessel_i_log_scaled(0, k, ctl)
-    return math.exp(-(alpha - babs) ** 2) * scaled / math.pi
+    i0 = specfun.bessel_i_scaled_row(2.0 * alpha * babs, 0)[0]
+    return math.exp(-(alpha - babs) ** 2) * float(i0) / math.pi
 
 
 def coherent_het_posterior(alpha: float, beta: complex,
@@ -178,16 +180,14 @@ def coherent_het_posterior(alpha: float, beta: complex,
         HET_SUPPORT, lambda t: np.exp(2.0 * alpha * babs * (np.cos(t - phi) - 1.0)), n)
 
 
-def coherent_het_posterior_variance(alpha: float, abs_beta: float,
-                                    ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def coherent_het_posterior_variance(alpha: float, abs_beta: float) -> float:
     """Circular posterior variance I_1(k) / (k I_0(k)), k = 2 alpha |beta|."""
     k = 2.0 * alpha * abs_beta
     if k == 0.0:
         return 0.5
     # both factors grow like e^k; evaluate the ratio through scaled values
-    i1 = specfun.bessel_i_log_scaled(1, k, ctl)
-    i0 = specfun.bessel_i_log_scaled(0, k, ctl)
-    return i1 / (k * i0)
+    i0, i1 = specfun.bessel_i_scaled_row(k, 1)
+    return float(i1 / (k * i0))
 
 
 def coherent_het_average_variance(alpha: float) -> float:
@@ -311,8 +311,7 @@ def _radial_rule(alpha: float, r: float, base: int, level: int):
 
 def squeezed_het_average_variance(alpha: float, r: float,
                                   trunc: Optional[SeriesTruncation] = None,
-                                  rel_tol: float = 1e-6,
-                                  base_nodes: int = 512, max_level: int = 4) -> float:
+                                  rel_tol: float = 1e-6, max_level: int = 4) -> float:
     """Average circular posterior variance by radial quadrature of the series.
 
     The engine's step-halving driver with one Richardson extrapolation,
@@ -333,7 +332,7 @@ def squeezed_het_average_variance(alpha: float, r: float,
         # p(rho) V_post(rho) 2 pi rho = rho e^{-(1-t)(rho-alpha)^2} s / cosh r
         return rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)
 
-    return _quadrature_outcome_grid(lambda level: _radial_rule(alpha, r, base_nodes, level),
+    return _quadrature_outcome_grid(lambda level: _radial_rule(alpha, r, 512, level),
                                     integrand, rel_tol, max_level).value
 
 
@@ -453,17 +452,15 @@ class HomodynePhaseStrategy(GaussianOutcomeStrategy):
     """Phase encoding on D(alpha) S(r e^{i phi_s}) |0> read out by q-homodyne,
     outcome moments as in ``squeezed_hom_likelihood``."""
 
-    def __init__(self, alpha: float, r: float = 0.0, phi_s: float = 0.0,
-                 base_nodes: int = 512):
+    def __init__(self, alpha: float, r: float = 0.0, phi_s: float = 0.0):
         self.alpha = float(alpha)
         self.r = float(r)
         self.phi_s = float(phi_s)
-        self.base_nodes = base_nodes
         self.support = HOM_SUPPORT
         extent = math.sqrt(2.0) * self.alpha + 6.0 * math.exp(abs(self.r)) / math.sqrt(2.0) + 1.0
         super().__init__(
             lambda t: _hom_moments(self.alpha, self.r, self.phi_s, t),
-            lambda level: trapezoid(-extent, extent, base_nodes * 2**level + 1),
+            lambda level: trapezoid(-extent, extent, 512 * 2**level + 1),
             dim=1, circular=True)
 
 

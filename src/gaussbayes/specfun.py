@@ -1,25 +1,20 @@
 """Special-function kernel: modified Bessel functions I_n of integer order.
 
-Everything here is self-contained (power series, backward recurrence,
-asymptotics) so that accuracy is controlled by an explicit truncation
-policy rather than by whatever a third-party library happens to do.
-Integer-order I_n is evaluated by power series for small arguments and by
-a normalized backward (Miller) recurrence on exponentially scaled values
-beyond that; negative arguments go through the parity identity
-I_n(-x) = (-1)^n I_n(x) to avoid alternating-series cancellation.
+Everything here is self-contained, so accuracy is set by the algorithm
+below rather than by whatever a third-party library happens to do.  Every
+value is an entry of a row of exponentially scaled values e^{-|x|} I_n(x),
+n = 0..nmax, vectorized over x: below SMALL_ARG two power-series terms,
+beyond it a normalized backward (Miller) recurrence.  Negative arguments
+go through the parity identity I_n(-x) = (-1)^n I_n(x).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeriesControl",
-    "DEFAULT_CONTROL",
-    "TruncationError",
     "RangeError",
     "DomainError",
     "bessel_i",
@@ -27,10 +22,6 @@ __all__ = [
     "bessel_i_scaled_row",
     "bessel_i_scaled_rows",
 ]
-
-# Branch point between the power series and the scaled recurrence.  Chosen
-# so that both branches agree to better than 1e-9 in an overlap test.
-SERIES_CUTOFF = 25.0
 
 # Below this argument two power-series terms give I_n to rounding (the
 # third is under eps/2 relative), and the backward recurrence, which
@@ -40,9 +31,7 @@ SMALL_ARG = 1e-4
 # exp(x) overflows IEEE double just above this
 _EXP_OVERFLOW = 709.0
 
-
-class TruncationError(RuntimeError):
-    """A series did not converge within the allowed number of terms."""
+_MAX_ORDER = 10**6
 
 
 class RangeError(OverflowError):
@@ -51,59 +40,6 @@ class RangeError(OverflowError):
 
 class DomainError(ValueError):
     """Argument outside the function's domain (e.g. a non-finite argument)."""
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the series in this module.
-
-    A series is accepted once the relative contribution of a term stays
-    below ``rel_tol`` for three consecutive terms (guards against even/odd
-    terms vanishing identically), or once terms fall below the underflow
-    floor ``abs_tol``.
-    """
-
-    max_terms: int = 500
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_CONTROL = SeriesControl()
-
-
-def _series_i(n: int, x: float, ctl: SeriesControl) -> float:
-    """Power series for I_n(x), n >= 0, x >= 0."""
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    # leading coefficient (x/2)^n / n! in log space; may underflow for huge n.
-    # log x - log 2, not log(x/2): x/2 underflows to 0 for the smallest
-    # subnormal x, where I_0(x) = 1 is still well defined.
-    log_lead = n * (math.log(x) - math.log(2.0)) - math.lgamma(n + 1.0)
-    if log_lead < -745.0:
-        return 0.0
-    lead = math.exp(log_lead)
-    term = 1.0
-    total = 1.0
-    quarter_x2 = 0.25 * x * x
-    small_count = 0
-    for k in range(1, ctl.max_terms + 1):
-        term *= quarter_x2 / (k * (n + k))
-        total += term
-        if term < ctl.rel_tol * total or lead * term < ctl.abs_tol:
-            small_count += 1
-            if small_count >= 3:
-                return lead * total
-        else:
-            small_count = 0
-    raise TruncationError(
-        f"I_{n}({x}) power series not converged after {ctl.max_terms} terms"
-    )
 
 
 def _miller_start_order(nmax: int, xmax: float) -> int:
@@ -143,8 +79,9 @@ def _miller_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
 
 def _small_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
     """e^{-x} I_n(x) for n = 0..nmax and 0 <= x < SMALL_ARG, vectorized:
-    e^{-x} (x/2)^n / n! (1 + x^2 / (4(n+1))), the leading factor in log
-    space as in ``_series_i``."""
+    e^{-x} (x/2)^n / n! (1 + x^2 / (4(n+1))).  The leading factor is taken
+    in log space as n (log x - log 2): x/2 underflows to 0 for the smallest
+    subnormal x, where I_0(x) = 1 is still well defined."""
     n = np.arange(nmax + 1)
     lgam = np.array([math.lgamma(k + 1.0) for k in n])
     x = xs[:, None]
@@ -161,6 +98,8 @@ def bessel_i_scaled_rows(x, nmax: int) -> np.ndarray:
     ``rows[i, n] == exp(-|x_i|) * I_n(x_i)`` for every real x_i.  Orders
     are nonnegative; use I_{-n} = I_n for negative orders.
     """
+    if nmax > _MAX_ORDER:
+        raise DomainError("order out of supported range")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         raise DomainError("bessel argument must be finite")
@@ -184,39 +123,20 @@ def bessel_i_scaled_row(x: float, nmax: int) -> np.ndarray:
     return bessel_i_scaled_rows([x], nmax)[0]
 
 
-def bessel_i_log_scaled(n: int, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Exponentially scaled modified Bessel function e^{-|x|} I_n(x).
-
-    Finite for every finite x; this is the workhorse behind the series
-    summations elsewhere in the package.
-    """
+def bessel_i_log_scaled(n: int, x: float) -> float:
+    """Exponentially scaled modified Bessel function e^{-|x|} I_n(x), the
+    last entry of the row up to order |n|; finite for every finite x."""
     n = abs(int(n))
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("bessel argument must be finite")
-    sign = (-1.0) ** n if x < 0.0 else 1.0
-    ax = abs(x)
-    if ax <= SERIES_CUTOFF:
-        return sign * _series_i(n, ax, ctl) * math.exp(-ax)
-    return sign * float(_miller_scaled(np.array([ax]), n)[0, n])
+    return float(bessel_i_scaled_rows([x], n)[0, n])
 
 
-def bessel_i(n: int, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def bessel_i(n: int, x: float) -> float:
     """Modified Bessel function of the first kind I_n(x), integer order.
 
     Satisfies I_n = I_{-n} and I_n(-x) = (-1)^n I_n(x).  Raises
     :class:`RangeError` once the e^|x| scaling overflows.
     """
-    n = abs(int(n))
-    if abs(n) > 10**6:
-        raise DomainError("order out of supported range")
     x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("bessel argument must be finite")
-    sign = (-1.0) ** n if x < 0.0 else 1.0
-    ax = abs(x)
-    if ax <= SERIES_CUTOFF:
-        return sign * _series_i(n, ax, ctl)
-    if ax > _EXP_OVERFLOW:
+    if abs(x) > _EXP_OVERFLOW and math.isfinite(x):  # non-finite x: DomainError below
         raise RangeError(f"I_{n}({x}): e^|x| scaling overflows for |x| > {_EXP_OVERFLOW}")
-    return sign * float(_miller_scaled(np.array([ax]), n)[0, n]) * math.exp(ax)
+    return bessel_i_log_scaled(n, x) * math.exp(abs(x))

@@ -160,9 +160,8 @@ class SqueezeStrategy(GaussianOutcomeStrategy):
     outcome_rows = 2
 
     def __init__(self, probe: ProbeSpec, prior: GaussianPrior,
-                 span_sigmas: float = 6.0, base_nodes: int = 256):
+                 span_sigmas: float = 6.0):
         self.probe = probe
-        self.base_nodes = base_nodes
         sd0 = math.sqrt(prior.var0)
         r_lo = prior.mu0 - span_sigmas * sd0
         r_hi = prior.mu0 + span_sigmas * sd0
@@ -177,7 +176,7 @@ class SqueezeStrategy(GaussianOutcomeStrategy):
         return mu, sd * sd
 
     def _nodes(self, level):
-        u, wu = trapezoid(self._u_lo, self._u_hi, self.base_nodes * 2**level + 1)
+        u, wu = trapezoid(self._u_lo, self._u_hi, 256 * 2**level + 1)
         q = np.exp(u)
         w = q * wu  # dq = e^u du
         return np.concatenate([-q[::-1], q]), np.concatenate([w[::-1], w])

@@ -287,6 +287,22 @@ class TestCli:
         assert cli.main(["run", str(cfg), "--method", "montecarlo", "--out", str(seeded)]) == 0
         assert seeded.read_text() == rows
 
+    @pytest.mark.parametrize("body,key", [
+        ("task = PhaseHet\nalpha = 0.5, nan\n", "alpha"),
+        ("task = PhaseHom\nalpha = inf\n", "alpha"),
+        ("task = PhaseHet\nalpha = 2.0\nr = 0.75\ntrunc_n = 1\ntail_tol = nan\n", "tail_tol"),
+        ("task = DisplacementHet\nsigma0sq = nan\n", "sigma0sq"),
+        ("task = PhaseHet\nalpha = 0:inf:3\n", "alpha"),
+    ], ids=["nan-in-list", "inf-alpha", "nan-tail-tol", "nan-sigma0sq", "inf-range"])
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, body, key):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(body)
+        out = tmp_path / "rows.csv"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert not out.exists()
+
     def test_montecarlo_without_seed_rejected(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("task = PhaseHom\nalpha = 0.6\n")

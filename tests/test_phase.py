@@ -9,7 +9,7 @@ from gaussbayes import bayes, phase
 from gaussbayes.bayes import Circle, GridDistribution
 from gaussbayes.measurement import HETERODYNE, homodyne
 from gaussbayes.phasespace import ProbeSpec
-from gaussbayes.specfun import TruncationError
+from gaussbayes.phase import TruncationError
 
 SQ2 = math.sqrt(2.0)
 
@@ -45,6 +45,14 @@ class TestCoherentHeterodyne:
             want, rel=1e-8)
         if alpha >= 10.0 and babs >= 10.0:
             assert phase.coherent_het_posterior_variance(alpha, babs) < 0.01
+
+    def test_vpost_against_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        for k in np.geomspace(1e-6, 600.0, 61):
+            # alpha = 1/2 makes k = 2 alpha |beta| equal to |beta| exactly
+            want = special.i1e(k) / (k * special.i0e(k))
+            assert phase.coherent_het_posterior_variance(0.5, k) == pytest.approx(
+                want, rel=1e-13)
 
     def test_average_variance_values(self):
         assert phase.coherent_het_average_variance(1.0) == pytest.approx(
@@ -288,6 +296,8 @@ class TestTruncation:
             phase.SeriesTruncation(0)
         with pytest.raises(ValueError):
             phase.SeriesTruncation(5, tail_tol=0.0)
+        with pytest.raises(ValueError):
+            phase.SeriesTruncation(5, tail_tol=math.nan)
 
     def test_default_scales_with_arguments(self):
         assert phase.default_truncation(10.0).n_max == 24
