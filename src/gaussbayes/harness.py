@@ -58,7 +58,7 @@ _DEFAULTS = {"alpha": 0.0, "r": 0.0, "s": 0.0, "psi": 0.0, "r0": 0.0, "m_rounds"
 class _Task:
     """What a task accepts and how one of its rows is evaluated.
 
-    ``closed(p, alpha, config)`` returns ``(value, method_tag)``;
+    ``closed(p, alpha)`` returns ``(value, method_tag)``;
     ``engine(p, alpha, method=, samples=, rng=)`` returns an
     ``AverageVariance``, or None where the engine does not cover the row.
     ``p`` is the row's parameters over ``_DEFAULTS`` and ``alpha`` the
@@ -72,22 +72,21 @@ class _Task:
     engine: Callable
 
 
-def _phase_het_closed(p, alpha, config):
+def _phase_het_closed(p, alpha):
     if p["r"] == 0.0:
         return phase.coherent_het_average_variance(alpha), "closed-form"
-    return phase.squeezed_het_average_variance(alpha, p["r"], trunc=_truncation(config)), "series"
+    return phase.squeezed_het_average_variance(alpha, p["r"]), "series"
 
 
 _TASKS = {
     "DisplacementHet": _Task(
         frozenset({"sigma0sq", "r"}), "r", True,
-        lambda p, alpha, config: (disp.het_avg_total_variance(p["sigma0sq"], p["r"]),
-                                  "closed-form"),
+        lambda p, alpha: (disp.het_avg_total_variance(p["sigma0sq"], p["r"]), "closed-form"),
         lambda p, alpha, **kw: disp.het_avg_total_variance_numeric(p["sigma0sq"], p["r"], **kw)),
     "DisplacementHom": _Task(
         frozenset({"sigma0sq", "r", "m_rounds"}), "r", True,
-        lambda p, alpha, config: (disp.repeated_variance(p["sigma0sq"], p["r"],
-                                                         int(p["m_rounds"])), "closed-form"),
+        lambda p, alpha: (disp.repeated_variance(p["sigma0sq"], p["r"], int(p["m_rounds"])),
+                          "closed-form"),
         # the engine covers single rounds only
         lambda p, alpha, **kw: (disp.hom_avg_variance_q_numeric(p["sigma0sq"], p["r"], **kw)
                                 if int(p["m_rounds"]) == 1 else None)),
@@ -119,8 +118,6 @@ class ExperimentConfig:
     method: str = "quadrature"
     samples: int = 100_000
     seed: Optional[int] = None
-    trunc_n: Optional[int] = None
-    tail_tol: float = 1e-10
     output: Optional[str] = None
     force_both: bool = False
 
@@ -142,7 +139,6 @@ class ExperimentConfig:
         for key, values in self.sweep.items():
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"parameter {key!r} has a non-finite value")
-        _truncation(self)  # the series cutoff's own checks, before any row runs
         if "alpha" in spec.keys:
             if "alpha" in self.sweep and "n" in self.sweep:
                 raise ConfigError("give either alpha or n, not both")
@@ -162,45 +158,36 @@ class ResultRecord:
     wall_time: float = 0.0
 
 
-def _parse_value(text: str, path: str, lineno: int):
-    text = text.strip()
-    try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError("range needs start:stop:count")
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ValueError("range count must be >= 1")
-            return [float(v) for v in np.linspace(start, stop, count)]
-        if "," in text:
-            return [float(v) for v in text.split(",")]
-        return [float(text)]
-    except ValueError as exc:
-        raise ConfigError(f"{path}:{lineno}: bad value {text!r} ({exc})") from None
+def _parse_value(text: str) -> list:
+    """A scalar, a comma list or a ``start:stop:count`` range, as floats."""
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError("range needs start:stop:count")
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 1:
+            raise ValueError("range count must be >= 1")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError("range bounds must be finite")
+        return [float(v) for v in np.linspace(start, stop, count)]
+    if "," in text:
+        return [float(v) for v in text.split(",")]
+    return [float(text)]
 
 
 def _number(kind):
     """Converter of a numeric field: the first value given, as ``kind``."""
-    def convert(text, path, lineno):
-        value = _parse_value(text, path, lineno)[0]
-        try:
-            return kind(value)
-        except (ValueError, OverflowError) as exc:  # int() of nan or inf
-            raise ConfigError(f"{path}:{lineno}: bad value {text.strip()!r} ({exc})") from None
-    return convert
+    return lambda text: kind(_parse_value(text)[0])
 
 
-# one converter per non-sweep key: (text, path, lineno) -> field value
+# one converter per non-sweep key: text -> field value
 _FIELDS = {
-    "task": lambda text, path, lineno: text,
-    "method": lambda text, path, lineno: text.lower(),
+    "task": str,
+    "method": str.lower,
     "samples": _number(int),
     "seed": _number(int),
-    "trunc_n": _number(int),
-    "tail_tol": _number(float),
-    "output": lambda text, path, lineno: text,
-    "force_both": lambda text, path, lineno: text.lower() in ("1", "true", "yes"),
+    "output": str,
+    "force_both": lambda text: text.lower() in ("1", "true", "yes"),
 }
 
 
@@ -219,12 +206,15 @@ def parse_config(text: str, path: str = "<config>",
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in SWEEP_KEYS:
-            sweep[key] = _parse_value(value, path, lineno)
-        elif key in _FIELDS:
-            fields[key] = _FIELDS[key](value, path, lineno)
-        else:
+        if key not in SWEEP_KEYS and key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key in SWEEP_KEYS:
+                sweep[key] = _parse_value(value)
+            else:
+                fields[key] = _FIELDS[key](value)
+        except (ValueError, OverflowError) as exc:  # OverflowError: int() of inf
+            raise ConfigError(f"{path}:{lineno}: bad value {key} = {value!r} ({exc})") from None
     if "task" not in fields:
         raise ConfigError(f"{path}: missing required key 'task'")
     fields.update(overrides or {})
@@ -243,12 +233,6 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # row evaluation
-
-
-def _truncation(config: ExperimentConfig):
-    if config.trunc_n is None:
-        return None
-    return phase.SeriesTruncation(config.trunc_n, config.tail_tol)
 
 
 def _resolve_alpha(p: dict, squeeze_key: str):
@@ -274,7 +258,7 @@ def _evaluate_row(task, params, config, row_index) -> ResultRecord:
     try:
         alpha = _resolve_alpha(p, spec.squeeze)
         if spec.closed is not None:
-            value, tag = spec.closed(p, alpha, config)
+            value, tag = spec.closed(p, alpha)
             err = 0.0
             if config.force_both:
                 try:

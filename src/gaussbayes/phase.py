@@ -32,8 +32,6 @@ from .phasespace import ProbeSpec, gamma_qq
 
 __all__ = [
     "TruncationError",
-    "SeriesTruncation",
-    "default_truncation",
     "PhaseTask",
     "phase_of_outcome",
     "HET_SUPPORT",
@@ -64,41 +62,39 @@ HOM_SUPPORT = Circle(0.0, math.pi)
 
 
 class TruncationError(RuntimeError):
-    """A series tail exceeds the declared bound."""
+    """A series tail exceeds its bound at the series' own index cutoff."""
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Symmetric index cutoff |n| <= n_max plus a declared tail bound."""
-
-    n_max: int
-    tail_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if not self.tail_tol > 0:  # nan would switch the tail check off
-            raise ValueError("tail_tol must be positive")
+# largest share of a series' sum its two outermost terms may carry
+_TAIL_TOL = 1e-10
 
 
-def default_truncation(*magnitudes: float) -> SeriesTruncation:
-    """Cutoff heuristic: Bessel terms decay once the order passes the
-    argument, so N = ceil(4 + 2 max(|args|)) leaves a negligible tail."""
-    biggest = max([abs(m) for m in magnitudes], default=0.0)
-    return SeriesTruncation(int(math.ceil(4.0 + 2.0 * biggest)))
+def _hom_cutoff(a: float, b: float) -> int:
+    """Index cutoff of the coherent-homodyne series in I_2n(a) I_n(b):
+    Bessel terms decay once the order passes the argument, so
+    N = ceil(4 + 2 max(|a|, |b|)) leaves a negligible tail."""
+    return int(math.ceil(4.0 + 2.0 * max(abs(a), abs(b))))
 
 
-def _sh_truncation(alpha: float, r: float, rho_max: float) -> SeriesTruncation:
+def _sh_cutoff(alpha: float, r: float, rho_max: float) -> int:
     """Index cutoff for the resummed series: the n-th term couples I_n(u)
     with I_{2n}(v) at u = rho^2 tanh r, v = 2 alpha rho (1 - tanh r), so it
     dies as soon as either order outruns its argument; the smaller of the
     two scales bounds the sum.  The additive floor covers small arguments,
     where the factorial decay of I_n only reaches ~1e-10 past order ~14;
-    the declared tail check still guards the result."""
+    the tail check still guards the result."""
     t = math.tanh(r)
     u_max = rho_max * rho_max * t
     v_max = 2.0 * alpha * rho_max * (1.0 - t)
-    return SeriesTruncation(int(math.ceil(14.0 + 2.5 * min(u_max, v_max / 2.0 + 2.0))))
+    return int(math.ceil(14.0 + 2.5 * min(u_max, v_max / 2.0 + 2.0)))
+
+
+def _check_tail(terms, totals):
+    """Raise TruncationError where the outermost terms (n = -N and n = N,
+    the first and last along the last axis) exceed _TAIL_TOL of the total."""
+    ring = np.abs(terms[..., 0]) + np.abs(terms[..., -1])
+    if np.any(ring > _TAIL_TOL * np.maximum(np.abs(totals), 1e-300)):
+        raise TruncationError(f"series tail exceeds {_TAIL_TOL:g} of the sum at the index cutoff")
 
 
 def phase_of_outcome(beta: complex) -> float:
@@ -208,7 +204,7 @@ def squeezed_het_likelihood(alpha: float, r: float, beta: complex, thetas):
                                     *_het_moments(alpha, r, np.asarray(thetas, dtype=float)))
 
 
-def _sh_rows(alpha, r, rho, trunc):
+def _sh_rows(alpha, r, rho, n_max):
     """Scaled Bessel rows for the resummed series at radial nodes rho.
 
     Returns (rows_u, rows_v) with rows_u[:, n] = e^{-u} I_n(u) at
@@ -219,8 +215,8 @@ def _sh_rows(alpha, r, rho, trunc):
     t = math.tanh(r)
     u = rho * rho * t
     v = 2.0 * alpha * rho * (1.0 - t)
-    rows_u = specfun.bessel_i_scaled_rows(u, trunc.n_max)
-    rows_v = specfun.bessel_i_scaled_rows(v, 2 * trunc.n_max + 3)
+    rows_u = specfun.bessel_i_scaled_rows(u, n_max)
+    rows_v = specfun.bessel_i_scaled_rows(v, 2 * n_max + 3)
     return rows_u, rows_v
 
 
@@ -240,27 +236,17 @@ def _sh_var_terms(rows_u, rows_v, n_max: int):
     return rows_u[:, np.abs(n)] * bracket
 
 
-def _sh_check_tail(terms, totals, tail_tol):
-    ring = np.abs(terms[:, 0]) + np.abs(terms[:, -1])
-    bad = ring > tail_tol * np.maximum(np.abs(totals), 1e-300)
-    if np.any(bad):
-        raise TruncationError(
-            "series tail exceeds the declared bound; increase the index cutoff")
-
-
-def _sh_point(alpha, r, babs, trunc):
+def _sh_point(alpha, r, babs):
     """Normalization sum k, the Bessel rows and the cutoff at one radius."""
-    if trunc is None:
-        trunc = _sh_truncation(alpha, r, babs)
-    rows_u, rows_v = _sh_rows(alpha, r, np.array([float(babs)]), trunc)
-    terms = _sh_sum(rows_u, rows_v, 0, trunc.n_max)
+    n_max = _sh_cutoff(alpha, r, babs)
+    rows_u, rows_v = _sh_rows(alpha, r, np.array([float(babs)]), n_max)
+    terms = _sh_sum(rows_u, rows_v, 0, n_max)
     k = terms.sum(axis=1)
-    _sh_check_tail(terms, k, trunc.tail_tol)
-    return float(k[0]), rows_u, rows_v, trunc.n_max
+    _check_tail(terms, k)
+    return float(k[0]), rows_u, rows_v, n_max
 
 
-def squeezed_het_outcome_density(alpha: float, r: float, beta: complex,
-                                 trunc: Optional[SeriesTruncation] = None) -> float:
+def squeezed_het_outcome_density(alpha: float, r: float, beta: complex) -> float:
     """p(beta) for the squeezed probe as a Bessel series.
 
     Equals e^{-(1-t)(|beta|-alpha)^2} sum_n I_n(|beta|^2 t)
@@ -268,24 +254,22 @@ def squeezed_het_outcome_density(alpha: float, r: float, beta: complex,
     only n = 0 survives and the coherent form is recovered.
     """
     babs = abs(complex(beta))
-    k = _sh_point(alpha, r, babs, trunc)[0]
+    k = _sh_point(alpha, r, babs)[0]
     t = math.tanh(r)
     return math.exp(-(1.0 - t) * (babs - alpha) ** 2) * k / (math.pi * math.cosh(r))
 
 
-def squeezed_het_posterior_variance(alpha: float, r: float, abs_beta: float,
-                                    trunc: Optional[SeriesTruncation] = None) -> float:
+def squeezed_het_posterior_variance(alpha: float, r: float, abs_beta: float) -> float:
     """Circular posterior variance at outcome radius |beta| (angle drops out)."""
-    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs_beta, trunc)
+    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs_beta)
     # <sin^2(theta - est)> = (1 - <cos 2(theta - est)>) / 2 = sum / (4 k)
     return float(0.25 * _sh_var_terms(rows_u, rows_v, n_max).sum() / k)
 
 
-def squeezed_het_estimator(alpha: float, r: float, beta: complex,
-                           trunc: Optional[SeriesTruncation] = None) -> Optional[float]:
+def squeezed_het_estimator(alpha: float, r: float, beta: complex) -> Optional[float]:
     """Phase estimator arg <e^{i theta}>: phi_beta when the moment series is
     positive, phi_beta + pi when negative, None when it vanishes."""
-    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs(complex(beta)), trunc)
+    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs(complex(beta)))
     moment = float(_sh_sum(rows_u, rows_v, 1, n_max).sum())
     if k > 0:
         moment /= k
@@ -310,7 +294,6 @@ def _radial_rule(alpha: float, r: float, base: int, level: int):
 
 
 def squeezed_het_average_variance(alpha: float, r: float,
-                                  trunc: Optional[SeriesTruncation] = None,
                                   rel_tol: float = 1e-6, max_level: int = 4) -> float:
     """Average circular posterior variance by radial quadrature of the series.
 
@@ -318,17 +301,16 @@ def squeezed_het_average_variance(alpha: float, r: float,
     which evaluates the series once per radial node across levels;
     raises ToleranceError carrying the last value if refinement stalls.
     """
-    if trunc is None:
-        trunc = _sh_truncation(alpha, r, _sh_radial_extent(alpha, r))
+    n_max = _sh_cutoff(alpha, r, _sh_radial_extent(alpha, r))
     t = math.tanh(r)
 
     def integrand(rho):
-        rows_u, rows_v = _sh_rows(alpha, r, rho, trunc)
-        var_terms = 0.5 * _sh_var_terms(rows_u, rows_v, trunc.n_max)
+        rows_u, rows_v = _sh_rows(alpha, r, rho, n_max)
+        var_terms = 0.5 * _sh_var_terms(rows_u, rows_v, n_max)
         s = var_terms.sum(axis=1)
         # tail measured against the normalization sum: V_post = s/(2k) <= 1/2
-        k = _sh_sum(rows_u, rows_v, 0, trunc.n_max).sum(axis=1)
-        _sh_check_tail(var_terms, k, trunc.tail_tol)
+        k = _sh_sum(rows_u, rows_v, 0, n_max).sum(axis=1)
+        _check_tail(var_terms, k)
         # p(rho) V_post(rho) 2 pi rho = rho e^{-(1-t)(rho-alpha)^2} s / cosh r
         return rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)
 
@@ -357,31 +339,29 @@ def squeezed_hom_likelihood(alpha: float, r: float, phi_s: float, q: float, thet
                                                       np.asarray(thetas, dtype=float)))
 
 
-def _hom_rows(alpha, q, trunc):
+def _hom_series(alpha, q):
+    """Scaled Bessel rows e^{-|a|} I_k(a) and e^{-|b|} I_k(b) at
+    a = 2 sqrt2 q alpha, b = -alpha^2, the index range n = -N..N, the
+    tail-checked normalization sum over I_2n(a) I_n(b), and |a|, |b|."""
     a = 2.0 * math.sqrt(2.0) * q * alpha
     b = -alpha * alpha
-    rows_a = specfun.bessel_i_scaled_rows(a, 2 * trunc.n_max + 2)[0]
-    rows_b = specfun.bessel_i_scaled_rows(b, trunc.n_max)[0]
-    return rows_a, rows_b, abs(a), abs(b)
-
-
-def coherent_hom_outcome_density(alpha: float, q: float,
-                                 trunc: Optional[SeriesTruncation] = None) -> float:
-    """p(q) = e^{-q^2-alpha^2} sum_m I_{2m}(2 sqrt2 q alpha) I_m(-alpha^2) / sqrt(pi)."""
-    if trunc is None:
-        trunc = default_truncation(2.0 * math.sqrt(2.0) * abs(q) * alpha, alpha * alpha)
-    rows_a, rows_b, ea, eb = _hom_rows(alpha, q, trunc)
-    m = np.arange(-trunc.n_max, trunc.n_max + 1)
-    terms = rows_a[np.abs(2 * m)] * rows_b[np.abs(m)]
+    n_max = _hom_cutoff(a, b)
+    rows_a = specfun.bessel_i_scaled_rows(a, 2 * n_max + 2)[0]
+    rows_b = specfun.bessel_i_scaled_rows(b, n_max)[0]
+    n = np.arange(-n_max, n_max + 1)
+    terms = rows_a[np.abs(2 * n)] * rows_b[np.abs(n)]
     total = float(terms.sum())
-    ring = abs(terms[0]) + abs(terms[-1])
-    if ring > trunc.tail_tol * max(abs(total), 1e-300):
-        raise TruncationError("outcome-density series tail exceeds the declared bound")
+    _check_tail(terms, total)
+    return rows_a, rows_b, n, total, abs(a), abs(b)
+
+
+def coherent_hom_outcome_density(alpha: float, q: float) -> float:
+    """p(q) = e^{-q^2-alpha^2} sum_m I_{2m}(2 sqrt2 q alpha) I_m(-alpha^2) / sqrt(pi)."""
+    _, _, _, total, ea, eb = _hom_series(alpha, q)
     return math.exp(-q * q - alpha * alpha + ea + eb) / math.sqrt(math.pi) * total
 
 
-def coherent_hom_circular_moment(alpha: float, q: float,
-                                 trunc: Optional[SeriesTruncation] = None) -> complex:
+def coherent_hom_circular_moment(alpha: float, q: float) -> complex:
     """<e^{i theta}> under the posterior p(theta | q) on [0, pi].
 
     Real part: ratio of single Bessel sums; imaginary part: double sum
@@ -390,11 +370,7 @@ def coherent_hom_circular_moment(alpha: float, q: float,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if trunc is None:
-        trunc = default_truncation(2.0 * math.sqrt(2.0) * abs(q) * alpha, alpha * alpha)
-    rows_a, rows_b, _, _ = _hom_rows(alpha, q, trunc)
-    n = np.arange(-trunc.n_max, trunc.n_max + 1)
-    norm = float((rows_a[np.abs(2 * n)] * rows_b[np.abs(n)]).sum())
+    rows_a, rows_b, n, norm, _, _ = _hom_series(alpha, q)
     if abs(norm) < 1e-300:
         raise TruncationError("degenerate posterior: normalization sum vanished")
     re = float((rows_a[np.abs(2 * n + 1)] * rows_b[np.abs(n)]).sum()) / norm

@@ -42,8 +42,6 @@ __all__ = [
     "SqueezeStrategy",
     "average_variance",
     "van_trees_bound",
-    "EnergySplitResult",
-    "energy_split_scan",
 ]
 
 
@@ -198,41 +196,3 @@ def van_trees_bound(n: float, sigma0sq: float) -> float:
         raise ValueError("photon number must be >= 0")
     return 1.0 / (1.0 / sigma0sq + 2.0 * (2.0 * n + 1.0) ** 2)
 
-
-# ---------------------------------------------------------------------------
-# energy split between displacement and squeezing at fixed photon number
-
-
-@dataclass(frozen=True)
-class EnergySplitResult:
-    best_alpha: float
-    best_s: float
-    best_value: float
-    table: tuple  # rows (s, alpha, value, std_error)
-
-
-def energy_split_scan(n: float, prior: GaussianPrior, n_points: int = 64,
-                      psi: float = 0.0, method: str = "quadrature",
-                      samples: int = 20_000, seed: Optional[int] = None,
-                      grid_nodes: int = bayes.LINEAR_GRID_NODES) -> EnergySplitResult:
-    """Scan probe splits |alpha|^2 + sinh^2 s = n and minimize the average
-    posterior variance along the constant-photon-number contour."""
-    if n < 0:
-        raise ValueError("photon number must be >= 0")
-    if n == 0:
-        splits = [(0.0, 0.0)]
-    else:
-        s_vals = np.linspace(0.0, math.asinh(math.sqrt(n)), n_points)
-        splits = [(float(math.sqrt(max(n - math.sinh(s) ** 2, 0.0))), float(s))
-                  for s in s_vals]
-    rows = []
-    for idx, (alpha, s) in enumerate(splits):
-        task = SqueezeTask(ProbeSpec(alpha, s, psi), prior, grid_nodes)
-        rng = None
-        if method.startswith("m"):
-            rng = np.random.default_rng(np.random.SeedSequence((0 if seed is None else seed, idx)))
-        res = average_variance(task, method=method, samples=samples, rng=rng)
-        rows.append((s, alpha, res.value, res.std_error))
-    best = min(rows, key=lambda row: row[2])
-    return EnergySplitResult(best_alpha=best[1], best_s=best[0], best_value=best[2],
-                             table=tuple(rows))

@@ -609,13 +609,13 @@ class TestNestedOutcomeNodes:
 
     def test_series_matches_full_reevaluation(self):
         alpha, r = 1.8, 1.0
-        trunc = phase._sh_truncation(alpha, r, phase._sh_radial_extent(alpha, r))
+        n_max = phase._sh_cutoff(alpha, r, phase._sh_radial_extent(alpha, r))
         t = math.tanh(r)
 
         def level_value(level):
             rho, w = phase._radial_rule(alpha, r, 512, level)
-            rows_u, rows_v = phase._sh_rows(alpha, r, rho, trunc)
-            s = (0.5 * phase._sh_var_terms(rows_u, rows_v, trunc.n_max)).sum(axis=1)
+            rows_u, rows_v = phase._sh_rows(alpha, r, rho, n_max)
+            s = (0.5 * phase._sh_var_terms(rows_u, rows_v, n_max)).sum(axis=1)
             return float(w @ (rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)))
         want, _ = full_reevaluation(level_value, 1e-6, 4)
         assert phase.squeezed_het_average_variance(alpha, r) == pytest.approx(want, rel=1e-14)
@@ -664,9 +664,10 @@ class TestNestedOutcomeNodes:
         with pytest.raises(RuntimeError, match="not nested"):
             harness.run(cfg)
 
-    def test_short_series_cutoff_still_raises(self):
+    def test_short_series_cutoff_still_raises(self, monkeypatch):
+        monkeypatch.setattr(phase, "_sh_cutoff", lambda alpha, r, rho_max: 1)
         with pytest.raises(phase.TruncationError):
-            phase.squeezed_het_average_variance(2.0, 0.75, trunc=phase.SeriesTruncation(1))
+            phase.squeezed_het_average_variance(2.0, 0.75)
 
 
 # ---------------------------------------------------------------------------

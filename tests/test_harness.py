@@ -64,11 +64,17 @@ class TestParse:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("task = PhaseHom\nalpha = 1\nmethod = montecarlo")
 
-    @pytest.mark.parametrize("key", ["samples", "seed", "trunc_n"])
+    @pytest.mark.parametrize("key", ["samples", "seed"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_integer_field(self, key, value):
         with pytest.raises(ConfigError, match="cfg:3"):
             parse_config(f"task = PhaseHet\nalpha = 1\n{key} = {value}", path="cfg")
+
+    @pytest.mark.parametrize("key", ["trunc_n", "tail_tol"])
+    def test_series_cutoff_is_not_a_config_key(self, key):
+        # the series choose their own cutoff and tail bound
+        with pytest.raises(ConfigError, match="cfg:4: unknown key"):
+            parse_config(f"task = PhaseHet\nalpha = 2.0\nr = 0.75\n{key} = 1", path="cfg")
 
     def test_overrides_are_checked_once_merged(self):
         text = "task = PhaseHom\nalpha = 1\nmethod = montecarlo"
@@ -192,15 +198,12 @@ class TestRun:
         for rec in harness.run(cfg):
             assert rec.status == "ok"
 
-    def test_corrupted_truncation_reported(self):
-        cfg = parse_config("\n".join([
-            "task = PhaseHet",
-            "alpha = 2.0",
-            "r = 0.75",
-            "trunc_n = 1",
-        ]))
-        rec = harness.run(cfg)[0]
-        assert rec.status != "ok"  # failure recorded, run continues
+    def test_corrupted_truncation_reported(self, monkeypatch):
+        monkeypatch.setattr(phase, "_sh_cutoff", lambda alpha, r, rho_max: 1)
+        cfg = parse_config("task = PhaseHet\nalpha = 2.0\nr = 0.75, 0.0")
+        records = harness.run(cfg)
+        assert records[0].status.startswith("error:TruncationError:")
+        assert records[1].status == "ok"  # failure recorded, run continues
 
     def test_run_continues_after_row_failure(self):
         cfg = parse_config("task = PhaseHet\nn = 0.5,3.0\nr = 1.25")
@@ -290,10 +293,11 @@ class TestCli:
     @pytest.mark.parametrize("body,key", [
         ("task = PhaseHet\nalpha = 0.5, nan\n", "alpha"),
         ("task = PhaseHom\nalpha = inf\n", "alpha"),
-        ("task = PhaseHet\nalpha = 2.0\nr = 0.75\ntrunc_n = 1\ntail_tol = nan\n", "tail_tol"),
         ("task = DisplacementHet\nsigma0sq = nan\n", "sigma0sq"),
-        ("task = PhaseHet\nalpha = 0:inf:3\n", "alpha"),
-    ], ids=["nan-in-list", "inf-alpha", "nan-tail-tol", "nan-sigma0sq", "inf-range"])
+        # np.linspace would warn about an infinite bound before the error
+        pytest.param("task = PhaseHet\nalpha = 0:inf:3\n", "alpha",
+                     marks=pytest.mark.filterwarnings("error")),
+    ], ids=["nan-in-list", "inf-alpha", "nan-sigma0sq", "inf-range"])
     def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, body, key):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(body)

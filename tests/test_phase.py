@@ -291,22 +291,24 @@ class TestNumericEngine:
 
 
 class TestTruncation:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            phase.SeriesTruncation(0)
-        with pytest.raises(ValueError):
-            phase.SeriesTruncation(5, tail_tol=0.0)
-        with pytest.raises(ValueError):
-            phase.SeriesTruncation(5, tail_tol=math.nan)
-
     def test_default_scales_with_arguments(self):
-        assert phase.default_truncation(10.0).n_max == 24
-        assert phase.default_truncation(0.0).n_max == 4
+        assert phase._hom_cutoff(10.0, 0.0) == 24
+        assert phase._hom_cutoff(-3.0, -10.0) == 24
+        assert phase._hom_cutoff(0.0, 0.0) == 4
 
-    def test_corrupted_truncation_detected(self):
+    def test_corrupted_truncation_detected(self, monkeypatch):
+        monkeypatch.setattr(phase, "_sh_cutoff", lambda alpha, r, rho_max: 1)
         with pytest.raises(TruncationError):
-            phase.squeezed_het_outcome_density(2.0, 0.75, 3.0 + 0j,
-                                               trunc=phase.SeriesTruncation(1))
+            phase.squeezed_het_outcome_density(2.0, 0.75, 3.0 + 0j)
+
+    @pytest.mark.parametrize("fn", [phase.coherent_hom_outcome_density,
+                                    phase.coherent_hom_circular_moment])
+    def test_short_homodyne_cutoff_raises(self, fn, monkeypatch):
+        # with one index each side the moment would be 1.409 - 0.101j, |.| > 1
+        fn(2.0, 1.0)
+        monkeypatch.setattr(phase, "_hom_cutoff", lambda a, b: 1)
+        with pytest.raises(TruncationError):
+            fn(2.0, 1.0)
 
     def test_duality_on_parameter_box(self):
         # seeded samples over alpha in [0.1, 3], r in [0, 1.25]

@@ -117,13 +117,15 @@ class TestScaled:
     @given(st.floats(5e-324, specfun.SMALL_ARG), st.integers(0, 40))
     @example(5e-324, 1)
     @example(1e-100, 3)
+    @example(1.753698880558503e-152, 2)  # scipy's ive(2, x) returns 0.0 here
     def test_rows_at_tiny_arguments(self, x, nmax):
         # the backward recurrence overflows below ~1e-56; these rows come
         # from the two-term series (or, at SMALL_ARG, the recurrence)
-        ive = pytest.importorskip("scipy.special").ive
+        mpmath = pytest.importorskip("mpmath")
         rows = bessel_i_scaled_rows([x, -x], nmax)
         for n in range(nmax + 1):
-            want = float(ive(n, x))
+            with mpmath.workdps(40):
+                want = float(mpmath.besseli(n, x) * mpmath.exp(-x))
             assert rows[0, n] == pytest.approx(want, rel=1e-12, abs=1e-305)
             assert rows[1, n] == pytest.approx((-1.0) ** n * want, rel=1e-12, abs=1e-305)
 

@@ -169,24 +169,33 @@ class TestAverageVariance:
             assert got.value >= sq.van_trees_bound(n, 1.0) - 3.0 * got.std_error
 
 
+def energy_split(n, points):
+    """Harness rows splitting n = alpha^2 + sinh^2 s over s in [0, asinh sqrt n]."""
+    from gaussbayes import harness
+    cfg = harness.parse_config("\n".join([
+        "task = Squeeze", "r0 = -0.5", "sigma0sq = 1.0", f"n = {n!r}",
+        f"s = 0:{math.asinh(math.sqrt(n))!r}:{points}"]))
+    records = harness.run(cfg)
+    assert all(rec.status == "ok" for rec in records)
+    return records
+
+
 class TestEnergySplit:
     def test_small_energy_prefers_mixed_split(self):
-        res = sq.energy_split_scan(0.25, GaussianPrior(-0.5, 1.0), n_points=16)
-        assert res.best_s > 0.0
-        assert res.best_alpha > 0.0
+        best = min(energy_split(0.25, 16), key=lambda rec: rec.avg_variance)
+        s = best.params["s"]
+        assert s > 0.0
+        assert 0.25 - math.sinh(s) ** 2 > 0.0  # alpha^2 of the best row
 
     def test_zero_energy_trivial(self):
-        res = sq.energy_split_scan(0.0, GaussianPrior(0.0, 1.0))
-        assert res.best_alpha == 0.0 and res.best_s == 0.0
-        assert len(res.table) == 1
+        (rec,) = energy_split(0.0, 1)
+        assert rec.params["s"] == 0.0 and rec.mean_photon == 0.0
 
     def test_minimum_below_endpoints(self):
-        res = sq.energy_split_scan(1.0, GaussianPrior(-0.5, 1.0), n_points=12)
-        assert res.best_value <= res.table[0][2] + 1e-12
-        assert res.best_value <= res.table[-1][2] + 1e-12
+        values = [rec.avg_variance for rec in energy_split(1.0, 12)]
+        assert min(values) <= values[0] + 1e-12
+        assert min(values) <= values[-1] + 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            sq.energy_split_scan(-1.0, GaussianPrior(0.0, 1.0))
         with pytest.raises(ValueError):
             sq.SqueezeTask(ProbeSpec(1.0j), GaussianPrior(0.0, 1.0))
