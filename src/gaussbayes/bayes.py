@@ -48,7 +48,9 @@ __all__ = [
     "GaussianOutcomeStrategy",
     "gaussian_outcome_density",
     "sample_gaussian_outcomes",
+    "midpoint",
     "trapezoid",
+    "gauss_legendre",
     "average_posterior_variance",
     "LINEAR_GRID_NODES",
     "CIRCLE_GRID_NODES",
@@ -57,11 +59,10 @@ __all__ = [
 LINEAR_GRID_NODES = 2001
 CIRCLE_GRID_NODES = 2048
 
-# quadrature rules of a prior grid
+# quadrature rules of a prior grid, keys of _RULES
 MIDPOINT = "midpoint"              # cell midpoints, equal weights
-TRAPEZOID = "trapezoid"            # both endpoints, weights from the node gaps
+TRAPEZOID = "trapezoid"            # both endpoints, half weights there
 GAUSS_LEGENDRE = "gauss-legendre"  # Legendre roots mapped onto the support
-_RULES = (MIDPOINT, TRAPEZOID, GAUSS_LEGENDRE)
 
 _MC_CHUNK = 4096  # fixed chunk size keeps Monte Carlo draws schedule-independent
 
@@ -152,17 +153,43 @@ def _legendre(n: int):
     return x, w
 
 
+def midpoint(lo: float, hi: float, n: int):
+    """Nodes and weights of the n-node midpoint rule on [lo, hi), the
+    periodic trapezoid rule on a circle."""
+    h = (hi - lo) / n
+    return lo + (np.arange(n) + 0.5) * h, np.full(n, h)
+
+
+def trapezoid(lo: float, hi: float, n: int):
+    """Nodes and weights of the n-node trapezoid rule on [lo, hi]."""
+    nodes = np.linspace(lo, hi, n)
+    weights = np.full(n, nodes[1] - nodes[0])
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return nodes, weights
+
+
+def gauss_legendre(lo: float, hi: float, n: int):
+    """Nodes and weights of the n-node Gauss-Legendre rule on [lo, hi]."""
+    x, w = _legendre(n)
+    half = 0.5 * (hi - lo)
+    return lo + (x + 1.0) * half, w * half
+
+
+_RULES = {MIDPOINT: midpoint, TRAPEZOID: trapezoid, GAUSS_LEGENDRE: gauss_legendre}
+
+
 @dataclass(frozen=True, eq=False)
 class GridDistribution:
     """Probability density tabulated on the nodes of a quadrature rule.
 
-    ``rule`` fixes the weights: ``MIDPOINT`` (cell midpoints, equal
-    weights; the default on a circle, where it is the periodic trapezoid
-    rule), ``TRAPEZOID`` (both endpoints; the default on an interval) or
-    ``GAUSS_LEGENDRE`` (the nodes of the constructors).  The periodic
-    midpoint rule integrates smooth periodic densities spectrally and
-    non-periodic ones at second order; Gauss-Legendre is spectral for any
-    smooth integrand.  Weights are computed on access, never stored.
+    ``rule`` names the rule of ``_RULES`` whose nodes and weights on the
+    support the grid carries: ``MIDPOINT`` (the default on a circle, where
+    it is the periodic trapezoid rule), ``TRAPEZOID`` (the default on an
+    interval) or ``GAUSS_LEGENDRE``.  The periodic midpoint rule
+    integrates smooth periodic densities spectrally and non-periodic ones
+    at second order; Gauss-Legendre is spectral for any smooth integrand.
+    Weights are computed on access, never stored.
     """
 
     support: Support
@@ -193,17 +220,7 @@ class GridDistribution:
 
     @property
     def weights(self) -> np.ndarray:
-        span = self.support.hi - self.support.lo
-        if self.rule == MIDPOINT:
-            return np.full(self.nodes.size, span / self.nodes.size)
-        if self.rule == GAUSS_LEGENDRE:
-            return _legendre(self.nodes.size)[1] * (0.5 * span)
-        w = np.empty(self.nodes.size)
-        d = np.diff(self.nodes)
-        w[0] = d[0] / 2.0
-        w[-1] = d[-1] / 2.0
-        w[1:-1] = (d[:-1] + d[1:]) / 2.0
-        return w
+        return _RULES[self.rule](self.support.lo, self.support.hi, self.nodes.size)[1]
 
     def integrate(self, values=None) -> float:
         f = self.density if values is None else np.asarray(values) * self.density
@@ -240,14 +257,8 @@ class GridDistribution:
         rule = _default_rule(support) if rule is None else rule
         if n is None:
             n = CIRCLE_GRID_NODES if isinstance(support, Circle) else LINEAR_GRID_NODES
-        span = support.hi - support.lo
-        if rule == MIDPOINT:
-            nodes = support.lo + (np.arange(n) + 0.5) * (span / n)
-        elif rule == GAUSS_LEGENDRE:
-            nodes = support.lo + (_legendre(n)[0] + 1.0) * (0.5 * span)
-        else:
-            nodes = np.linspace(support.lo, support.hi, n)
-        return GridDistribution(support, nodes, np.full(n, 1.0 / span), rule)
+        nodes = _RULES[rule](support.lo, support.hi, n)[0]
+        return GridDistribution(support, nodes, np.full(n, 1.0 / (support.hi - support.lo)), rule)
 
     @staticmethod
     def from_function(support: Support, fn, n: Optional[int] = None,
@@ -381,12 +392,12 @@ def variance_mse(d: GridDistribution, est: float) -> float:
     return d.integrate((d.nodes - est) ** 2)
 
 
-def circular_mean(d: GridDistribution, tol: float = 1e-12) -> Optional[float]:
-    """arg <e^{i theta}>; None when the circular moment vanishes."""
+def circular_mean(d: GridDistribution) -> Optional[float]:
+    """arg <e^{i theta}>; None when the circular moment is below 1e-12."""
     if not isinstance(d.support, Circle):
         raise ValueError("circular mean requires a circular support")
     c = complex(d.integrate(np.cos(d.nodes)), d.integrate(np.sin(d.nodes)))
-    if abs(c) < tol:
+    if abs(c) < 1e-12:
         return None
     return math.atan2(c.imag, c.real)
 
@@ -445,15 +456,6 @@ class AverageVariance:
     levels: int = 0
     prior_nodes: int = 0
     samples: int = 0
-
-
-def trapezoid(lo: float, hi: float, n: int):
-    """Nodes and weights of the n-node trapezoid rule on [lo, hi]."""
-    nodes = np.linspace(lo, hi, n)
-    weights = np.full(n, nodes[1] - nodes[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return nodes, weights
 
 
 def gaussian_outcome_density(m, mean, cov):

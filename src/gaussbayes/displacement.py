@@ -172,24 +172,21 @@ class HomodyneQuadratureStrategy(GaussianOutcomeStrategy):
                          dim=1, circular=False)
 
 
-def _coordinate_engine(strategy, method, samples, rng, grid_nodes) -> AverageVariance:
+def _coordinate_engine(strategy, method, samples, rng) -> AverageVariance:
     # 8 sigma keeps the grid-truncation bias of the conjugate posterior
     # variance below machine noise, which the Monte Carlo standard error
     # of this outcome-independent quantity would otherwise expose
-    prior = PriorRule.gaussian(strategy.prior, grid_nodes, span_sigmas=8.0)
+    prior = PriorRule.gaussian(strategy.prior, bayes.LINEAR_GRID_NODES, span_sigmas=8.0)
     return average_posterior_variance(strategy, prior, method=method,
                                       samples=samples, rng=rng)
 
 
 def het_avg_total_variance_numeric(sigma0sq: float, r: float, method: str = "quadrature",
                                    samples: int = 100_000,
-                                   rng: Optional[np.random.Generator] = None,
-                                   grid_nodes: int = bayes.LINEAR_GRID_NODES) -> AverageVariance:
+                                   rng: Optional[np.random.Generator] = None) -> AverageVariance:
     """Engine evaluation of the heterodyne total variance (both coordinates)."""
-    parts = []
-    for coord in ("R", "I"):
-        strat = HeterodyneCoordinateStrategy(sigma0sq, r, coord)
-        parts.append(_coordinate_engine(strat, method, samples, rng, grid_nodes))
+    parts = [_coordinate_engine(HeterodyneCoordinateStrategy(sigma0sq, r, coord),
+                                method, samples, rng) for coord in ("R", "I")]
     value = parts[0].value + parts[1].value
     err = math.hypot(parts[0].std_error, parts[1].std_error)
     # the finer grid and the deeper level of the two; draws of both
@@ -199,10 +196,9 @@ def het_avg_total_variance_numeric(sigma0sq: float, r: float, method: str = "qua
                            samples=sum(p.samples for p in parts))
 
 
-def hom_avg_variance_q_numeric(sigma0sq: float, r: float, phi: float = 0.0,
-                               method: str = "quadrature", samples: int = 100_000,
-                               rng: Optional[np.random.Generator] = None,
-                               grid_nodes: int = bayes.LINEAR_GRID_NODES) -> AverageVariance:
-    """Engine evaluation of the measured-quadrature homodyne variance."""
-    strat = HomodyneQuadratureStrategy(sigma0sq, r, phi)
-    return _coordinate_engine(strat, method, samples, rng, grid_nodes)
+def hom_avg_variance_q_numeric(sigma0sq: float, r: float, method: str = "quadrature",
+                               samples: int = 100_000,
+                               rng: Optional[np.random.Generator] = None) -> AverageVariance:
+    """Engine evaluation of ``hom_avg_variance_q``: probe squeezed along
+    the measured quadrature (phi = 0)."""
+    return _coordinate_engine(HomodyneQuadratureStrategy(sigma0sq, r), method, samples, rng)

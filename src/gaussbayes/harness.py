@@ -16,6 +16,7 @@ byte-identical across reruns with the same seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -293,19 +294,9 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     continues.
     """
     keys = [k for k in SWEEP_KEYS if k in config.sweep]
-    grids = [config.sweep[k] for k in keys]
-    records = []
-    total = 1
-    for g in grids:
-        total *= len(g)
-    for row in range(total):
-        rem = row
-        params = {}
-        for pos in range(len(keys) - 1, -1, -1):
-            params[keys[pos]] = grids[pos][rem % len(grids[pos])]
-            rem //= len(grids[pos])
-        records.append(_evaluate_row(config.task, params, config, row))
-    return records
+    rows = itertools.product(*(config.sweep[k] for k in keys))
+    return [_evaluate_row(config.task, dict(zip(keys, values)), config, row)
+            for row, values in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------

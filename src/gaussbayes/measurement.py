@@ -67,9 +67,8 @@ def heterodyne_density(st: GaussianState, beta):
 def husimi_moments(st: GaussianState):
     """Mean (complex) and 2x2 covariance of the heterodyne outcome in
     (Re beta, Im beta) coordinates."""
-    mean = (st.mean[0] + 1j * st.mean[1]) / math.sqrt(2.0)
-    cov = (st.cov + 0.5 * np.eye(2)) / 2.0
-    return mean, cov
+    mean, (vxx, vyy, vxy) = _heterodyne_law(st)
+    return mean, np.array([[vxx, vxy], [vxy, vyy]])
 
 
 def _heterodyne_law(st: GaussianState):

@@ -26,7 +26,7 @@ from . import specfun
 from .bayes import (CIRCLE_GRID_NODES, GAUSS_LEGENDRE, AverageVariance, Circle,
                     GaussianOutcomeStrategy, GridDistribution, PriorRule,
                     _quadrature_outcome_grid, average_posterior_variance,
-                    gaussian_outcome_density, trapezoid)
+                    gaussian_outcome_density, midpoint, trapezoid)
 from .measurement import Measurement, MeasurementKind
 from .phasespace import ProbeSpec, gamma_qq
 
@@ -67,6 +67,9 @@ class TruncationError(RuntimeError):
 
 # largest share of a series' sum its two outermost terms may carry
 _TAIL_TOL = 1e-10
+# largest share of a series' sum the rounding of its terms, eps sum |terms|,
+# may carry: the harness cross-check tolerance
+_CANCEL_TOL = 1e-6
 
 
 def _hom_cutoff(a: float, b: float) -> int:
@@ -91,10 +94,13 @@ def _sh_cutoff(alpha: float, r: float, rho_max: float) -> int:
 
 def _check_tail(terms, totals):
     """Raise TruncationError where the outermost terms (n = -N and n = N,
-    the first and last along the last axis) exceed _TAIL_TOL of the total."""
-    ring = np.abs(terms[..., 0]) + np.abs(terms[..., -1])
-    if np.any(ring > _TAIL_TOL * np.maximum(np.abs(totals), 1e-300)):
+    the first and last along the last axis) exceed _TAIL_TOL of the total,
+    or where the terms cancel so far that their rounding exceeds _CANCEL_TOL."""
+    mag, totals = np.abs(terms), np.abs(totals)
+    if np.any(mag[..., 0] + mag[..., -1] > _TAIL_TOL * np.maximum(totals, 1e-300)):
         raise TruncationError(f"series tail exceeds {_TAIL_TOL:g} of the sum at the index cutoff")
+    if np.any(np.finfo(float).eps * mag.sum(axis=-1) > _CANCEL_TOL * totals):
+        raise TruncationError(f"series terms cancel: rounding exceeds {_CANCEL_TOL:g} of the sum")
 
 
 def phase_of_outcome(beta: complex) -> float:
@@ -167,13 +173,12 @@ def coherent_het_outcome_density(alpha: float, beta: complex) -> float:
     return math.exp(-(alpha - babs) ** 2) * float(i0) / math.pi
 
 
-def coherent_het_posterior(alpha: float, beta: complex,
-                           n: Optional[int] = None) -> GridDistribution:
+def coherent_het_posterior(alpha: float, beta: complex) -> GridDistribution:
     """Posterior e^{2 alpha |beta| cos(theta - phi_beta)} / (2 pi I_0)."""
     babs = abs(complex(beta))
     phi = phase_of_outcome(beta)
     return GridDistribution.from_function(
-        HET_SUPPORT, lambda t: np.exp(2.0 * alpha * babs * (np.cos(t - phi) - 1.0)), n)
+        HET_SUPPORT, lambda t: np.exp(2.0 * alpha * babs * (np.cos(t - phi) - 1.0)))
 
 
 def coherent_het_posterior_variance(alpha: float, abs_beta: float) -> float:
@@ -293,13 +298,13 @@ def _radial_rule(alpha: float, r: float, base: int, level: int):
     return trapezoid(0.0, extent, base * max(1, math.ceil(extent / 8.0)) * 2**level + 1)
 
 
-def squeezed_het_average_variance(alpha: float, r: float,
-                                  rel_tol: float = 1e-6, max_level: int = 4) -> float:
+def squeezed_het_average_variance(alpha: float, r: float) -> float:
     """Average circular posterior variance by radial quadrature of the series.
 
-    The engine's step-halving driver with one Richardson extrapolation,
-    which evaluates the series once per radial node across levels;
-    raises ToleranceError carrying the last value if refinement stalls.
+    The engine's step-halving driver with one Richardson extrapolation to
+    1e-6 relative, which evaluates the series once per radial node across
+    levels; raises ToleranceError carrying the last value when level 4
+    does not get there.
     """
     n_max = _sh_cutoff(alpha, r, _sh_radial_extent(alpha, r))
     t = math.tanh(r)
@@ -315,7 +320,7 @@ def squeezed_het_average_variance(alpha: float, r: float,
         return rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)
 
     return _quadrature_outcome_grid(lambda level: _radial_rule(alpha, r, 512, level),
-                                    integrand, rel_tol, max_level).value
+                                    integrand, 1e-6, 4).value
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +376,6 @@ def coherent_hom_circular_moment(alpha: float, q: float) -> complex:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     rows_a, rows_b, n, norm, _, _ = _hom_series(alpha, q)
-    if abs(norm) < 1e-300:
-        raise TruncationError("degenerate posterior: normalization sum vanished")
     re = float((rows_a[np.abs(2 * n + 1)] * rows_b[np.abs(n)]).sum()) / norm
     nm, nn = np.meshgrid(n, n, indexing="ij")
     num = 1.0 - 4.0 * nm.astype(float) ** 2 - 4.0 * nn.astype(float) ** 2
@@ -416,9 +419,7 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
         rho, wr = _radial_rule(self.alpha, self.r, self.base_radial, level)
         if self.angular_symmetry:
             return rho.astype(complex), 2.0 * math.pi * rho * wr
-        k = self.angular_nodes
-        ang = -math.pi + (np.arange(k) + 0.5) * 2.0 * math.pi / k
-        wa = np.full(k, 2.0 * math.pi / k)
+        ang, wa = midpoint(-math.pi, math.pi, self.angular_nodes)
         betas = (np.exp(-1j * ang)[:, None] * rho[None, :]).ravel()
         weights = (wa[:, None] * (rho * wr)[None, :]).ravel()
         return betas, weights

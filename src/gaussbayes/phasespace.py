@@ -86,10 +86,10 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "det", det)
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
-        """det(cov) = 1/4 within max(tol, the rounding slack of det)."""
+    def is_pure(self) -> bool:
+        """det(cov) = 1/4 within the uncertainty check's slack."""
         (c00, c01), (_, c11) = self.cov.tolist()
-        det, slack = _det_and_slack(c00, c01, c11, tol)
+        det, slack = _det_and_slack(c00, c01, c11, _UNCERTAINTY_TOL)
         return abs(det - 0.25) <= slack
 
 
@@ -228,14 +228,15 @@ def mean_photon(st: GaussianState) -> float:
     return 0.5 * float(st.mean @ st.mean) + 0.5 * (float(np.trace(st.cov)) - 1.0)
 
 
-def qfi_fidelity(state_family, theta: float, dtheta: float = 1e-4) -> float:
+def qfi_fidelity(state_family, theta: float) -> float:
     """Quantum Fisher information from a fidelity finite difference.
 
     ``state_family`` maps a parameter value to a GaussianState; the QFI at
     ``theta`` is estimated as 8(1 - sqrt(F[rho(theta), rho(theta+dtheta)]))
-    / dtheta^2.  Slightly negative results from rounding are clamped to 0
-    with a warning.
+    / dtheta^2 with dtheta = 1e-4.  Slightly negative results from
+    rounding are clamped to 0 with a warning.
     """
+    dtheta = 1e-4
     f = fidelity(state_family(theta), state_family(theta + dtheta))
     val = 8.0 * (1.0 - math.sqrt(f)) / (dtheta * dtheta)
     if val < 0.0:

@@ -33,6 +33,8 @@ _EXP_OVERFLOW = 709.0
 
 _MAX_ORDER = 10**6
 
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)  # a double below e^this rounds to 0
+
 
 class RangeError(OverflowError):
     """Unscaled evaluation would overflow (the e^|x| factor)."""
@@ -125,8 +127,17 @@ def bessel_i_scaled_row(x: float, nmax: int) -> np.ndarray:
 
 def bessel_i_log_scaled(n: int, x: float) -> float:
     """Exponentially scaled modified Bessel function e^{-|x|} I_n(x), the
-    last entry of the row up to order |n|; finite for every finite x."""
+    last entry of the row up to order |n|; finite for every finite x.
+    Returns 0.0 at once where the power series' upper bound on its log,
+    n (log|x| - log 2) - log n! + x^2/(4(n+1)) - |x|, lies below the
+    underflow of a double (not log(|x|/2): |x|/2 is 0 at x = 5e-324)."""
     n = abs(int(n))
+    if n > _MAX_ORDER:
+        raise DomainError("order out of supported range")
+    ax = abs(float(x))
+    if ax != 0.0 and (n * (math.log(ax) - math.log(2.0)) - math.lgamma(n + 1.0)
+                      + ax * ax / (4.0 * (n + 1)) - ax < _LOG_UNDERFLOW):
+        return 0.0
     return float(bessel_i_scaled_rows([x], n)[0, n])
 
 

@@ -63,10 +63,6 @@ class SqueezeTask:
         """The prior truncated to ``span_sigmas``, on at most ``grid_nodes`` nodes."""
         return PriorRule.gaussian(self.prior, self.grid_nodes, self.span_sigmas)
 
-    def prior_grid(self) -> GridDistribution:
-        return GridDistribution.from_gaussian(self.prior, self.grid_nodes,
-                                              self.span_sigmas)
-
 
 def squeeze_channel(st: GaussianState, r: float) -> GaussianState:
     """Moment map of the estimated squeezer at phi = 0: diag(e^{-r}, e^{r}).
@@ -137,7 +133,7 @@ def gamma_prior_r_grid(gp: GammaPrior, lo: float, hi: float,
 
 def posterior(task: SqueezeTask, q: float,
               prior_grid: Optional[GridDistribution] = None) -> GridDistribution:
-    grid = task.prior_grid() if prior_grid is None else prior_grid
+    grid = task.prior_rule().grid(task.grid_nodes) if prior_grid is None else prior_grid
     return bayes.grid_update(grid, lambda r, m: homodyne_likelihood(task.probe, r, m), q)
 
 
@@ -152,19 +148,16 @@ class SqueezeStrategy(GaussianOutcomeStrategy):
     quadrature therefore runs on a two-sided geometrically spaced grid,
     i.e. a uniform trapezoid in log |q|, which resolves all scales and
     keeps clean step-halving behavior.  The two halves q < 0 and q > 0
-    are two trapezoid rules end to end.
+    are two trapezoid rules end to end, spanning the outcomes of the
+    prior ``support`` (``SqueezeTask.prior_rule().support``).
     """
 
     outcome_rows = 2
 
-    def __init__(self, probe: ProbeSpec, prior: GaussianPrior,
-                 span_sigmas: float = 6.0):
+    def __init__(self, probe: ProbeSpec, support: Interval):
         self.probe = probe
-        sd0 = math.sqrt(prior.var0)
-        r_lo = prior.mu0 - span_sigmas * sd0
-        r_hi = prior.mu0 + span_sigmas * sd0
-        mu_lo, sd_lo = conditional_moments(probe, np.array([r_lo]))
-        _, sd_hi = conditional_moments(probe, np.array([r_hi]))
+        mu_lo, sd_lo = conditional_moments(probe, np.array([support.lo]))
+        _, sd_hi = conditional_moments(probe, np.array([support.hi]))
         self._u_hi = math.log(float(mu_lo[0]) + 9.0 * float(sd_lo[0]))
         self._u_lo = math.log(float(sd_hi[0])) - 8.0
         super().__init__(self._moments, self._nodes, dim=1, circular=False)
@@ -184,9 +177,9 @@ def average_variance(task: SqueezeTask, method: str = "quadrature",
                      samples: int = 20_000,
                      rng: Optional[np.random.Generator] = None,
                      rel_tol: float = 1e-5) -> AverageVariance:
-    strategy = SqueezeStrategy(task.probe, task.prior, task.span_sigmas)
-    return average_posterior_variance(strategy, task.prior_rule(), method=method,
-                                      samples=samples, rng=rng, rel_tol=rel_tol)
+    prior = task.prior_rule()
+    return average_posterior_variance(SqueezeStrategy(task.probe, prior.support), prior,
+                                      method=method, samples=samples, rng=rng, rel_tol=rel_tol)
 
 
 def van_trees_bound(n: float, sigma0sq: float) -> float:

@@ -177,6 +177,58 @@ class TestGridRules:
         np.testing.assert_array_equal(grid.sample(np.random.default_rng(17), 10_000), want)
 
 
+class TestRuleTable:
+    @pytest.mark.parametrize("rule,fn", [(bayes.MIDPOINT, bayes.midpoint),
+                                         (bayes.TRAPEZOID, bayes.trapezoid),
+                                         (bayes.GAUSS_LEGENDRE, bayes.gauss_legendre)])
+    @pytest.mark.parametrize("support,n", [(phase.HET_SUPPORT, 300), (phase.HOM_SUPPORT, 64),
+                                           (Interval(-0.7, 2.3), 65)])
+    def test_uniform_grid_is_the_table_entry(self, rule, fn, support, n):
+        d = GridDistribution.uniform(support, n, rule)
+        nodes, weights = fn(support.lo, support.hi, n)
+        np.testing.assert_array_equal(d.nodes, nodes)
+        np.testing.assert_array_equal(d.weights, weights)
+
+    def test_trapezoid_prior_weights_are_the_rule_weights(self):
+        rule = bayes.PriorRule.gaussian(GaussianPrior(-0.5, 1.0), 2001)
+        lo, hi = rule.support.lo, rule.support.hi
+        for n in (65, 513, 2001):
+            np.testing.assert_array_equal(rule.grid(n).weights, bayes.trapezoid(lo, hi, n)[1])
+
+    @pytest.mark.parametrize("k", [16, 256])
+    def test_full_polar_grid_angles_are_the_midpoint_rule(self, k):
+        strat = phase.HeterodynePhaseStrategy(1.0, 0.3, angular_nodes=k,
+                                              angular_symmetry=False)
+        rho, wr = phase._radial_rule(1.0, 0.3, strat.base_radial, 1)
+        # the angular rule as the strategy wrote it out before the rule
+        # table; at power-of-two counts, the default 256 among them, the
+        # division by k is exact and both forms round alike
+        ang = -math.pi + (np.arange(k) + 0.5) * 2.0 * math.pi / k
+        wa = np.full(k, 2.0 * math.pi / k)
+        betas, weights = strat.outcome_nodes(1)
+        np.testing.assert_array_equal(betas, (np.exp(-1j * ang)[:, None] * rho[None, :]).ravel())
+        np.testing.assert_array_equal(weights, (wa[:, None] * (rho * wr)[None, :]).ravel())
+
+    @pytest.mark.parametrize("probe,prior", [
+        (ProbeSpec(1.5, 0.4, 0.0), GaussianPrior(-0.5, 1.0)),
+        (ProbeSpec(0.0, 0.8, math.pi / 2), GaussianPrior(0.3, 0.2)),
+    ])
+    def test_squeeze_outcome_grid_from_the_prior_support(self, probe, prior):
+        strat = sq.SqueezeStrategy(probe, sq.SqueezeTask(probe, prior).prior_rule().support)
+        # the grid as the strategy built it from (prior, 6 sigma) before
+        sd0 = math.sqrt(prior.var0)
+        mu_lo, sd_lo = sq.conditional_moments(probe, np.array([prior.mu0 - 6.0 * sd0]))
+        _, sd_hi = sq.conditional_moments(probe, np.array([prior.mu0 + 6.0 * sd0]))
+        u_hi = math.log(float(mu_lo[0]) + 9.0 * float(sd_lo[0]))
+        u_lo = math.log(float(sd_hi[0])) - 8.0
+        for level in range(3):
+            u, wu = bayes.trapezoid(u_lo, u_hi, 256 * 2**level + 1)
+            q, w = np.exp(u), np.exp(u) * wu
+            nodes, weights = strat.outcome_nodes(level)
+            np.testing.assert_array_equal(nodes, np.concatenate([-q[::-1], q]))
+            np.testing.assert_array_equal(weights, np.concatenate([w[::-1], w]))
+
+
 class TestGridUpdate:
     def test_flat_times_constant_is_flat(self):
         d = GridDistribution.uniform(Interval(0.0, 2.0), 201)
@@ -419,7 +471,8 @@ def engine_cases(draw, kinds=KINDS):
         strat = phase.HomodynePhaseStrategy(alpha, r, angle)
     elif kind == "squeeze":
         gp = GaussianPrior(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.05, 1.0)))
-        strat = sq.SqueezeStrategy(ProbeSpec(alpha, r, angle), gp)
+        strat = sq.SqueezeStrategy(ProbeSpec(alpha, r, angle),
+                                   bayes.PriorRule.gaussian(gp, n).support)
         prior = GridDistribution.from_gaussian(gp, n, 6.0)
     else:
         sigma0sq, mu0 = draw(st.floats(0.05, 2.0)), draw(st.floats(-2.0, 2.0))
@@ -549,7 +602,8 @@ def _engine_row(kind):
         return phase.HomodynePhaseStrategy(1.0, 0.4, 0.3), phase.flat_prior(phase.HOM_SUPPORT, 256)
     if kind == "squeeze":
         gp = GaussianPrior(-0.5, 1.0)
-        return (sq.SqueezeStrategy(ProbeSpec(1.5, 0.4, 0.0), gp),
+        return (sq.SqueezeStrategy(ProbeSpec(1.5, 0.4, 0.0),
+                                   bayes.PriorRule.gaussian(gp, 401).support),
                 GridDistribution.from_gaussian(gp, 401, 6.0))
     if kind == "disp_het":
         strat = disp.HeterodyneCoordinateStrategy(0.25, 0.2, "I")
@@ -645,7 +699,12 @@ class TestNestedOutcomeNodes:
             radii.append(np.size(x))
             return rows(x, nmax)
         monkeypatch.setattr(specfun, "bessel_i_scaled_rows", counting)
-        phase.squeezed_het_average_variance(1.8, 1.0, max_level=1, rel_tol=1.0)
+        driver = phase._quadrature_outcome_grid
+        # stop after level 1: any gap passes rel_tol = 1
+        monkeypatch.setattr(phase, "_quadrature_outcome_grid",
+                            lambda rule, integrand, rel_tol, max_level:
+                            driver(rule, integrand, 1.0, 1))
+        phase.squeezed_het_average_variance(1.8, 1.0)
         # one u row and one v row per radius; levels 0 and 1
         assert sum(radii) == 2 * phase._radial_rule(1.8, 1.0, 512, 1)[0].size
 
@@ -691,7 +750,7 @@ def _task_engine(task, p):
         alpha = math.sqrt(p["n"] - math.sinh(p["s"]) ** 2)
         t = sq.SqueezeTask(ProbeSpec(alpha, p["s"], 0.0), GaussianPrior(p["r0"], p["sigma0sq"]))
         return (sq.average_variance(t),
-                [(sq.SqueezeStrategy(t.probe, t.prior, t.span_sigmas), t.prior_rule())])
+                [(sq.SqueezeStrategy(t.probe, t.prior_rule().support), t.prior_rule())])
     v, r = p["sigma0sq"], p["r"]
     if task == "DisplacementHet":
         strats = [disp.HeterodyneCoordinateStrategy(v, r, c) for c in "RI"]

@@ -310,6 +310,22 @@ class TestTruncation:
         with pytest.raises(TruncationError):
             fn(2.0, 1.0)
 
+    @pytest.mark.parametrize("fn", [phase.coherent_hom_outcome_density,
+                                    phase.coherent_hom_circular_moment])
+    @pytest.mark.parametrize("q", [7.0, 7.034, -7.034])
+    def test_cancelling_homodyne_series_raises(self, fn, q):
+        # the alternating terms sum to ~e^{-2 alpha^2} of their size: at
+        # q = 7 the density came out -7.65 and the moment 1.5 + 1.91j
+        with pytest.raises(TruncationError, match="cancel"):
+            fn(4.742, q)
+
+    def test_homodyne_series_does_not_cancel_on_the_checked_box(self):
+        # alpha in [0.1, 3] x q in [-6, 6]: the box of verify criterion 6
+        for alpha in np.linspace(0.1, 3.0, 12):
+            for q in np.linspace(-6.0, 6.0, 25):
+                assert phase.coherent_hom_outcome_density(alpha, q) > 0.0
+                assert abs(phase.coherent_hom_circular_moment(alpha, q)) <= 1.0
+
     def test_duality_on_parameter_box(self):
         # seeded samples over alpha in [0.1, 3], r in [0, 1.25]
         rng = np.random.default_rng(np.random.SeedSequence(41))

@@ -60,6 +60,31 @@ class TestBesselI:
         with pytest.raises(DomainError):
             bessel_i_log_scaled(-(10**6 + 1), 1.0)
 
+    @staticmethod
+    def _no_rows(x, nmax):
+        raise AssertionError("recurrence run")
+
+    def test_underflowing_order_skips_the_recurrence(self, monkeypatch):
+        monkeypatch.setattr(specfun, "bessel_i_scaled_rows", self._no_rows)
+        assert bessel_i(10**5, 1.0) == 0.0
+        assert bessel_i_log_scaled(-1200, 600.0) == 0.0
+        with pytest.raises(DomainError):
+            bessel_i(10**6 + 1, 1e-300)
+
+    @pytest.mark.parametrize("x,n0", [(1e-3, 69), (1.0, 157), (600.0, 1021)])
+    def test_shortcut_starts_where_the_value_underflows(self, x, n0, monkeypatch):
+        # n0 is the first order the bound sends to 0.0: its value rounds to
+        # 0 in 40 digits, and the order below still runs the recurrence
+        from mpmath import besseli, exp, mp
+        with mp.workdps(40):
+            assert float(besseli(n0, x) * exp(-x)) == 0.0
+            below = float(besseli(n0 - 1, x) * exp(-x))
+        assert bessel_i_log_scaled(n0 - 1, x) == pytest.approx(below, rel=1e-10, abs=5e-324)
+        monkeypatch.setattr(specfun, "bessel_i_scaled_rows", self._no_rows)
+        assert bessel_i_log_scaled(n0, x) == 0.0
+        with pytest.raises(AssertionError, match="recurrence"):
+            bessel_i_log_scaled(n0 - 1, x)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(-20, 20), st.floats(-30.0, 30.0))
     @example(0, 5e-324)  # the smallest subnormal: x/2 underflows to 0
