@@ -153,30 +153,46 @@ def _legendre(n: int):
     return x, w
 
 
+def _midpoint_weights(lo: float, hi: float, n: int):
+    return np.full(n, (hi - lo) / n)
+
+
+def _trapezoid_weights(lo: float, hi: float, n: int):
+    # the step np.linspace(lo, hi, n) puts between its first two nodes:
+    # lo + (hi - lo) / (n - 1), or hi itself when n = 2, minus lo
+    second = hi if n == 2 else lo + (hi - lo) / (n - 1)
+    weights = np.full(n, second - lo)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return weights
+
+
+def _gauss_legendre_weights(lo: float, hi: float, n: int):
+    return _legendre(n)[1] * (0.5 * (hi - lo))
+
+
 def midpoint(lo: float, hi: float, n: int):
     """Nodes and weights of the n-node midpoint rule on [lo, hi), the
     periodic trapezoid rule on a circle."""
     h = (hi - lo) / n
-    return lo + (np.arange(n) + 0.5) * h, np.full(n, h)
+    return lo + (np.arange(n) + 0.5) * h, _midpoint_weights(lo, hi, n)
 
 
 def trapezoid(lo: float, hi: float, n: int):
     """Nodes and weights of the n-node trapezoid rule on [lo, hi]."""
-    nodes = np.linspace(lo, hi, n)
-    weights = np.full(n, nodes[1] - nodes[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return nodes, weights
+    return np.linspace(lo, hi, n), _trapezoid_weights(lo, hi, n)
 
 
 def gauss_legendre(lo: float, hi: float, n: int):
     """Nodes and weights of the n-node Gauss-Legendre rule on [lo, hi]."""
-    x, w = _legendre(n)
     half = 0.5 * (hi - lo)
-    return lo + (x + 1.0) * half, w * half
+    return lo + (_legendre(n)[0] + 1.0) * half, _gauss_legendre_weights(lo, hi, n)
 
 
 _RULES = {MIDPOINT: midpoint, TRAPEZOID: trapezoid, GAUSS_LEGENDRE: gauss_legendre}
+# each rule's weights alone, for callers that already hold the nodes
+_WEIGHTS = {MIDPOINT: _midpoint_weights, TRAPEZOID: _trapezoid_weights,
+            GAUSS_LEGENDRE: _gauss_legendre_weights}
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +205,10 @@ class GridDistribution:
     interval) or ``GAUSS_LEGENDRE``.  The periodic midpoint rule
     integrates smooth periodic densities spectrally and non-periodic ones
     at second order; Gauss-Legendre is spectral for any smooth integrand.
-    Weights are computed on access, never stored.
+    Weights are computed on access from the rule alone, never stored:
+    stored, they would add a third N-length array to every grid a caller
+    holds.  ``nodes`` and ``density`` are read-only copies of the arrays
+    passed in.
     """
 
     support: Support
@@ -198,19 +217,27 @@ class GridDistribution:
     rule: Optional[str] = None
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float).copy()
-        dens = np.asarray(self.density, dtype=float).copy()
-        if nodes.ndim != 1 or nodes.shape != dens.shape:
+        # copies: the caller may still write through the arrays it passed
+        nodes = np.array(self.nodes, dtype=float)
+        dens = np.array(self.density, dtype=float)
+        if nodes.ndim != 1:
             raise ValueError("nodes and density must be 1-D and equally long")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        if np.any(dens < 0):
-            raise ValueError("density must be nonnegative")
         if self.rule is None:
             object.__setattr__(self, "rule", _default_rule(self.support))
-        elif self.rule not in _RULES:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         nodes.setflags(write=False)
+        self._take(nodes, dens)
+
+    def _take(self, nodes: np.ndarray, dens: np.ndarray):
+        """Check ``dens`` on the checked, read-only ``nodes`` and keep both
+        as they are; ``dens`` becomes read-only."""
+        if nodes.shape != dens.shape:
+            raise ValueError("nodes and density must be 1-D and equally long")
+        if np.any(dens < 0):
+            raise ValueError("density must be nonnegative")
+        if self.rule not in _RULES:
+            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         dens.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "density", dens)
@@ -218,9 +245,18 @@ class GridDistribution:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"density integrates to {total!r}, not 1")
 
+    def _with_density(self, dens: np.ndarray) -> "GridDistribution":
+        """This grid's support, rule and nodes with the density ``dens``,
+        which is taken without a copy: no caller may hold it."""
+        grid = object.__new__(GridDistribution)
+        object.__setattr__(grid, "support", self.support)
+        object.__setattr__(grid, "rule", self.rule)
+        grid._take(self.nodes, dens)
+        return grid
+
     @property
     def weights(self) -> np.ndarray:
-        return _RULES[self.rule](self.support.lo, self.support.hi, self.nodes.size)[1]
+        return _WEIGHTS[self.rule](self.support.lo, self.support.hi, self.nodes.size)
 
     def integrate(self, values=None) -> float:
         f = self.density if values is None else np.asarray(values) * self.density
@@ -264,12 +300,12 @@ class GridDistribution:
     def from_function(support: Support, fn, n: Optional[int] = None,
                       rule: Optional[str] = None) -> "GridDistribution":
         base = GridDistribution.uniform(support, n, rule)
-        dens = np.asarray(fn(base.nodes), dtype=float)
-        dens = np.clip(dens, 0.0, None)
+        dens = np.clip(np.asarray(fn(base.nodes), dtype=float), 0.0, None)
         total = float(base.weights @ dens)
         if total <= 0:
             raise ValueError("density function integrates to zero")
-        return GridDistribution(support, base.nodes, dens / total, base.rule)
+        dens /= total
+        return base._with_density(dens)
 
     @staticmethod
     def from_gaussian(prior: GaussianPrior, n: int = LINEAR_GRID_NODES,
@@ -370,10 +406,12 @@ def grid_update(prior: GridDistribution, like: LikelihoodFn, outcome) -> GridDis
     if not np.all(np.isfinite(vals)):
         raise ValueError("likelihood is not finite on the prior grid")
     post = prior.density * vals
+    del vals  # freed before the weights are made: one array fewer at a time
     total = float(prior.weights @ post)
     if total <= 0.0:
         raise InconsistentOutcomeError("outcome has zero probability under the prior")
-    return GridDistribution(prior.support, prior.nodes, post / total, prior.rule)
+    post /= total
+    return prior._with_density(post)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +427,10 @@ def mean_estimator(d: GridDistribution) -> float:
 def variance_mse(d: GridDistribution, est: float) -> float:
     if isinstance(d.support, Circle):
         raise ValueError("use variance_circular on circular supports")
-    return d.integrate((d.nodes - est) ** 2)
+    f = d.nodes - est
+    f **= 2
+    f *= d.density  # d.integrate(f), in place
+    return float(d.weights @ f)
 
 
 def circular_mean(d: GridDistribution) -> Optional[float]:
@@ -458,19 +499,63 @@ class AverageVariance:
     samples: int = 0
 
 
+# floor of log p: numpy's SIMD exp takes a 15-100x slower path for
+# results below about e^-708 (AVX-512 build, numpy 2.4), which the far
+# tails of a peaked likelihood hit.  In the kernel a cell below
+# e^-707 = 9e-308 counts as 9e-308; gaussian_outcome_density returns 0.0
+# there.
+_LOG_FLOOR = -707.0
+
+
 def gaussian_outcome_density(m, mean, cov):
     """p(m) of a Gaussian outcome in direct form, broadcast over m and the
     moments: real m, mean and variance ``cov`` (homodyne), or complex
     m = x + iy and mean with ``cov = (vxx, vyy, vxy)`` (heterodyne).  The
-    reference for the low-rank kernel: no terms in its exponent cancel."""
+    reference for the low-rank kernel: no terms in its exponent cancel.
+
+    Where the exponent lies below ``_LOG_FLOOR`` (the density is then
+    below about 1e-307 times its peak) the density is exactly 0.0; every
+    other value is the direct formula's, bit for bit.  On arrays every
+    step runs in place: in the fresh difference m - mean, which the 1-D
+    density is returned in, plus one real array for the 2-D exponent.
+    """
     d = m - mean
-    if not isinstance(cov, tuple):
-        return np.exp(-(d**2) / (2.0 * cov)) / np.sqrt(2.0 * math.pi * cov)
-    vxx, vyy, vxy = cov
-    det = vxx * vyy - vxy * vxy
-    dx, dy = np.real(d), np.imag(d)
-    quad = (vyy * dx * dx - 2.0 * vxy * dx * dy + vxx * dy * dy) / det
-    return np.exp(-0.5 * quad) / (2.0 * math.pi * np.sqrt(det))
+    moments = cov if isinstance(cov, tuple) else (cov,)
+    if isinstance(d, np.ndarray):
+        shape = np.broadcast(d, *moments).shape
+        if d.shape != shape or d.dtype.kind not in "fc":
+            # the steps below write into d, so it needs the full shape and
+            # a float type
+            d = np.broadcast_to(d, shape).astype(np.result_type(d, 1.0))
+    if isinstance(cov, tuple):
+        vxx, vyy, vxy = cov
+        det = vxx * vyy - vxy * vxy
+        # (vyy dx dx - 2 vxy dx dy + vxx dy dy) / det, rounded in that
+        # order, in the array quad and the slot of dx (a view into d)
+        dx, dy = d.real, d.imag
+        quad = vyy * dx
+        quad *= dx
+        dx *= 2.0 * vxy
+        dx *= dy
+        quad -= dx
+        dx = np.multiply(vxx, dy, out=dx if isinstance(d, np.ndarray) else None)
+        dx *= dy
+        quad += dx
+        quad /= det
+        quad *= -0.5
+        expo, norm = quad, 2.0 * math.pi * np.sqrt(det)
+    else:
+        d **= 2
+        d /= -2.0 * cov
+        expo, norm = d, np.sqrt(2.0 * math.pi * cov)
+    below = expo < _LOG_FLOOR
+    if not isinstance(expo, np.ndarray):
+        return np.float64(0.0) if below else np.exp(expo) / norm
+    np.copyto(expo, _LOG_FLOOR, where=below)
+    np.exp(expo, out=expo)
+    np.copyto(expo, 0.0, where=below)
+    expo /= norm
+    return expo
 
 
 def sample_gaussian_outcomes(mean, cov, rng: np.random.Generator, size: int):
@@ -559,11 +644,6 @@ _KERNEL_BLOCK_BYTES = 512 * 1024
 # allocator hands out depending on the process's allocation history, the
 # Monte Carlo kernel ran 30% slower (2-vCPU AVX-512 Xeon, numpy 2.4)
 _KERNEL_ALIGN_BYTES = 64
-# floor of log p in the kernel: numpy's SIMD exp takes a 15-100x slower
-# path for results below about e^-708 (AVX-512 build, numpy 2.4), which
-# the far tails of a peaked likelihood hit.  A cell below e^-707 = 9e-308
-# counts as 9e-308.
-_LOG_FLOOR = -707.0
 
 
 class _SpreadCalculator:
@@ -580,9 +660,15 @@ class _SpreadCalculator:
     axis; the tests hold c = 16 (measured up to 6).
     The circular variance uses
     mean sin^2(theta - e) = 1/2 - [cos 2e <cos 2theta> + sin 2e <sin 2theta>]/2.
+    log p is floored at ``_LOG_FLOOR`` before the exp; a row whose
+    evidence comes near what the floor adds is redone with its largest
+    log p shifted to 0, so no posterior is flattened.  ``scratch``, a
+    ``_kernel_scratch`` at least one block long, lets calculators share
+    one kernel buffer.
     """
 
-    def __init__(self, prior: GridDistribution, strategy: GaussianOutcomeStrategy):
+    def __init__(self, prior: GridDistribution, strategy: GaussianOutcomeStrategy,
+                 scratch: Optional[np.ndarray] = None):
         self.strategy = strategy
         self.circular = strategy.circular
         w = prior.weights * prior.density
@@ -594,10 +680,13 @@ class _SpreadCalculator:
             cols = [w, w * nodes, w * nodes**2]
         self.moments = np.column_stack(cols)
         self.coeffs = strategy.node_coefficients(nodes)
-        rows = max(8, _KERNEL_BLOCK_BYTES // (8 * nodes.size))
-        raw = np.empty(rows * nodes.size + _KERNEL_ALIGN_BYTES // 8)
-        start = -raw.ctypes.data % _KERNEL_ALIGN_BYTES // 8
-        self._buf = raw[start:start + rows * nodes.size].reshape(rows, nodes.size)
+        # floored cells add at most e^-707 sum(w) to a row's evidence, less
+        # than eps/2 of any evidence above e^-670 sum(w)
+        self._z_low = math.exp(_LOG_FLOOR + 37.0) * float(w.sum())
+        rows = _block_rows(nodes.size)
+        if scratch is None:
+            scratch = _kernel_scratch(rows * nodes.size)
+        self._buf = scratch[:rows * nodes.size].reshape(rows, nodes.size)
 
     def finish(self, m):
         """(posterior variance, evidence) from the moment sums m."""
@@ -616,18 +705,50 @@ class _SpreadCalculator:
         v[~ok] = 0.0
         return v, z
 
-    def spreads(self, outcomes):
-        feats = self.strategy.outcome_features(outcomes)
-        m = np.empty((feats.shape[0], self.moments.shape[1]))
+    def _reduce(self, feats, out, shift=None):
+        """Moment sums of exp(log p) for the outcome rows ``feats`` into
+        ``out``; with ``shift``, each row's largest log p is subtracted
+        first and written to ``shift``."""
         rows = self._buf.shape[0]
         for i in range(0, feats.shape[0], rows):
             blk = feats[i:i + rows]
             buf = self._buf[:blk.shape[0]]
             np.matmul(blk, self.coeffs, out=buf)
+            if shift is not None:
+                top = np.max(buf, axis=1, out=shift[i:i + rows])
+                buf -= top[:, None]
             np.maximum(buf, _LOG_FLOOR, out=buf)
             np.exp(buf, out=buf)
-            np.matmul(buf, self.moments, out=m[i:i + rows])
-        return self.finish(m)
+            np.matmul(buf, self.moments, out=out[i:i + rows])
+
+    def spreads(self, outcomes):
+        feats = self.strategy.outcome_features(outcomes)
+        m = np.empty((feats.shape[0], self.moments.shape[1]))
+        self._reduce(feats, m)
+        # a row whose evidence the floor may have flattened is redone with
+        # its largest log p at 0, and the shift goes back into the evidence
+        low = np.flatnonzero(m[:, 0] < self._z_low)
+        if low.size == 0:
+            return self.finish(m)
+        shift = np.empty(low.size)
+        m_low = np.empty((low.size, m.shape[1]))
+        self._reduce(feats[low], m_low, shift)
+        m[low] = m_low
+        v, z = self.finish(m)
+        z[low] *= np.exp(shift)
+        return v, z
+
+
+def _block_rows(nodes: int) -> int:
+    """Outcome rows per kernel block on a grid of ``nodes`` nodes."""
+    return max(8, _KERNEL_BLOCK_BYTES // (8 * nodes))
+
+
+def _kernel_scratch(size: int) -> np.ndarray:
+    """An uninitialized buffer of ``size`` floats that starts on a cache line."""
+    raw = np.empty(size + _KERNEL_ALIGN_BYTES // 8)
+    start = -raw.ctypes.data % _KERNEL_ALIGN_BYTES // 8
+    return raw[start:start + size]
 
 
 def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):
@@ -691,9 +812,10 @@ def _monte_carlo(strategy, prior, samples, rng):
                            samples=samples)
 
 
-def _grid_quadrature(strategy, prior: GridDistribution, rel_tol, max_level):
-    """Outcome quadrature on one prior grid."""
-    calc = _SpreadCalculator(prior, strategy)
+def _grid_quadrature(strategy, prior: GridDistribution, rel_tol, max_level, scratch=None):
+    """Outcome quadrature on one prior grid; ``scratch`` as in
+    ``_SpreadCalculator``."""
+    calc = _SpreadCalculator(prior, strategy, scratch)
     rows = strategy.outcome_rows
 
     def rule(level):
@@ -717,8 +839,12 @@ def _refined_quadrature(strategy, prior: PriorRule, rel_tol, max_level):
     ``prior.max_nodes`` is reached first.
     """
     prev = gap = None
+    # one kernel buffer for every count: a buffer per count would have its
+    # pages faulted in afresh each time
+    scratch = _kernel_scratch(max(_block_rows(n) * n for n in prior.counts()))
     for n in prior.counts():
-        res = _grid_quadrature(strategy, prior.grid(n, prior.rule), rel_tol, max_level)
+        res = _grid_quadrature(strategy, prior.grid(n, prior.rule), rel_tol, max_level,
+                               scratch)
         if prev is not None:
             gap = abs(res.value - prev.value)
             if gap <= max(rel_tol * abs(res.value), 1e-300):

@@ -1,6 +1,7 @@
 """Prior updates, grid machinery, estimators, bounds, and the engines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,21 @@ class TestGridDistribution:
                              np.array([1.0, -0.1, 1.0]))
         with pytest.raises(ValueError):
             GridDistribution(Interval(0, 1), np.linspace(0, 1, 3), np.ones(3) * 3.0)
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_caller_writes_do_not_reach_the_grid(self, read_only_view):
+        nodes, dens = np.linspace(0.0, 1.0, 11), np.ones(11)
+        args = (nodes, dens)
+        if read_only_view:
+            args = tuple(a.view() for a in args)
+            for a in args:
+                a.setflags(write=False)
+        d = GridDistribution(Interval(0.0, 1.0), *args)
+        nodes[3] += 0.05
+        dens[3] = 7.0
+        np.testing.assert_array_equal(d.nodes, np.linspace(0.0, 1.0, 11))
+        np.testing.assert_array_equal(d.density, np.ones(11))
+        assert not d.nodes.flags.writeable and not d.density.flags.writeable
 
     def test_circle_flat_sin2_is_half(self):
         for support in (Circle(-math.pi, math.pi), Circle(0.0, math.pi)):
@@ -189,6 +205,29 @@ class TestRuleTable:
         np.testing.assert_array_equal(d.nodes, nodes)
         np.testing.assert_array_equal(d.weights, weights)
 
+    # not Gauss-Legendre at 300001 nodes: leggauss is a dense eigen-solve,
+    # n^2 doubles (720 GB) there
+    @pytest.mark.parametrize("rule,n", [
+        (rule, n) for rule in (bayes.MIDPOINT, bayes.TRAPEZOID, bayes.GAUSS_LEGENDRE)
+        for n in (2, 3, 65, 2001, 300001) if (rule, n) != (bayes.GAUSS_LEGENDRE, 300001)])
+    def test_weights_are_bitwise_the_rule_weights(self, rule, n):
+        # each rule's weights as written before the grid stopped building
+        # nodes for them: the trapezoid step is that of np.linspace
+        lo, hi = -1.3, 2.9
+        if rule == bayes.MIDPOINT:
+            want = np.full(n, (hi - lo) / n)
+        elif rule == bayes.TRAPEZOID:
+            nodes = np.linspace(lo, hi, n)
+            want = np.full(n, nodes[1] - nodes[0])
+            want[0] *= 0.5
+            want[-1] *= 0.5
+        else:
+            want = np.polynomial.legendre.leggauss(n)[1] * (0.5 * (hi - lo))
+        support = Circle(lo, hi) if rule == bayes.MIDPOINT else Interval(lo, hi)
+        d = GridDistribution.uniform(support, n, rule)
+        np.testing.assert_array_equal(bayes._RULES[rule](lo, hi, n)[1], want)
+        np.testing.assert_array_equal(d.weights, want)
+
     def test_trapezoid_prior_weights_are_the_rule_weights(self):
         rule = bayes.PriorRule.gaussian(GaussianPrior(-0.5, 1.0), 2001)
         lo, hi = rule.support.lo, rule.support.hi
@@ -254,6 +293,19 @@ class TestGridUpdate:
         want /= (want.sum() * 2 * math.pi / post.nodes.size)
         np.testing.assert_allclose(post.density, want, rtol=1e-9)
         assert bayes.circular_mean(post) == pytest.approx(phi_b, abs=1e-9)
+
+    def test_posterior_shares_the_prior_nodes_and_is_read_only(self):
+        prior = GridDistribution.from_gaussian(GaussianPrior(0.2, 0.5), 401)
+        kept = gaussian_like(0.8)(prior.nodes, -0.4)  # a likelihood the caller keeps
+        post = bayes.grid_update(prior, lambda t, m: kept, -0.4)
+        assert post.nodes is prior.nodes
+        assert not post.density.flags.writeable
+        with pytest.raises(ValueError):
+            post.density[0] = 1.0
+        want = prior.density * kept
+        want = want / (prior.weights @ want)
+        kept[:] = 1.0
+        np.testing.assert_array_equal(post.density, want)
 
     def test_zero_evidence(self):
         d = GridDistribution.from_gaussian(GaussianPrior(0.0, 0.01), 501)
@@ -584,6 +636,138 @@ class TestGaussianOutcomeKernel:
         with pytest.raises(ValueError):
             bayes.GaussianOutcomeStrategy(lambda t: (t, t), lambda level: None, dim=3,
                                           circular=False)
+
+    def test_floor_does_not_flatten_a_peaked_posterior(self):
+        # coherent alpha = 1 heterodyne, features summed over N rounds: every
+        # log p of a row lies far below the floor, yet the posterior is
+        # peaked, N APV -> 1/F = 1/2; a flattened row gives v = 1/2, N v = N
+        class SummedRounds(phase.HeterodynePhaseStrategy):
+            def outcome_features(self, outcomes):
+                rows, n = outcomes.shape
+                feats = super().outcome_features(outcomes.ravel())
+                return feats.reshape(rows, n, -1).sum(axis=1)
+
+        n_rounds, draws = 1024, 4000
+        strat = SummedRounds(1.0, 0.0)
+        prior = GridDistribution.uniform(phase.HET_SUPPORT, 4096)
+        calc = bayes._SpreadCalculator(prior, strat)
+        rng = rng_for(15)
+        napv = []
+        for thetas in np.array_split(prior.sample(rng, draws), 40):
+            outcomes = strat.sample_outcomes_given(np.repeat(thetas, n_rounds), rng)
+            napv.append(n_rounds * calc.spreads(outcomes.reshape(thetas.size, n_rounds))[0])
+        napv = np.concatenate(napv)
+        assert abs(napv.mean() - 0.5) <= 4.0 * napv.std() / math.sqrt(draws)
+
+
+def _direct_density(m, mean, cov):
+    """gaussian_outcome_density as the direct formula, without the floor,
+    and its exponent."""
+    d = m - mean
+    if not isinstance(cov, tuple):
+        expo = -(d**2) / (2.0 * cov)
+        return np.exp(expo) / np.sqrt(2.0 * math.pi * cov), expo
+    vxx, vyy, vxy = cov
+    det = vxx * vyy - vxy * vxy
+    dx, dy = np.real(d), np.imag(d)
+    expo = -0.5 * ((vyy * dx * dx - 2.0 * vxy * dx * dy + vxx * dy * dy) / det)
+    return np.exp(expo) / (2.0 * math.pi * np.sqrt(det)), expo
+
+
+class TestOutcomeDensity:
+    @pytest.mark.parametrize("het", [False, True])
+    def test_zero_past_the_floor_and_the_direct_formula_elsewhere(self, het):
+        rng = rng_for(16)
+        if het:
+            m = 45.0 * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))
+            mean, cov = 0.3 - 0.2j, (0.9, 0.4, 0.25)
+        else:
+            m, mean, cov = np.linspace(-60.0, 60.0, 4001), 0.7, 1.3
+        want, expo = _direct_density(m, mean, cov)
+        got = bayes.gaussian_outcome_density(m, mean, cov)
+        past = expo < bayes._LOG_FLOOR
+        assert 0 < past.sum() < past.size
+        assert np.all(got[past] == 0.0) and not np.any(np.signbit(got[past]))
+        np.testing.assert_array_equal(got[~past], want[~past])
+        for k in rng.choice(m.size, 300, replace=False):
+            one = bayes.gaussian_outcome_density(m[k].item(), mean, cov)
+            assert np.ndim(one) == 0
+            assert one == (0.0 if past[k] else _direct_density(m[k].item(), mean, cov)[0])
+
+    @pytest.mark.parametrize("het", [False, True])
+    def test_moments_broadcast_over_theta(self, het):
+        # one outcome against a grid of moments, as the likelihoods call it
+        thetas = np.linspace(-3.0, 3.0, 301)
+        if het:
+            strat = phase.HeterodynePhaseStrategy(40.0, 0.4)
+        else:
+            strat = phase.HomodynePhaseStrategy(40.0, 0.4, 0.3)
+        mean, cov = strat.outcome_moments(thetas)
+        m = mean[200].item() + 0.3  # likely near theta = 1, past the floor far away
+        want, expo = _direct_density(m, mean, cov)
+        got = bayes.gaussian_outcome_density(m, mean, cov)
+        past = expo < bayes._LOG_FLOOR
+        assert 0 < past.sum() < past.size
+        assert np.all(got[past] == 0.0)
+        np.testing.assert_array_equal(got[~past], want[~past])
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn`` runs, after one warm-up call."""
+    fn()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestAllocationGuard:
+    # peak bytes allocated per call, in units of one N-length float array;
+    # counted, not timed, so the bound is the same on every machine.  Each
+    # N-length temporary of these sizes is 2.4 MB of fresh pages whenever
+    # the allocator has given the last one back
+    N = 300_000
+
+    def test_grid_update_and_estimators(self):
+        grid = GridDistribution.from_gaussian(GaussianPrior(0.3, 1.2), self.N, 10.0)
+        like = gaussian_like(0.5)
+
+        def op():
+            post = bayes.grid_update(grid, like, 0.9)
+            return bayes.variance_mse(post, bayes.mean_estimator(post))
+        # the likelihood's own two arrays, the posterior and one temporary
+        assert traced_peak(op) <= 4 * 8 * self.N
+
+    def test_homodyne_density(self):
+        st = ps.squeeze(ps.vacuum(), 1.0, 0.0)
+        q = np.linspace(-56.0, 56.0, self.N)  # more than half past the floor
+        # the result and the floor's boolean mask
+        assert traced_peak(lambda: meas.homodyne_density(st, q, 0.3)) <= 1.25 * 8 * self.N
+
+    def test_one_kernel_buffer_per_engine_call(self, monkeypatch):
+        strat = disp.HomodyneQuadratureStrategy(0.7, 0.2)
+        rule = bayes.PriorRule.gaussian(strat.prior, bayes.LINEAR_GRID_NODES, 8.0)
+        per_count = [average_posterior_variance(strat, rule.grid(n), rel_tol=1e-6)
+                     for n in rule.counts()]
+        made = []
+        scratch = bayes._kernel_scratch
+
+        def counting(size):
+            made.append(size)
+            return scratch(size)
+        monkeypatch.setattr(bayes, "_kernel_scratch", counting)
+        got = average_posterior_variance(strat, rule, rel_tol=1e-6)
+        assert len(made) == 1 and got.prior_nodes > 65
+        # bitwise the value of its own count's grid on a buffer of its own
+        want = next(r for r in per_count if r.prior_nodes == got.prior_nodes)
+        assert got.value == want.value
 
 
 # ---------------------------------------------------------------------------
