@@ -185,14 +185,15 @@ def trapezoid(lo: float, hi: float, n: int):
 
 def gauss_legendre(lo: float, hi: float, n: int):
     """Nodes and weights of the n-node Gauss-Legendre rule on [lo, hi]."""
+    x, w = _legendre(n)
     half = 0.5 * (hi - lo)
-    return lo + (_legendre(n)[0] + 1.0) * half, _gauss_legendre_weights(lo, hi, n)
+    return lo + (x + 1.0) * half, w * half
 
 
-_RULES = {MIDPOINT: midpoint, TRAPEZOID: trapezoid, GAUSS_LEGENDRE: gauss_legendre}
-# each rule's weights alone, for callers that already hold the nodes
-_WEIGHTS = {MIDPOINT: _midpoint_weights, TRAPEZOID: _trapezoid_weights,
-            GAUSS_LEGENDRE: _gauss_legendre_weights}
+# each rule's function and its weights alone, for callers that hold the nodes
+_RULES = {MIDPOINT: (midpoint, _midpoint_weights),
+          TRAPEZOID: (trapezoid, _trapezoid_weights),
+          GAUSS_LEGENDRE: (gauss_legendre, _gauss_legendre_weights)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +257,8 @@ class GridDistribution:
 
     @property
     def weights(self) -> np.ndarray:
-        return _WEIGHTS[self.rule](self.support.lo, self.support.hi, self.nodes.size)
+        _, weights = _RULES[self.rule]
+        return weights(self.support.lo, self.support.hi, self.nodes.size)
 
     def integrate(self, values=None) -> float:
         f = self.density if values is None else np.asarray(values) * self.density
@@ -293,7 +295,8 @@ class GridDistribution:
         rule = _default_rule(support) if rule is None else rule
         if n is None:
             n = CIRCLE_GRID_NODES if isinstance(support, Circle) else LINEAR_GRID_NODES
-        nodes = _RULES[rule](support.lo, support.hi, n)[0]
+        rule_fn, _ = _RULES[rule]
+        nodes = rule_fn(support.lo, support.hi, n)[0]
         return GridDistribution(support, nodes, np.full(n, 1.0 / (support.hi - support.lo)), rule)
 
     @staticmethod
@@ -401,7 +404,15 @@ def evidence(prior: GridDistribution, like: LikelihoodFn, outcome) -> float:
 
 
 def grid_update(prior: GridDistribution, like: LikelihoodFn, outcome) -> GridDistribution:
-    """Bayes update of a tabulated prior; renormalizes on the same grid."""
+    """Bayes update of a tabulated prior; renormalizes on the same grid.
+
+    Raises ``InconsistentOutcomeError`` when the outcome has probability 0
+    on every node.  A likelihood made with ``gaussian_outcome_density`` is
+    0.0 wherever its exponent lies below ``_LOG_FLOOR`` = -707, so this
+    happens for a Gaussian outcome whose exponent is below -707 at every
+    node: a homodyne outcome more than 37.6 standard deviations from every
+    node's mean, for one.  ``evidence`` is 0.0 there.
+    """
     vals = np.asarray(like(prior.nodes, outcome), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("likelihood is not finite on the prior grid")
@@ -513,47 +524,37 @@ def gaussian_outcome_density(m, mean, cov):
     m = x + iy and mean with ``cov = (vxx, vyy, vxy)`` (heterodyne).  The
     reference for the low-rank kernel: no terms in its exponent cancel.
 
-    Where the exponent lies below ``_LOG_FLOOR`` (the density is then
-    below about 1e-307 times its peak) the density is exactly 0.0; every
-    other value is the direct formula's, bit for bit.  On arrays every
-    step runs in place: in the fresh difference m - mean, which the 1-D
-    density is returned in, plus one real array for the 2-D exponent.
+    Where the exponent lies below ``_LOG_FLOOR`` the density is exactly
+    0.0: also where exp would still give a value, down to about e^-745 =
+    5e-324, which is below 1e-307 times the peak.  Every other value is
+    the direct formula's, bit for bit.  On arrays the exponent and the
+    density are formed in one array: the fresh difference m - mean (1-D)
+    or the fresh quadratic form (2-D).
     """
     d = m - mean
-    moments = cov if isinstance(cov, tuple) else (cov,)
-    if isinstance(d, np.ndarray):
-        shape = np.broadcast(d, *moments).shape
-        if d.shape != shape or d.dtype.kind not in "fc":
-            # the steps below write into d, so it needs the full shape and
-            # a float type
-            d = np.broadcast_to(d, shape).astype(np.result_type(d, 1.0))
     if isinstance(cov, tuple):
         vxx, vyy, vxy = cov
         det = vxx * vyy - vxy * vxy
-        # (vyy dx dx - 2 vxy dx dy + vxx dy dy) / det, rounded in that
-        # order, in the array quad and the slot of dx (a view into d)
-        dx, dy = d.real, d.imag
-        quad = vyy * dx
-        quad *= dx
-        dx *= 2.0 * vxy
-        dx *= dy
-        quad -= dx
-        dx = np.multiply(vxx, dy, out=dx if isinstance(d, np.ndarray) else None)
-        dx *= dy
-        quad += dx
-        quad /= det
-        quad *= -0.5
-        expo, norm = quad, 2.0 * math.pi * np.sqrt(det)
+        dx, dy = np.real(d), np.imag(d)
+        expo = (vyy * dx * dx - 2.0 * vxy * dx * dy + vxx * dy * dy) / det
+        expo *= -0.5
+        norm = 2.0 * math.pi * np.sqrt(det)
     else:
+        if isinstance(d, np.ndarray):
+            # the exponent is formed in d: it needs the full shape and a
+            # float type
+            shape = np.broadcast(d, cov).shape
+            if d.shape != shape or d.dtype.kind != "f":
+                d = np.broadcast_to(d, shape).astype(np.result_type(d, 1.0))
         d **= 2
         d /= -2.0 * cov
         expo, norm = d, np.sqrt(2.0 * math.pi * cov)
     below = expo < _LOG_FLOOR
     if not isinstance(expo, np.ndarray):
         return np.float64(0.0) if below else np.exp(expo) / norm
-    np.copyto(expo, _LOG_FLOOR, where=below)
+    np.maximum(expo, _LOG_FLOOR, out=expo)
     np.exp(expo, out=expo)
-    np.copyto(expo, 0.0, where=below)
+    expo[below] = 0.0
     expo /= norm
     return expo
 
@@ -662,13 +663,13 @@ class _SpreadCalculator:
     mean sin^2(theta - e) = 1/2 - [cos 2e <cos 2theta> + sin 2e <sin 2theta>]/2.
     log p is floored at ``_LOG_FLOOR`` before the exp; a row whose
     evidence comes near what the floor adds is redone with its largest
-    log p shifted to 0, so no posterior is flattened.  ``scratch``, a
-    ``_kernel_scratch`` at least one block long, lets calculators share
-    one kernel buffer.
+    log p shifted to 0, so no posterior is flattened.  The kernel buffer
+    is a view into ``scratch``, a ``_kernel_scratch`` made for the prior's
+    node count, which calculators on grids of other counts may share.
     """
 
     def __init__(self, prior: GridDistribution, strategy: GaussianOutcomeStrategy,
-                 scratch: Optional[np.ndarray] = None):
+                 scratch: np.ndarray):
         self.strategy = strategy
         self.circular = strategy.circular
         w = prior.weights * prior.density
@@ -684,8 +685,6 @@ class _SpreadCalculator:
         # than eps/2 of any evidence above e^-670 sum(w)
         self._z_low = math.exp(_LOG_FLOOR + 37.0) * float(w.sum())
         rows = _block_rows(nodes.size)
-        if scratch is None:
-            scratch = _kernel_scratch(rows * nodes.size)
         self._buf = scratch[:rows * nodes.size].reshape(rows, nodes.size)
 
     def finish(self, m):
@@ -744,8 +743,10 @@ def _block_rows(nodes: int) -> int:
     return max(8, _KERNEL_BLOCK_BYTES // (8 * nodes))
 
 
-def _kernel_scratch(size: int) -> np.ndarray:
-    """An uninitialized buffer of ``size`` floats that starts on a cache line."""
+def _kernel_scratch(*nodes: int) -> np.ndarray:
+    """An uninitialized buffer that starts on a cache line and holds one
+    kernel block on a grid of any of the node counts ``nodes``."""
+    size = max(_block_rows(n) * n for n in nodes)
     raw = np.empty(size + _KERNEL_ALIGN_BYTES // 8)
     start = -raw.ctypes.data % _KERNEL_ALIGN_BYTES // 8
     return raw[start:start + size]
@@ -792,7 +793,7 @@ def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):
 def _monte_carlo(strategy, prior, samples, rng):
     if rng is None:
         raise ValueError("Monte Carlo requires a seeded generator")
-    calc = _SpreadCalculator(prior, strategy)
+    calc = _SpreadCalculator(prior, strategy, _kernel_scratch(prior.nodes.size))
     # Chan's merge of the per-chunk count, mean and sum of squared deviations
     done, mean, m2 = 0, 0.0, 0.0
     while done < samples:
@@ -812,7 +813,7 @@ def _monte_carlo(strategy, prior, samples, rng):
                            samples=samples)
 
 
-def _grid_quadrature(strategy, prior: GridDistribution, rel_tol, max_level, scratch=None):
+def _grid_quadrature(strategy, prior: GridDistribution, rel_tol, max_level, scratch):
     """Outcome quadrature on one prior grid; ``scratch`` as in
     ``_SpreadCalculator``."""
     calc = _SpreadCalculator(prior, strategy, scratch)
@@ -841,7 +842,7 @@ def _refined_quadrature(strategy, prior: PriorRule, rel_tol, max_level):
     prev = gap = None
     # one kernel buffer for every count: a buffer per count would have its
     # pages faulted in afresh each time
-    scratch = _kernel_scratch(max(_block_rows(n) * n for n in prior.counts()))
+    scratch = _kernel_scratch(*prior.counts())
     for n in prior.counts():
         res = _grid_quadrature(strategy, prior.grid(n, prior.rule), rel_tol, max_level,
                                scratch)
@@ -873,7 +874,8 @@ def average_posterior_variance(strategy, prior: Union[GridDistribution, PriorRul
     if method == "quadrature":
         if isinstance(prior, PriorRule):
             return _refined_quadrature(strategy, prior, rel_tol, max_level)
-        return _grid_quadrature(strategy, prior, rel_tol, max_level)
+        return _grid_quadrature(strategy, prior, rel_tol, max_level,
+                                _kernel_scratch(prior.nodes.size))
     if method == "montecarlo":
         if isinstance(prior, PriorRule):
             prior = prior.grid(prior.max_nodes)

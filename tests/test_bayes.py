@@ -225,7 +225,7 @@ class TestRuleTable:
             want = np.polynomial.legendre.leggauss(n)[1] * (0.5 * (hi - lo))
         support = Circle(lo, hi) if rule == bayes.MIDPOINT else Interval(lo, hi)
         d = GridDistribution.uniform(support, n, rule)
-        np.testing.assert_array_equal(bayes._RULES[rule](lo, hi, n)[1], want)
+        np.testing.assert_array_equal(bayes._RULES[rule][0](lo, hi, n)[1], want)
         np.testing.assert_array_equal(d.weights, want)
 
     def test_trapezoid_prior_weights_are_the_rule_weights(self):
@@ -487,7 +487,7 @@ class TestEngines:
         res = average_posterior_variance(strat, prior, method="montecarlo",
                                          samples=samples, rng=rng_for(13))
         rng = rng_for(13)
-        calc = bayes._SpreadCalculator(prior, strat)
+        calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(prior.nodes.size))
         spreads = []
         for size in (bayes._MC_CHUNK, bayes._MC_CHUNK, 123):
             outcomes = strat.sample_outcomes_given(prior.sample(rng, size), rng)
@@ -561,7 +561,7 @@ class TestGaussianOutcomeKernel:
     @given(engine_cases())
     def test_blocked_spreads_match_dense_likelihood(self, case):
         _, strat, prior, outcomes = case
-        calc = bayes._SpreadCalculator(prior, strat)
+        calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(prior.nodes.size))
         v, z = calc.spreads(outcomes)
         v_ref, z_ref = calc.finish(strat.likelihood_matrix(prior.nodes, outcomes)
                                    @ calc.moments)
@@ -628,7 +628,8 @@ class TestGaussianOutcomeKernel:
     @pytest.mark.parametrize("n", [7, 301, 2001, 2048])
     def test_kernel_buffer_starts_on_a_cache_line(self, n):
         strat = disp.HomodyneQuadratureStrategy(0.7, 0.2)
-        calc = bayes._SpreadCalculator(GridDistribution.from_gaussian(strat.prior, n, 8.0), strat)
+        prior = GridDistribution.from_gaussian(strat.prior, n, 8.0)
+        calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(n))
         assert calc._buf.ctypes.data % 64 == 0
         assert calc._buf.flags.c_contiguous and calc._buf.shape[1] == n
 
@@ -650,7 +651,7 @@ class TestGaussianOutcomeKernel:
         n_rounds, draws = 1024, 4000
         strat = SummedRounds(1.0, 0.0)
         prior = GridDistribution.uniform(phase.HET_SUPPORT, 4096)
-        calc = bayes._SpreadCalculator(prior, strat)
+        calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(prior.nodes.size))
         rng = rng_for(15)
         napv = []
         for thetas in np.array_split(prior.sample(rng, draws), 40):
@@ -711,6 +712,22 @@ class TestOutcomeDensity:
         assert np.all(got[past] == 0.0)
         np.testing.assert_array_equal(got[~past], want[~past])
 
+    def test_outcome_past_the_floor_at_every_node_has_zero_evidence(self):
+        # exponents in (-745, -707) still have a subnormal exp, but the
+        # floored density is 0.0 there, so the update has nothing to keep
+        prior = GridDistribution.uniform(Interval(-1.0, 1.0), 201)
+
+        def like(t, m):
+            return bayes.gaussian_outcome_density(m, t, 0.5)
+        far = 1.0 + 27.0  # exponent -729 at the nearest node
+        assert _direct_density(far, 1.0, 0.5)[0] > 0.0
+        assert bayes.evidence(prior, like, far) == 0.0
+        with pytest.raises(InconsistentOutcomeError):
+            bayes.grid_update(prior, like, far)
+        near = 1.0 + 26.0  # exponent -676: a posterior piled on the last node
+        post = bayes.grid_update(prior, like, near)
+        assert np.argmax(post.density) == prior.nodes.size - 1
+
 
 def traced_peak(fn) -> int:
     """Peak bytes traced while ``fn`` runs, after one warm-up call."""
@@ -759,9 +776,9 @@ class TestAllocationGuard:
         made = []
         scratch = bayes._kernel_scratch
 
-        def counting(size):
-            made.append(size)
-            return scratch(size)
+        def counting(*counts):
+            made.append(counts)
+            return scratch(*counts)
         monkeypatch.setattr(bayes, "_kernel_scratch", counting)
         got = average_posterior_variance(strat, rule, rel_tol=1e-6)
         assert len(made) == 1 and got.prior_nodes > 65
@@ -834,7 +851,7 @@ class TestNestedOutcomeNodes:
     @pytest.mark.parametrize("kind", KINDS)
     def test_engine_matches_full_reevaluation(self, kind):
         strat, prior = _engine_row(kind)
-        calc = bayes._SpreadCalculator(prior, strat)
+        calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(prior.nodes.size))
 
         def level_value(level):
             outcomes, weights = strat.outcome_nodes(level)
