@@ -524,10 +524,10 @@ def gaussian_outcome_density(m, mean, cov):
     m = x + iy and mean with ``cov = (vxx, vyy, vxy)`` (heterodyne).  The
     reference for the low-rank kernel: no terms in its exponent cancel.
 
-    Where the exponent lies below ``_LOG_FLOOR`` the density is exactly
-    0.0: also where exp would still give a value, down to about e^-745 =
-    5e-324, which is below 1e-307 times the peak.  Every other value is
-    the direct formula's, bit for bit.  On arrays the exponent and the
+    Where the exponent lies below ``_LOG_FLOOR`` = -707 the density is
+    exactly 0.0, although exp still gives a subnormal value down to an
+    exponent of about -745.  Every other value is the direct formula's,
+    bit for bit.  On arrays the exponent and the
     density are formed in one array: the fresh difference m - mean (1-D)
     or the fresh quadratic form (2-D).
     """
