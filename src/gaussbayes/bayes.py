@@ -142,11 +142,18 @@ class Circle:
 Support = Union[Interval, Circle]
 
 
+# leggauss builds a dense n x n matrix: 4096 nodes take seconds and
+# ~300 MB, 300001 would take 671 GiB
+_MAX_LEGENDRE_NODES = 4096
+
+
 @functools.lru_cache(maxsize=32)
 def _legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only.  Cached:
     ``leggauss`` is a dense eigen-solve, 9-12 ms at n = 128, more than a
     whole engine row on its grid."""
+    if n > _MAX_LEGENDRE_NODES:
+        raise ValueError(f"{n} Gauss-Legendre nodes: at most {_MAX_LEGENDRE_NODES} are supported")
     x, w = np.polynomial.legendre.leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)

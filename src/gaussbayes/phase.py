@@ -92,12 +92,22 @@ def _sh_cutoff(alpha: float, r: float, rho_max: float) -> int:
     return int(math.ceil(14.0 + 2.5 * min(u_max, v_max / 2.0 + 2.0)))
 
 
+def _half_range(terms):
+    """Fold the terms t_n, n = 0..N along the last axis, of a series
+    symmetric in n onto the half range, in place: weights 1, 2, ..., 2, so
+    their sum is the full sum over n = -N..N."""
+    terms[..., 1:] *= 2.0
+    return terms
+
+
 def _check_tail(terms, totals):
-    """Raise TruncationError where the outermost terms (n = -N and n = N,
-    the first and last along the last axis) exceed _TAIL_TOL of the total,
-    or where the terms cancel so far that their rounding exceeds _CANCEL_TOL."""
+    """Raise TruncationError where the outermost terms exceed _TAIL_TOL of
+    the total, or where the terms cancel so far that their rounding exceeds
+    _CANCEL_TOL.  ``terms`` are the half-range terms of ``_half_range``:
+    the last, 2 |t_N|, is the pair n = -N and n = N, and the sum of their
+    magnitudes is sum |t_n| over the full range."""
     mag, totals = np.abs(terms), np.abs(totals)
-    if np.any(mag[..., 0] + mag[..., -1] > _TAIL_TOL * np.maximum(totals, 1e-300)):
+    if np.any(mag[..., -1] > _TAIL_TOL * np.maximum(totals, 1e-300)):
         raise TruncationError(f"series tail exceeds {_TAIL_TOL:g} of the sum at the index cutoff")
     if np.any(np.finfo(float).eps * mag.sum(axis=-1) > _CANCEL_TOL * totals):
         raise TruncationError(f"series terms cancel: rounding exceeds {_CANCEL_TOL:g} of the sum")
@@ -225,30 +235,31 @@ def _sh_rows(alpha, r, rho, n_max):
     return rows_u, rows_v
 
 
-def _sh_sum(rows_u, rows_v, order_shift: int, n_max: int):
-    """Terms I_n(u) I_{|2n + shift|}(v), scaled, for |n| <= n_max."""
-    n = np.arange(-n_max, n_max + 1)
-    return rows_u[:, np.abs(n)] * rows_v[:, np.abs(2 * n + order_shift)]
-
-
-def _sh_var_terms(rows_u, rows_v, n_max: int):
-    """Terms I_n(u) [2 I_2n(v) - I_2n-2(v) - I_2n+2(v)], scaled, whose sum
-    over n is 2 k (1 - <cos 2(theta - est)>) with k the normalization sum."""
-    n = np.arange(-n_max, n_max + 1)
-    bracket = (2.0 * rows_v[:, np.abs(2 * n)]
-               - rows_v[:, np.abs(2 * n - 2)]
-               - rows_v[:, np.abs(2 * n + 2)])
-    return rows_u[:, np.abs(n)] * bracket
+def _sh_terms(rows_u, rows_v, n_max: int):
+    """Half-range terms, n = 0..n_max, of the two series symmetric in n:
+    the normalization I_n(u) I_2n(v) and the variance series
+    I_n(u) [2 I_2n(v) - I_|2n-2|(v) - I_2n+2(v)], scaled.  The variance
+    series sums to 2 k (1 - <cos 2(theta - est)>), k the normalization sum."""
+    u = rows_u[:, :n_max + 1]
+    v_even = rows_v[:, 0:2 * n_max + 3:2]  # I_0, I_2, ..., I_2N+2
+    norm = u * v_even[:, :-1]
+    bracket = 2.0 * v_even[:, :-1]
+    bracket[:, 1:] -= v_even[:, :-2]
+    bracket[:, 0] -= v_even[:, 1]
+    bracket -= v_even[:, 1:]
+    bracket *= u
+    return _half_range(norm), _half_range(bracket)
 
 
 def _sh_point(alpha, r, babs):
-    """Normalization sum k, the Bessel rows and the cutoff at one radius."""
+    """Normalization sum k, variance sum, the Bessel rows and the cutoff at
+    one radius."""
     n_max = _sh_cutoff(alpha, r, babs)
     rows_u, rows_v = _sh_rows(alpha, r, np.array([float(babs)]), n_max)
-    terms = _sh_sum(rows_u, rows_v, 0, n_max)
-    k = terms.sum(axis=1)
-    _check_tail(terms, k)
-    return float(k[0]), rows_u, rows_v, n_max
+    norm, var = _sh_terms(rows_u, rows_v, n_max)
+    k = norm.sum(axis=1)
+    _check_tail(norm, k)
+    return float(k[0]), float(var.sum()), rows_u, rows_v, n_max
 
 
 def squeezed_het_outcome_density(alpha: float, r: float, beta: complex) -> float:
@@ -266,16 +277,18 @@ def squeezed_het_outcome_density(alpha: float, r: float, beta: complex) -> float
 
 def squeezed_het_posterior_variance(alpha: float, r: float, abs_beta: float) -> float:
     """Circular posterior variance at outcome radius |beta| (angle drops out)."""
-    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs_beta)
-    # <sin^2(theta - est)> = (1 - <cos 2(theta - est)>) / 2 = sum / (4 k)
-    return float(0.25 * _sh_var_terms(rows_u, rows_v, n_max).sum() / k)
+    k, s = _sh_point(alpha, r, abs_beta)[:2]
+    # <sin^2(theta - est)> = (1 - <cos 2(theta - est)>) / 2 = s / (4 k)
+    return 0.25 * s / k
 
 
 def squeezed_het_estimator(alpha: float, r: float, beta: complex) -> Optional[float]:
     """Phase estimator arg <e^{i theta}>: phi_beta when the moment series is
     positive, phi_beta + pi when negative, None when it vanishes."""
-    k, rows_u, rows_v, n_max = _sh_point(alpha, r, abs(complex(beta)))
-    moment = float(_sh_sum(rows_u, rows_v, 1, n_max).sum())
+    k, _, rows_u, rows_v, n_max = _sh_point(alpha, r, abs(complex(beta)))
+    # I_n(u) I_|2n+1|(v) is not symmetric in n: sum over n = -N..N
+    n = np.arange(-n_max, n_max + 1)
+    moment = float((rows_u[0, np.abs(n)] * rows_v[0, np.abs(2 * n + 1)]).sum())
     if k > 0:
         moment /= k
     if abs(moment) < 1e-12:
@@ -310,11 +323,11 @@ def squeezed_het_average_variance(alpha: float, r: float) -> float:
     t = math.tanh(r)
 
     def integrand(rho):
-        rows_u, rows_v = _sh_rows(alpha, r, rho, n_max)
-        var_terms = 0.5 * _sh_var_terms(rows_u, rows_v, n_max)
+        norm, var_terms = _sh_terms(*_sh_rows(alpha, r, rho, n_max), n_max)
+        var_terms *= 0.5
         s = var_terms.sum(axis=1)
         # tail measured against the normalization sum: V_post = s/(2k) <= 1/2
-        k = _sh_sum(rows_u, rows_v, 0, n_max).sum(axis=1)
+        k = norm.sum(axis=1)
         _check_tail(var_terms, k)
         # p(rho) V_post(rho) 2 pi rho = rho e^{-(1-t)(rho-alpha)^2} s / cosh r
         return rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)
@@ -353,11 +366,10 @@ def _hom_series(alpha, q):
     n_max = _hom_cutoff(a, b)
     rows_a = specfun.bessel_i_scaled_rows(a, 2 * n_max + 2)[0]
     rows_b = specfun.bessel_i_scaled_rows(b, n_max)[0]
-    n = np.arange(-n_max, n_max + 1)
-    terms = rows_a[np.abs(2 * n)] * rows_b[np.abs(n)]
+    terms = _half_range(rows_a[0:2 * n_max + 1:2] * rows_b)
     total = float(terms.sum())
     _check_tail(terms, total)
-    return rows_a, rows_b, n, total, abs(a), abs(b)
+    return rows_a, rows_b, np.arange(-n_max, n_max + 1), total, abs(a), abs(b)
 
 
 def coherent_hom_outcome_density(alpha: float, q: float) -> float:

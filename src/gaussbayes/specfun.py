@@ -3,9 +3,11 @@
 Everything here is self-contained, so accuracy is set by the algorithm
 below rather than by whatever a third-party library happens to do.  Every
 value is an entry of a row of exponentially scaled values e^{-|x|} I_n(x),
-n = 0..nmax, vectorized over x: below SMALL_ARG two power-series terms,
-beyond it a normalized backward (Miller) recurrence.  Negative arguments
-go through the parity identity I_n(-x) = (-1)^n I_n(x).
+n = 0..nmax, vectorized over x, from Miller's normalized backward
+recurrence written for the ratios I_k / I_{k-1}, which cannot overflow
+(Gautschi, SIAM Review 9, 24 (1967)); x = 0 gives the exact row
+(1, 0, ..., 0).  Negative arguments go through the parity identity
+I_n(-x) = (-1)^n I_n(x).
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ __all__ = [
     "bessel_i_scaled_rows",
 ]
 
-# Below this argument two power-series terms give I_n to rounding (the
-# third is under eps/2 relative), and the backward recurrence, which
-# overflows in p * 2k/x below x ~ 1e-56, is not used.
-SMALL_ARG = 1e-4
-
 # exp(x) overflows IEEE double just above this
 _EXP_OVERFLOW = 709.0
 
@@ -44,53 +41,46 @@ class DomainError(ValueError):
     """Argument outside the function's domain (e.g. a non-finite argument)."""
 
 
-def _miller_start_order(nmax: int, xmax: float) -> int:
-    big = max(nmax, int(math.ceil(xmax)))
-    return big + 40 + int(math.ceil(2.0 * math.sqrt(big + 1.0)))
-
-
 def _miller_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
-    """e^{-x} I_n(x) for n = 0..nmax, x > 0, vectorized over xs.
+    """e^{-x} I_n(x) for n = 0..nmax, x >= 0, vectorized over xs.
 
-    Normalized backward recurrence: run p_{k-1} = p_{k+1} + (2k/x) p_k
-    down from a start order well above max(nmax, x), then normalize with
-    I_0(x) + 2 sum_k I_k(x) = e^x.
+    Miller's backward recurrence in ratio form, which cannot overflow:
+    r_k = I_k / I_{k-1} = x / (2k + x r_{k+1}) and
+    h_k = sum_{j>=k} I_j / I_{k-1} = r_k (1 + h_{k+1}), both 0 above the
+    start order b + 40 + ceil(2 sqrt(b + 1)), b = max(nmax, ceil(x)).
+    Normalizing with I_0(x) + 2 sum_k I_k(x) = e^x gives
+    e^{-x} I_0 = 1 / (1 + 2 h_1), and the running product of the ratios
+    the other orders.  Each argument starts at its own order, so a row's
+    bits do not depend on the rest of the batch.
     """
-    xs = np.asarray(xs, dtype=float)
-    mstart = _miller_start_order(nmax, float(xs.max()))
-    p_hi = np.zeros_like(xs)
-    p = np.full_like(xs, 1e-280)
-    rows = np.zeros((xs.size, nmax + 1))
-    norm = np.zeros_like(xs)
-    inv_x = 1.0 / xs
-    for k in range(mstart, 0, -1):
-        p_lo = p_hi + (2.0 * k) * inv_x * p
-        p_hi, p = p, p_lo
-        if k - 1 <= nmax:
-            rows[:, k - 1] = p
-        norm += 2.0 * p if k > 1 else p
-        big = p > 1e250
-        if np.any(big):
-            shrink = np.where(big, 1e-250, 1.0)
-            p = p * shrink
-            p_hi = p_hi * shrink
-            norm = norm * shrink
-            rows *= shrink[:, None]
-    return rows / norm[:, None]
-
-
-def _small_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
-    """e^{-x} I_n(x) for n = 0..nmax and 0 <= x < SMALL_ARG, vectorized:
-    e^{-x} (x/2)^n / n! (1 + x^2 / (4(n+1))).  The leading factor is taken
-    in log space as n (log x - log 2): x/2 underflows to 0 for the smallest
-    subnormal x, where I_0(x) = 1 is still well defined."""
-    n = np.arange(nmax + 1)
-    lgam = np.array([math.lgamma(k + 1.0) for k in n])
-    x = xs[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        lead = np.exp(n * (np.log(x) - math.log(2.0)) - lgam)
-    lead[:, 0] = 1.0  # 0 * log 0 is nan at x = 0
-    return lead * (1.0 + 0.25 * x * x / (n + 1.0)) * np.exp(-x)
+    b = np.maximum(nmax, np.ceil(xs))
+    start = (b + 40.0 + np.ceil(2.0 * np.sqrt(b + 1.0))).astype(np.int64)
+    order = np.argsort(-start)
+    x = xs[order]
+    # the arguments active at order k, start >= k, are a prefix of x
+    ks = np.arange(start.max(initial=0), 0, -1)
+    active = x.size - np.searchsorted(start[order][::-1], ks)
+    rows = np.empty((nmax + 1, x.size))
+    r = np.zeros(x.size)
+    h = np.zeros(x.size)
+    m = 0
+    for k, m_k in zip(ks.tolist(), active.tolist()):
+        if m_k != m:
+            m = m_k
+            xk, rk, hk = x[:m], r[:m], h[:m]
+        np.multiply(xk, rk, out=rk)
+        rk += 2.0 * k
+        np.divide(xk, rk, out=rk)
+        hk += 1.0
+        hk *= rk
+        if k <= nmax:
+            rows[k] = r
+    rows[0] = 1.0 / (1.0 + 2.0 * h)
+    for prev, row in zip(rows, rows[1:]):
+        row *= prev
+    out = np.empty((x.size, nmax + 1))
+    out[order] = rows.T
+    return out
 
 
 def bessel_i_scaled_rows(x, nmax: int) -> np.ndarray:
@@ -103,15 +93,10 @@ def bessel_i_scaled_rows(x, nmax: int) -> np.ndarray:
     if nmax > _MAX_ORDER:
         raise DomainError("order out of supported range")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise DomainError("bessel argument must be finite")
-    out = np.zeros((x.size, nmax + 1))
-    ax = np.abs(x)
-    small = ax < SMALL_ARG
-    if np.any(small):
-        out[small] = _small_scaled(ax[small], nmax)
-    if not np.all(small):
-        out[~small] = _miller_scaled(ax[~small], nmax)
+    # the recurrence starts above |x|: bound its length as the order's
+    if not np.all(np.abs(x) <= _MAX_ORDER):
+        raise DomainError(f"bessel argument must be finite and at most {_MAX_ORDER:g} in size")
+    out = _miller_scaled(np.abs(x), nmax)
     neg = x < 0.0
     if np.any(neg):
         out[neg] *= (-1.0) ** np.arange(nmax + 1)[None, :]

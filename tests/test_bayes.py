@@ -206,7 +206,7 @@ class TestRuleTable:
         np.testing.assert_array_equal(d.weights, weights)
 
     # not Gauss-Legendre at 300001 nodes: leggauss is a dense eigen-solve,
-    # n^2 doubles (720 GB) there
+    # n^2 doubles (720 GB) there, and the rule stops at 4096 nodes
     @pytest.mark.parametrize("rule,n", [
         (rule, n) for rule in (bayes.MIDPOINT, bayes.TRAPEZOID, bayes.GAUSS_LEGENDRE)
         for n in (2, 3, 65, 2001, 300001) if (rule, n) != (bayes.GAUSS_LEGENDRE, 300001)])
@@ -227,6 +227,39 @@ class TestRuleTable:
         d = GridDistribution.uniform(support, n, rule)
         np.testing.assert_array_equal(bayes._RULES[rule][0](lo, hi, n)[1], want)
         np.testing.assert_array_equal(d.weights, want)
+
+    @pytest.mark.parametrize("n", [4097, 300001])
+    def test_too_many_legendre_nodes_raise_before_allocating(self, n, monkeypatch):
+        import tracemalloc
+
+        def no_solve(n):
+            raise AssertionError("leggauss called")
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_solve)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="Gauss-Legendre nodes"):
+                GridDistribution.uniform(Interval(-1.3, 2.9), n, bayes.GAUSS_LEGENDRE)
+            with pytest.raises(ValueError, match="Gauss-Legendre nodes"):
+                bayes.PriorRule(phase.HOM_SUPPORT, None, n, bayes.GAUSS_LEGENDRE).grid(
+                    n, bayes.GAUSS_LEGENDRE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
+
+    def test_legendre_rule_accepts_its_largest_node_count(self, monkeypatch):
+        calls = []
+
+        def stub(n):
+            calls.append(n)
+            return np.zeros(n), np.zeros(n)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", stub)
+        bayes._legendre.cache_clear()
+        try:
+            assert bayes.gauss_legendre(0.0, 1.0, 4096)[0].size == 4096
+        finally:
+            bayes._legendre.cache_clear()
+        assert calls == [4096]
 
     def test_trapezoid_prior_weights_are_the_rule_weights(self):
         rule = bayes.PriorRule.gaussian(GaussianPrior(-0.5, 1.0), 2001)
@@ -870,7 +903,7 @@ class TestNestedOutcomeNodes:
         def level_value(level):
             rho, w = phase._radial_rule(alpha, r, 512, level)
             rows_u, rows_v = phase._sh_rows(alpha, r, rho, n_max)
-            s = (0.5 * phase._sh_var_terms(rows_u, rows_v, n_max)).sum(axis=1)
+            s = (0.5 * phase._sh_terms(rows_u, rows_v, n_max)[1]).sum(axis=1)
             return float(w @ (rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)))
         want, _ = full_reevaluation(level_value, 1e-6, 4)
         assert phase.squeezed_het_average_variance(alpha, r) == pytest.approx(want, rel=1e-14)

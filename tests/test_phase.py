@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussbayes import bayes, phase
 from gaussbayes.bayes import Circle, GridDistribution
@@ -300,6 +301,35 @@ class TestTruncation:
         monkeypatch.setattr(phase, "_sh_cutoff", lambda alpha, r, rho_max: 1)
         with pytest.raises(TruncationError):
             phase.squeezed_het_outcome_density(2.0, 0.75, 3.0 + 0j)
+
+    @pytest.mark.parametrize("call", [
+        lambda: phase.squeezed_het_average_variance(2.0, 0.75),
+        lambda: phase.squeezed_het_posterior_variance(2.0, 0.75, 3.0),
+        lambda: phase.squeezed_het_outcome_density(2.0, 0.75, 3.0 + 0j)])
+    def test_short_cutoff_raises_on_half_range_sums(self, call, monkeypatch):
+        call()
+        monkeypatch.setattr(phase, "_sh_cutoff", lambda alpha, r, rho_max: 1)
+        with pytest.raises(TruncationError):
+            call()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.floats(1e-12, 1e-8), st.integers(0, 2**32 - 1))
+    def test_half_range_check_tests_the_full_range_quantities(self, n_max, edge, seed):
+        # a series symmetric in n, folded onto n = 0..N, fails the tail
+        # check exactly where |t_-N| + |t_N| > _TAIL_TOL of the sum does
+        half = np.random.default_rng(seed).uniform(-0.2, 1.0, n_max + 1)
+        half[-1] = edge * half[:-1].sum()
+        full = np.concatenate([half[:0:-1], half])
+        total = full.sum()
+        tail = abs(full[0]) + abs(full[-1]) > phase._TAIL_TOL * abs(total)
+        cancel = np.finfo(float).eps * np.abs(full).sum() > phase._CANCEL_TOL * abs(total)
+        folded = phase._half_range(half.copy())
+        assert folded.sum() == pytest.approx(total, rel=1e-14)
+        if tail or cancel:
+            with pytest.raises(TruncationError):
+                phase._check_tail(folded, total)
+        else:
+            phase._check_tail(folded, total)
 
     @pytest.mark.parametrize("fn", [phase.coherent_hom_outcome_density,
                                     phase.coherent_hom_circular_moment])

@@ -139,26 +139,58 @@ class TestScaled:
                                        rtol=1e-12, atol=1e-290)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(5e-324, specfun.SMALL_ARG), st.integers(0, 40))
+    @given(st.floats(5e-324, 1e-4), st.integers(0, 40))
     @example(5e-324, 1)
     @example(1e-100, 3)
     @example(1.753698880558503e-152, 2)  # scipy's ive(2, x) returns 0.0 here
     def test_rows_at_tiny_arguments(self, x, nmax):
-        # the backward recurrence overflows below ~1e-56; these rows come
-        # from the two-term series (or, at SMALL_ARG, the recurrence)
+        # the ratio recurrence cannot overflow: r_k = x / (2k + x r_{k+1})
+        # is x / 2k to rounding here, down to the smallest subnormal
         mpmath = pytest.importorskip("mpmath")
-        rows = bessel_i_scaled_rows([x, -x], nmax)
+        rows = bessel_i_scaled_rows([x, -x, 0.0], nmax)
+        np.testing.assert_array_equal(rows[2], np.eye(1, nmax + 1)[0])
         for n in range(nmax + 1):
             with mpmath.workdps(40):
                 want = float(mpmath.besseli(n, x) * mpmath.exp(-x))
             assert rows[0, n] == pytest.approx(want, rel=1e-12, abs=1e-305)
             assert rows[1, n] == pytest.approx((-1.0) ** n * want, rel=1e-12, abs=1e-305)
 
-    def test_small_branch_meets_recurrence(self):
-        x = specfun.SMALL_ARG
-        below = bessel_i_scaled_rows([x * (1.0 - 1e-12)], 9)[0]
-        above = bessel_i_scaled_rows([x], 9)[0]
-        np.testing.assert_allclose(below, above, rtol=1e-11)
+    def test_rows_do_not_depend_on_the_batch(self):
+        # each argument runs the recurrence from its own start order: a
+        # large argument appended to the batch changes no other row's bits
+        xs = np.random.default_rng(3).uniform(0.1, 20.0, 2000)
+        alone = bessel_i_scaled_rows(xs, 10)
+        with_large = bessel_i_scaled_rows(np.append(xs, 300.0), 10)
+        assert np.sum(np.any(with_large[:-1] != alone, axis=1)) == 0
+
+    @pytest.mark.parametrize("nmax", [0, 1, 9, 60])
+    def test_mixed_batch_equals_rows_alone(self, nmax):
+        xs = np.array([0.0, 5e-324, 1e-300, -1e-4, 1e-4, -2.5, 7.0, -40.0, 300.0, 0.0, 704.2])
+        batch = bessel_i_scaled_rows(xs, nmax)
+        for x, row in zip(xs, batch):
+            np.testing.assert_array_equal(row, bessel_i_scaled_rows([x], nmax)[0])
+
+    def test_rows_match_mpmath_across_orders_and_arguments(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.array([1e-3, 0.37, 2.0, 11.5, 48.0, 250.0])
+        rows = bessel_i_scaled_rows(xs, 60)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for x, row in zip(xs, rows):
+                for n in range(0, 61, 3):
+                    want = float(mpmath.besseli(n, x) * mpmath.exp(-x))
+                    if want > 1e-300:
+                        worst = max(worst, abs(row[n] - want) / want)
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e300, -1.000001e6])
+    def test_argument_out_of_range_raises(self, x):
+        # the recurrence would run |x| steps, or none once the start order
+        # overflows an int64, where it would return the row of x = 0
+        with pytest.raises(DomainError):
+            bessel_i_scaled_rows([1.0, x], 3)
+        with pytest.raises(DomainError):
+            bessel_i_log_scaled(2, x)
 
     def test_nonfinite_row_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "_miller_scaled",
