@@ -240,14 +240,13 @@ def _sh_terms(rows_u, rows_v, n_max: int):
     the normalization I_n(u) I_2n(v) and the variance series
     I_n(u) [2 I_2n(v) - I_|2n-2|(v) - I_2n+2(v)], scaled.  The variance
     series sums to 2 k (1 - <cos 2(theta - est)>), k the normalization sum."""
-    u = rows_u[:, :n_max + 1]
     v_even = rows_v[:, 0:2 * n_max + 3:2]  # I_0, I_2, ..., I_2N+2
-    norm = u * v_even[:, :-1]
+    norm = rows_u * v_even[:, :-1]
     bracket = 2.0 * v_even[:, :-1]
     bracket[:, 1:] -= v_even[:, :-2]
     bracket[:, 0] -= v_even[:, 1]
     bracket -= v_even[:, 1:]
-    bracket *= u
+    bracket *= rows_u
     return _half_range(norm), _half_range(bracket)
 
 

@@ -230,8 +230,6 @@ class TestRuleTable:
 
     @pytest.mark.parametrize("n", [4097, 300001])
     def test_too_many_legendre_nodes_raise_before_allocating(self, n, monkeypatch):
-        import tracemalloc
-
         def no_solve(n):
             raise AssertionError("leggauss called")
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_solve)
