@@ -164,18 +164,38 @@ def _midpoint_weights(lo: float, hi: float, n: int):
     return np.full(n, (hi - lo) / n)
 
 
-def _trapezoid_weights(lo: float, hi: float, n: int):
+def _midpoint_dot(lo: float, hi: float, f: np.ndarray, g):
+    return (hi - lo) / f.size * float(f.sum() if g is None else f @ g)
+
+
+def _trapezoid_step(lo: float, hi: float, n: int) -> float:
     # the step np.linspace(lo, hi, n) puts between its first two nodes:
     # lo + (hi - lo) / (n - 1), or hi itself when n = 2, minus lo
-    second = hi if n == 2 else lo + (hi - lo) / (n - 1)
-    weights = np.full(n, second - lo)
+    return (hi if n == 2 else lo + (hi - lo) / (n - 1)) - lo
+
+
+def _trapezoid_weights(lo: float, hi: float, n: int):
+    weights = np.full(n, _trapezoid_step(lo, hi, n))
     weights[0] *= 0.5
     weights[-1] *= 0.5
     return weights
 
 
+def _trapezoid_dot(lo: float, hi: float, f: np.ndarray, g):
+    if g is None:
+        total = f.sum() - 0.5 * (f[0] + f[-1])
+    else:
+        total = f @ g - 0.5 * (f[0] * g[0] + f[-1] * g[-1])
+    return _trapezoid_step(lo, hi, f.size) * float(total)
+
+
 def _gauss_legendre_weights(lo: float, hi: float, n: int):
     return _legendre(n)[1] * (0.5 * (hi - lo))
+
+
+def _gauss_legendre_dot(lo: float, hi: float, f: np.ndarray, g):
+    w = _gauss_legendre_weights(lo, hi, f.size)
+    return float(w @ f if g is None else (w * f) @ g)
 
 
 def midpoint(lo: float, hi: float, n: int):
@@ -197,10 +217,13 @@ def gauss_legendre(lo: float, hi: float, n: int):
     return lo + (x + 1.0) * half, w * half
 
 
-# each rule's function and its weights alone, for callers that hold the nodes
-_RULES = {MIDPOINT: (midpoint, _midpoint_weights),
-          TRAPEZOID: (trapezoid, _trapezoid_weights),
-          GAUSS_LEGENDRE: (gauss_legendre, _gauss_legendre_weights)}
+# each rule's function, its weights alone for callers that hold the nodes,
+# and its integral sum_i w_i f_i g_i (g = 1 when None) on the n = f.size
+# nodes of [lo, hi], made without an array of weights where the rule has
+# one step
+_RULES = {MIDPOINT: (midpoint, _midpoint_weights, _midpoint_dot),
+          TRAPEZOID: (trapezoid, _trapezoid_weights, _trapezoid_dot),
+          GAUSS_LEGENDRE: (gauss_legendre, _gauss_legendre_weights, _gauss_legendre_dot)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +238,9 @@ class GridDistribution:
     at second order; Gauss-Legendre is spectral for any smooth integrand.
     Weights are computed on access from the rule alone, never stored:
     stored, they would add a third N-length array to every grid a caller
-    holds.  ``nodes`` and ``density`` are read-only copies of the arrays
-    passed in.
+    holds.  Integrals do not build them: ``_dot`` takes the midpoint and
+    trapezoid sums from the rule's one step.  ``nodes`` and ``density``
+    are read-only copies of the arrays passed in.
     """
 
     support: Support
@@ -242,15 +266,18 @@ class GridDistribution:
         as they are; ``dens`` becomes read-only."""
         if nodes.shape != dens.shape:
             raise ValueError("nodes and density must be 1-D and equally long")
-        if np.any(dens < 0):
+        if dens.size == 0:
+            raise ValueError("a grid needs at least one node")
+        if dens.min() < 0.0:
             raise ValueError("density must be nonnegative")
         if self.rule not in _RULES:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
         dens.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "density", dens)
-        total = float(self.weights @ dens)
-        if abs(total - 1.0) > 1e-9:
+        total = self._dot(dens)
+        # written so that a nan total (a nan density) fails too
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"density integrates to {total!r}, not 1")
 
     def _with_density(self, dens: np.ndarray) -> "GridDistribution":
@@ -264,12 +291,22 @@ class GridDistribution:
 
     @property
     def weights(self) -> np.ndarray:
-        _, weights = _RULES[self.rule]
+        _, weights, _ = _RULES[self.rule]
         return weights(self.support.lo, self.support.hi, self.nodes.size)
 
+    def _dot(self, f: np.ndarray, g: Optional[np.ndarray] = None) -> float:
+        """sum_i w_i f_i g_i over the grid's weights w (g = 1 when None),
+        for node-length f and g."""
+        _, _, dot = _RULES[self.rule]
+        return dot(self.support.lo, self.support.hi, f, g)
+
     def integrate(self, values=None) -> float:
-        f = self.density if values is None else np.asarray(values) * self.density
-        return float(self.weights @ f)
+        if values is None:
+            return self._dot(self.density)
+        # contiguous: numpy sums a zero-stride (broadcast) operand in one
+        # running sum, off BLAS, with an error growing like N eps
+        return self._dot(self.density,
+                         np.ascontiguousarray(np.broadcast_to(values, self.density.shape)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inverse-CDF draws from the density, constant on one cell per node."""
@@ -302,7 +339,7 @@ class GridDistribution:
         rule = _default_rule(support) if rule is None else rule
         if n is None:
             n = CIRCLE_GRID_NODES if isinstance(support, Circle) else LINEAR_GRID_NODES
-        rule_fn, _ = _RULES[rule]
+        rule_fn, _, _ = _RULES[rule]
         nodes = rule_fn(support.lo, support.hi, n)[0]
         return GridDistribution(support, nodes, np.full(n, 1.0 / (support.hi - support.lo)), rule)
 
@@ -311,9 +348,9 @@ class GridDistribution:
                       rule: Optional[str] = None) -> "GridDistribution":
         base = GridDistribution.uniform(support, n, rule)
         dens = np.clip(np.asarray(fn(base.nodes), dtype=float), 0.0, None)
-        total = float(base.weights @ dens)
-        if total <= 0:
-            raise ValueError("density function integrates to zero")
+        total = base._dot(dens)
+        if not total > 0:  # nan too
+            raise ValueError(f"density function integrates to {total!r}")
         dens /= total
         return base._with_density(dens)
 
@@ -407,7 +444,7 @@ def evidence(prior: GridDistribution, like: LikelihoodFn, outcome) -> float:
     vals = np.asarray(like(prior.nodes, outcome), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("likelihood is not finite on the prior grid")
-    return float(prior.weights @ (prior.density * vals))
+    return prior.integrate(vals)
 
 
 def grid_update(prior: GridDistribution, like: LikelihoodFn, outcome) -> GridDistribution:
@@ -424,8 +461,7 @@ def grid_update(prior: GridDistribution, like: LikelihoodFn, outcome) -> GridDis
     if not np.all(np.isfinite(vals)):
         raise ValueError("likelihood is not finite on the prior grid")
     post = prior.density * vals
-    del vals  # freed before the weights are made: one array fewer at a time
-    total = float(prior.weights @ post)
+    total = prior._dot(post)
     if total <= 0.0:
         raise InconsistentOutcomeError("outcome has zero probability under the prior")
     post /= total
@@ -439,7 +475,7 @@ def grid_update(prior: GridDistribution, like: LikelihoodFn, outcome) -> GridDis
 def mean_estimator(d: GridDistribution) -> float:
     if isinstance(d.support, Circle):
         raise ValueError("mean estimator is undefined on a circle; use circular_mean")
-    return d.integrate(d.nodes)
+    return d._dot(d.nodes, d.density)
 
 
 def variance_mse(d: GridDistribution, est: float) -> float:
@@ -447,8 +483,7 @@ def variance_mse(d: GridDistribution, est: float) -> float:
         raise ValueError("use variance_circular on circular supports")
     f = d.nodes - est
     f **= 2
-    f *= d.density  # d.integrate(f), in place
-    return float(d.weights @ f)
+    return d._dot(f, d.density)
 
 
 def circular_mean(d: GridDistribution) -> Optional[float]:
@@ -489,7 +524,7 @@ def fisher_information_prior(prior) -> float:
                       RuntimeWarning)
     integrand = np.zeros_like(p)
     integrand[good] = dp[good] ** 2 / p[good]
-    return float(prior.weights @ integrand)
+    return prior._dot(integrand)
 
 
 def van_trees_bound(prior_fi: float, qfi: float) -> float:
@@ -561,7 +596,7 @@ def gaussian_outcome_density(m, mean, cov):
         return np.float64(0.0) if below else np.exp(expo) / norm
     np.maximum(expo, _LOG_FLOOR, out=expo)
     np.exp(expo, out=expo)
-    expo[below] = 0.0
+    np.copyto(expo, 0.0, where=below)
     expo /= norm
     return expo
 
