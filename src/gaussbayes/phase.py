@@ -410,7 +410,18 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
     the rotational-covariance property tests).  Setting
     ``angular_symmetry=False`` integrates the full polar grid instead, one
     radial rule per angle.
+
+    ``phase_symmetric``: the theta = 0 law has the real mean alpha and
+    axes along x and y (vxy = 0), and theta rotates it by -theta.  So a
+    real outcome x has the log-likelihood c0 + x gx + x^2 c3, even in
+    theta, and on the flat prior of ``flat_prior`` (an even node count)
+    the engine folds such rows onto the nodes theta > 0, exact to
+    rounding since the midpoint nodes are +-(k + 1/2) h.  The radial
+    outcomes fold as they are; Monte Carlo folds its draws beta as |beta|,
+    which the rotation leaves with the same posterior spread.
     """
+
+    phase_symmetric = True
 
     def __init__(self, alpha: float, r: float = 0.0, base_radial: int = 128,
                  angular_nodes: int = 256, angular_symmetry: bool = True):

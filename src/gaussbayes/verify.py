@@ -196,9 +196,14 @@ def criterion_6_phase_homodyne(seed=DEFAULT_SEED) -> CriterionResult:
             _true(res, f"squeezed probe not better at n={n}, psi={psi:.2f}",
                   v >= coh - 1e-9, v, coh)
 
-    # series-vs-quadrature duality on 25 seeded points
+    # series-vs-quadrature duality on 25 seeded points.  The density
+    # series cancels more as alpha grows, so its error is reported apart
+    # at alpha = 2: below, it is rounding of the size of the oracle's own
+    # (2.2e-14 at the default seed, 1.5e-13 seen on random points); above,
+    # the cancellation's rounding reaches 3.3e-9, and any reshuffle of the
+    # Bessel rows or of the summation order moves it by O(1)
     rng = _rng(seed, 6, 0)
-    worst_pq, worst_mom = 0.0, 0.0
+    pq_err, worst_mom = {True: [], False: []}, 0.0
     thetas = (np.arange(8192) + 0.5) * math.pi / 8192
     h = math.pi / 8192
     for _ in range(25):
@@ -207,12 +212,15 @@ def criterion_6_phase_homodyne(seed=DEFAULT_SEED) -> CriterionResult:
         like = phase.coherent_hom_likelihood(alpha, q, thetas)
         pq_oracle = float(like.mean())
         pq = phase.coherent_hom_outcome_density(alpha, q)
-        worst_pq = max(worst_pq, abs(pq - pq_oracle) / pq_oracle)
+        pq_err[alpha <= 2.0].append(abs(pq - pq_oracle) / pq_oracle)
         post = like / (like.sum() * h)
         mom_oracle = complex((np.exp(1j * thetas) * post).sum() * h)
         mom = phase.coherent_hom_circular_moment(alpha, q)
         worst_mom = max(worst_mom, abs(mom - mom_oracle))
-    _close(res, "outcome-density series duality (worst of 25)", worst_pq, 0.0, 1e-6)
+    for small, tol in ((True, 1e-12), (False, 1e-6)):
+        errs = pq_err[small]
+        _close(res, f"outcome-density series duality at alpha {'<=' if small else '>'} 2 "
+               f"(worst of {len(errs)})", max(errs, default=0.0), 0.0, tol)
     _close(res, "circular-moment series duality (worst of 25)", worst_mom, 0.0, 1e-6)
     res.elapsed = time.perf_counter() - t0
     return res

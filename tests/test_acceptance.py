@@ -42,7 +42,16 @@ def test_criterion_5_phase_heterodyne_squeezed():
 
 
 def test_criterion_6_phase_homodyne():
-    _run(verify.criterion_6_phase_homodyne)
+    result = _run(verify.criterion_6_phase_homodyne)
+    # the density duality is two rows on the 25 points: rounding at
+    # alpha <= 2 on a tight tolerance, the cancelling series above it
+    rows = {c.label.rsplit(" (", 1)[0]: c for c in result.checks if "density" in c.label}
+    small = rows["outcome-density series duality at alpha <= 2"]
+    large = rows["outcome-density series duality at alpha > 2"]
+    assert (small.tolerance, large.tolerance) == (1e-12, 1e-6)
+    counts = [int(c.label.rsplit("worst of ", 1)[1].rstrip(")")) for c in (small, large)]
+    assert sum(counts) == 25 and min(counts) > 0
+    assert small.measured <= small.tolerance / 10.0
 
 
 def test_criterion_7_squeezing():

@@ -1,5 +1,6 @@
 """Prior updates, grid machinery, estimators, bounds, and the engines."""
 
+import copy
 import math
 import tracemalloc
 
@@ -224,13 +225,13 @@ class TestRuleTable:
         for n in (2, 3, 65, 2001, 300001) if (rule, n) != (bayes.GAUSS_LEGENDRE, 300001)])
     def test_weights_are_bitwise_the_rule_weights(self, rule, n):
         # each rule's weights as written before the grid stopped building
-        # nodes for them: the trapezoid step is that of np.linspace
+        # nodes for them, except the trapezoid step: (hi - lo) / (n - 1),
+        # not the gap between np.linspace's first two nodes
         lo, hi = -1.3, 2.9
         if rule == bayes.MIDPOINT:
             want = np.full(n, (hi - lo) / n)
         elif rule == bayes.TRAPEZOID:
-            nodes = np.linspace(lo, hi, n)
-            want = np.full(n, nodes[1] - nodes[0])
+            want = np.full(n, (hi - lo) / (n - 1))
             want[0] *= 0.5
             want[-1] *= 0.5
         else:
@@ -239,6 +240,16 @@ class TestRuleTable:
         d = GridDistribution.uniform(support, n, rule)
         np.testing.assert_array_equal(bayes._RULES[rule][0](lo, hi, n)[1], want)
         np.testing.assert_array_equal(d.weights, want)
+
+    @pytest.mark.parametrize("rule", [bayes.MIDPOINT, bayes.TRAPEZOID])
+    @pytest.mark.parametrize("n", [2001, 300001])
+    def test_flat_grid_integrates_to_one(self, rule, n):
+        # np.linspace's first node gap as the trapezoid step lost the digits
+        # of |lo| / h: this grid integrated to 1 - 3.0e-12 at 300001 nodes
+        lo, hi = -1.3, 2.9
+        support = Circle(lo, hi) if rule == bayes.MIDPOINT else Interval(lo, hi)
+        d = GridDistribution.uniform(support, n, rule)
+        assert abs(d.integrate() - 1.0) <= 8.0 * np.finfo(float).eps
 
     @pytest.mark.parametrize("rule,n", [
         (rule, n) for rule in (bayes.MIDPOINT, bayes.TRAPEZOID, bayes.GAUSS_LEGENDRE)
@@ -625,6 +636,26 @@ def pointwise_likelihood(kind, strat, thetas, m):
     return gaussian_like(var[0])(mean, m.real)
 
 
+def dense_spreads(strat, prior, outcomes):
+    """(posterior variance, evidence) per outcome, reduced here from the
+    dense outcome x node likelihood on the prior's full grid times its
+    moment columns: 1, theta, theta^2 or the five circular ones."""
+    t = prior.nodes
+    cols = ([np.ones_like(t), np.cos(t), np.sin(t), np.cos(2.0 * t), np.sin(2.0 * t)]
+            if strat.circular else [np.ones_like(t), t, t * t])
+    w = prior.weights * prior.density
+    m = strat.likelihood_matrix(t, outcomes) @ np.stack([w * c for c in cols], axis=1)
+    z = m[:, 0]
+    mom = m[:, 1:] / np.where(z > 0.0, z, 1.0)[:, None]
+    if strat.circular:
+        c1, c2 = mom[:, 0] + 1j * mom[:, 1], mom[:, 2] + 1j * mom[:, 3]
+        est = np.where(np.abs(c1) > 1e-12, np.angle(c1), 0.0)
+        v = 0.5 * (1.0 - (c2 * np.exp(-2j * est)).real)
+    else:
+        v = np.maximum(mom[:, 1] - mom[:, 0] ** 2, 0.0)
+    return np.where(z > 0.0, v, 0.0), z
+
+
 class TestGaussianOutcomeKernel:
     @settings(max_examples=80, deadline=None)
     @given(engine_cases())
@@ -632,8 +663,7 @@ class TestGaussianOutcomeKernel:
         _, strat, prior, outcomes = case
         calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(prior.nodes.size))
         v, z = calc.spreads(outcomes)
-        v_ref, z_ref = calc.finish(strat.likelihood_matrix(prior.nodes, outcomes)
-                                   @ calc.moments)
+        v_ref, z_ref = dense_spreads(strat, prior, outcomes)
         # below ~1e-280 the kernel's floor of 9e-308 per cell shows
         seen = z_ref > 1e-280
         np.testing.assert_allclose(z[seen], z_ref[seen], rtol=1e-12)
@@ -728,6 +758,150 @@ class TestGaussianOutcomeKernel:
             napv.append(n_rounds * calc.spreads(outcomes.reshape(thetas.size, n_rounds))[0])
         napv = np.concatenate(napv)
         assert abs(napv.mean() - 0.5) <= 4.0 * napv.std() / math.sqrt(draws)
+
+
+@st.composite
+def fold_cases(draw):
+    """(strategy, flat prior on an even node count, real outcomes): the
+    strategy's radial nodes and the radii of sampled outcomes."""
+    strat = phase.HeterodynePhaseStrategy(draw(st.floats(0.1, 4.0)), draw(st.floats(0.0, 1.5)))
+    prior = phase.flat_prior(phase.HET_SUPPORT, 2 * draw(st.integers(32, 1050)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radial = strat.outcome_nodes(draw(st.integers(0, 2)))[0]
+    sampled = strat.sample_outcomes_given(prior.sample(rng, draw(st.integers(1, 250))), rng)
+    return strat, prior, np.concatenate([radial, np.abs(sampled)])
+
+
+def kernel_columns(monkeypatch):
+    """Patch the kernel to record the node count of each block it runs."""
+    cols = []
+    reduce = bayes._SpreadCalculator._reduce
+
+    def counting(feats, kernel, out, shift=None):
+        cols.append(kernel[0].shape[1])
+        return reduce(feats, kernel, out, shift)
+    monkeypatch.setattr(bayes._SpreadCalculator, "_reduce", staticmethod(counting))
+    return cols
+
+
+def unfolded(strat):
+    """The same strategy with its symmetry fact withheld: the full kernel
+    on every row."""
+    strat = copy.copy(strat)
+    strat.phase_symmetric = False
+    return strat
+
+
+class TestPhaseFold:
+    @settings(max_examples=60, deadline=None)
+    @given(fold_cases())
+    def test_folded_rows_match_the_dense_full_grid(self, case):
+        strat, prior, outcomes = case
+        calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(prior.nodes.size))
+        assert calc.symmetric
+        v, z = calc.spreads(outcomes)
+        v_ref, z_ref = dense_spreads(strat, prior, outcomes)
+        seen = z_ref > 1e-280
+        np.testing.assert_allclose(z[seen], z_ref[seen], rtol=1e-12)
+        np.testing.assert_allclose(v[seen], v_ref[seen], rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n,k", [(512, 256), (64, 32)])
+    def test_folded_rows_match_the_polar_grid(self, n, k):
+        # the polar grid's angles are -pi + (j + 1/2) 2pi/k; with n/k even
+        # each is a whole number of prior steps, so the posterior at
+        # rho e^{-i angle} is the one at rho moved along the grid, with the
+        # same spread and evidence
+        prior = phase.flat_prior(phase.HET_SUPPORT, n)
+        scratch = bayes._kernel_scratch(n)
+        for alpha, r in [(0.5, 0.0), (1.8, 1.0), (4.0, 1.25)]:
+            radial = phase.HeterodynePhaseStrategy(alpha, r)
+            polar = phase.HeterodynePhaseStrategy(alpha, r, angular_nodes=k,
+                                                  angular_symmetry=False)
+            rho = radial.outcome_nodes(1)[0]
+            v, z = bayes._SpreadCalculator(prior, radial, scratch).spreads(rho)
+            v_p, z_p = bayes._SpreadCalculator(prior, polar, scratch).spreads(
+                polar.outcome_nodes(1)[0])
+            seen = np.broadcast_to(z > 1e-280, (k, rho.size)).ravel()
+            np.testing.assert_allclose(z_p[seen], np.tile(z, k)[seen], rtol=1e-12)
+            np.testing.assert_allclose(v_p[seen], np.tile(v, k)[seen], rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    @pytest.mark.parametrize("alpha,r", [(0.5, 0.0), (1.0, 0.25), (2.0, 0.5), (4.0, 1.5)])
+    def test_monte_carlo_radii_match_the_full_kernel(self, n, alpha, r):
+        # the spread at |beta| on the folded kernel against the spread at
+        # beta on the full one; they differ by the theta grid's aliasing
+        # error, which is rounding here but shows on coarse grids (1e-3 at
+        # 64 nodes, alpha = 4, r = 1.5); the rotated value is the one the
+        # radial quadrature computes
+        strat = phase.HeterodynePhaseStrategy(alpha, r)
+        prior = phase.flat_prior(phase.HET_SUPPORT, n)
+        rng = rng_for(18, n)
+        betas = strat.sample_outcomes_given(prior.sample(rng, 2000), rng)
+        scratch = bayes._kernel_scratch(n)
+        v, _ = bayes._SpreadCalculator(prior, strat, scratch).spreads(np.abs(betas))
+        v_full, _ = bayes._SpreadCalculator(prior, unfolded(strat), scratch).spreads(betas)
+        assert np.max(np.abs(v - v_full)) <= 1e-13
+
+    def test_monte_carlo_runs_on_the_radii_of_its_draws(self):
+        strat = phase.HeterodynePhaseStrategy(1.5, 0.25)
+        prior = phase.flat_prior(phase.HET_SUPPORT, 512)
+        # one chunk of draws
+        res = average_posterior_variance(strat, prior, method="montecarlo", samples=4000,
+                                         rng=rng_for(19))
+        rng = rng_for(19)
+        betas = strat.sample_outcomes_given(prior.sample(rng, 4000), rng)
+        calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(512))
+        v = calc.spreads(np.abs(betas))[0]
+        assert res.value == pytest.approx(v.mean(), rel=1e-13)
+
+    @pytest.mark.parametrize("case", ["non-flat", "odd", "hom-support", "legendre",
+                                      "complex", "summed"])
+    def test_other_rows_run_the_full_kernel_bitwise(self, case, monkeypatch):
+        strat = phase.HeterodynePhaseStrategy(1.3, 0.6)
+        prior = phase.flat_prior(phase.HET_SUPPORT, 512)
+        outcomes = strat.outcome_nodes(1)[0]
+        if case == "non-flat":
+            prior = GridDistribution.from_function(phase.HET_SUPPORT,
+                                                   lambda t: np.exp(np.cos(t)), 512)
+        elif case == "odd":
+            prior = phase.flat_prior(phase.HET_SUPPORT, 511)
+        elif case == "hom-support":
+            prior = phase.flat_prior(phase.HOM_SUPPORT, 512)
+        elif case == "legendre":
+            prior = GridDistribution.uniform(phase.HET_SUPPORT, 512, bayes.GAUSS_LEGENDRE)
+        else:
+            rng = rng_for(20)
+            outcomes = strat.sample_outcomes_given(prior.sample(rng, 3000), rng)
+            if case == "summed":
+                # complex outcomes of four rounds per row, features summed
+                class SummedRounds(phase.HeterodynePhaseStrategy):
+                    def outcome_features(self, outcomes):
+                        feats = super().outcome_features(outcomes.ravel())
+                        return feats.reshape(outcomes.shape[0], 4, -1).sum(axis=1)
+                strat = SummedRounds(1.3, 0.6)
+                outcomes = outcomes.reshape(-1, 4)
+        scratch = bayes._kernel_scratch(prior.nodes.size)
+        calc = bayes._SpreadCalculator(prior, strat, scratch)
+        assert calc.symmetric == (case in ("complex", "summed"))
+        cols = kernel_columns(monkeypatch)
+        v, z = calc.spreads(outcomes)
+        assert set(cols) == {prior.nodes.size}
+        v_full, z_full = bayes._SpreadCalculator(prior, unfolded(strat), scratch).spreads(outcomes)
+        np.testing.assert_array_equal(v, v_full)
+        np.testing.assert_array_equal(z, z_full)
+
+    @pytest.mark.parametrize("method", ["montecarlo", "quadrature"])
+    def test_cost_guard_folded_rows_run_on_half_the_nodes(self, method, monkeypatch):
+        # an mc_phasehet-sized op: 8192 draws on 512 nodes; and a radial
+        # quadrature row on the prior counts it refines through
+        from gaussbayes.measurement import HETERODYNE
+        cols = kernel_columns(monkeypatch)
+        task = phase.PhaseTask(ProbeSpec(1.0, 0.25, math.pi), HETERODYNE)
+        res = phase.average_variance_numeric(task, method=method, samples=8192,
+                                             rng=rng_for(21), grid_nodes=512)
+        assert cols and set(cols) <= {n // 2 for n in (64, 128, 256, 512)}
+        if method == "montecarlo":
+            assert res.prior_nodes == 512 and set(cols) == {256}
 
 
 def _direct_density(m, mean, cov):
