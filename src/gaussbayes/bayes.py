@@ -7,8 +7,8 @@ computed either by deterministic quadrature over the outcome space and
 the prior, or by seeded Monte Carlo; both engines consume one strategy
 class, :class:`GaussianOutcomeStrategy`, built from the outcome mean and
 covariance given the parameter and an outcome-quadrature rule.  A
-:class:`PriorRule` tabulates a prior at any node count, which lets the
-quadrature engine choose its prior grid.
+:class:`PriorRule` tabulates a prior at any node count, which lets both
+engines choose the prior grid they integrate posteriors on.
 """
 
 from __future__ import annotations
@@ -369,10 +369,12 @@ class PriorRule:
     """A prior that can be tabulated at any node count, n -> grid.
 
     ``grid(n, rule)`` is the prior on ``n`` nodes of ``rule`` (default:
-    the support's own).  The quadrature engine tabulates it on ``rule``,
-    doubling ``n`` until two counts agree and using at most ``max_nodes``
-    nodes; Monte Carlo draws on ``grid(max_nodes)``.  ``density`` is the
-    unnormalized density, None for the flat prior.
+    the support's own).  Both engines integrate posteriors on it with
+    ``rule``, doubling ``n`` over ``counts()`` until two counts agree and
+    using at most ``max_nodes`` nodes.  Monte Carlo draws theta from
+    ``grid(max_nodes)``, on the support's own rule, whatever count it
+    integrates on.  ``density`` is the unnormalized density, None for the
+    flat prior.
     """
 
     support: Support
@@ -386,9 +388,9 @@ class PriorRule:
         return GridDistribution.from_function(self.support, self.density, n, rule)
 
     def counts(self):
-        """The node counts the quadrature engine tries: 64 doubling (65,
-        129, ... on the trapezoid rule, whose step then halves), the last
-        one ``max_nodes``."""
+        """The node counts the engines try: 64 doubling (65, 129, ... on
+        the trapezoid rule, whose step then halves), the last one
+        ``max_nodes``."""
         odd = int((self.rule or _default_rule(self.support)) == TRAPEZOID)
         n = 64 + odd
         while n < self.max_nodes:
@@ -892,21 +894,73 @@ def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):
                          estimate=prev, std_error=None)
 
 
-def _monte_carlo(strategy, prior, samples, rng):
+def _refine_count(prior: PriorRule, evaluate, rel_tol):
+    """``evaluate(grid) -> (value, result)`` on ``prior.grid(n, prior.rule)``
+    for the counts n of ``prior.counts()``, up to the first count whose
+    value agrees with the previous count's within rel_tol |value|.
+
+    Returns that count's (result, gap, True), or at ``prior.max_nodes``
+    its (result, last gap, False); the gap is None after a single count.
+    """
+    prev = gap = None
+    for n in prior.counts():
+        value, result = evaluate(prior.grid(n, prior.rule))
+        if prev is not None:
+            gap = abs(value - prev)
+            if gap <= max(rel_tol * abs(value), 1e-300):
+                return result, gap, True
+        prev = value
+    return result, gap, False
+
+
+def _chunk_spreads(calc, outcomes):
+    """Posterior spreads of one Monte Carlo chunk's outcomes on ``calc``."""
+    if calc.symmetric:
+        # rotation covariance on the flat full-circle prior: beta and
+        # |beta| have the same posterior spread, and |beta| folds
+        outcomes = np.abs(outcomes)
+    return calc.spreads(outcomes)[0]
+
+
+def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, rng, rel_tol):
+    """Seeded Monte Carlo in chunks of ``_MC_CHUNK`` draws.
+
+    On a ``PriorRule`` theta is drawn from ``prior.grid(prior.max_nodes)``,
+    on the support's own rule, and the posteriors are integrated on
+    ``prior.grid(n, prior.rule)``.  The first chunk's spreads are computed
+    at the counts of ``prior.counts()`` until two chunk means agree within
+    rel_tol (``_refine_count``), and that count serves every chunk; at
+    ``max_nodes`` without agreement the ceiling count does.  The draws do
+    not depend on the count, and ``std_error`` is the standard error plus
+    the last gap.  A ``GridDistribution`` is drawn from and integrated on
+    as it is.
+    """
     if rng is None:
         raise ValueError("Monte Carlo requires a seeded generator")
-    calc = _SpreadCalculator(prior, strategy, _kernel_scratch(prior.nodes.size))
+    if samples < 1:
+        raise ValueError(f"Monte Carlo needs at least one sample, got {samples}")
+    calc, gap = None, 0.0
+    if isinstance(prior, PriorRule):
+        draw = prior.grid(prior.max_nodes)
+        scratch = _kernel_scratch(*prior.counts())
+    else:
+        draw = prior
+        calc = _SpreadCalculator(prior, strategy, _kernel_scratch(prior.nodes.size))
     # Chan's merge of the per-chunk count, mean and sum of squared deviations
     done, mean, m2 = 0, 0.0, 0.0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        thetas = prior.sample(rng, m)
+        thetas = draw.sample(rng, m)
         outcomes = strategy.sample_outcomes_given(thetas, rng)
-        if calc.symmetric:
-            # rotation covariance on the flat full-circle prior: beta and
-            # |beta| have the same posterior spread, and |beta| folds
-            outcomes = np.abs(outcomes)
-        v, _ = calc.spreads(outcomes)
+        if calc is None:
+            def evaluate(grid):
+                calc = _SpreadCalculator(grid, strategy, scratch)
+                v = _chunk_spreads(calc, outcomes)
+                return float(v.mean()), (calc, v)
+            (calc, v), gap, _ = _refine_count(prior, evaluate, rel_tol)
+            gap = gap or 0.0
+        else:
+            v = _chunk_spreads(calc, outcomes)
         chunk_mean = float(v.mean())
         chunk_m2 = float(((v - chunk_mean) ** 2).sum())
         delta = chunk_mean - mean
@@ -915,7 +969,7 @@ def _monte_carlo(strategy, prior, samples, rng):
         m2 += chunk_m2 + delta * delta * done * m / total
         done = total
     se = math.sqrt(m2 / samples / samples)
-    return AverageVariance(mean, se, "monte-carlo", prior_nodes=prior.nodes.size,
+    return AverageVariance(mean, se + gap, "monte-carlo", prior_nodes=calc._prior.nodes.size,
                            samples=samples)
 
 
@@ -939,27 +993,25 @@ def _grid_quadrature(strategy, prior: GridDistribution, rel_tol, max_level, scra
 def _refined_quadrature(strategy, prior: PriorRule, rel_tol, max_level):
     """Outcome quadrature on prior grids of doubling node count.
 
-    Stops when two consecutive counts agree within rel_tol and returns
-    the finer one, its error the outcome-step error plus the gap; the
-    rules converge spectrally, so the gap bounds the finer count's
-    prior-grid error.  ToleranceError carries the last value when
-    ``prior.max_nodes`` is reached first.
+    Stops when two consecutive counts agree within rel_tol
+    (``_refine_count``) and returns the finer one, its error the
+    outcome-step error plus the gap; the rules converge spectrally, so the
+    gap bounds the finer count's prior-grid error.  ToleranceError carries
+    the last value when ``prior.max_nodes`` is reached first.
     """
-    prev = gap = None
     # one kernel buffer for every count: a buffer per count would have its
     # pages faulted in afresh each time
     scratch = _kernel_scratch(*prior.counts())
-    for n in prior.counts():
-        res = _grid_quadrature(strategy, prior.grid(n, prior.rule), rel_tol, max_level,
-                               scratch)
-        if prev is not None:
-            gap = abs(res.value - prev.value)
-            if gap <= max(rel_tol * abs(res.value), 1e-300):
-                return dataclasses.replace(res, std_error=res.std_error + gap)
-        prev = res
+
+    def evaluate(grid):
+        res = _grid_quadrature(strategy, grid, rel_tol, max_level, scratch)
+        return res.value, res
+    res, gap, agreed = _refine_count(prior, evaluate, rel_tol)
+    if agreed:
+        return dataclasses.replace(res, std_error=res.std_error + gap)
     raise ToleranceError(f"prior quadrature did not converge within {prior.max_nodes} nodes",
-                         estimate=prev.value,
-                         std_error=None if gap is None else prev.std_error + gap)
+                         estimate=res.value,
+                         std_error=None if gap is None else res.std_error + gap)
 
 
 def average_posterior_variance(strategy, prior: Union[GridDistribution, PriorRule],
@@ -970,12 +1022,15 @@ def average_posterior_variance(strategy, prior: Union[GridDistribution, PriorRul
 
     ``method`` is "quadrature" (deterministic, Richardson step-halving
     error estimate) or "montecarlo" (theta ~ prior, m ~ p(m|theta),
-    standard error reported).  On a ``PriorRule`` quadrature also
-    chooses the prior node count (``_refined_quadrature``) and Monte
-    Carlo draws on the rule's grid of ``max_nodes``; a
-    ``GridDistribution`` is used as it is.  Monte Carlo draws are
-    chunked at a fixed size so results depend only on the generator's
-    seed.
+    standard error reported; ``samples`` >= 1).  On a ``PriorRule`` both
+    also choose the prior node count, doubling it until two counts agree
+    within ``rel_tol``, and add the gap to ``std_error``: quadrature
+    (``_refined_quadrature``) raises ``ToleranceError`` when no two
+    counts agree, Monte Carlo (``_monte_carlo``, which chooses on its
+    first chunk and draws theta from the rule's grid of ``max_nodes``)
+    then runs on the ceiling count.  A ``GridDistribution`` is used as it
+    is.  Monte Carlo draws are chunked at a fixed size so results depend
+    only on the generator's seed.
     """
     if method == "quadrature":
         if isinstance(prior, PriorRule):
@@ -983,7 +1038,5 @@ def average_posterior_variance(strategy, prior: Union[GridDistribution, PriorRul
         return _grid_quadrature(strategy, prior, rel_tol, max_level,
                                 _kernel_scratch(prior.nodes.size))
     if method == "montecarlo":
-        if isinstance(prior, PriorRule):
-            prior = prior.grid(prior.max_nodes)
-        return _monte_carlo(strategy, prior, samples, rng)
+        return _monte_carlo(strategy, prior, samples, rng, rel_tol)
     raise ValueError(f"unknown method {method!r}")

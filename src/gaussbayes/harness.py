@@ -129,6 +129,8 @@ class ExperimentConfig:
             raise ConfigError(f"method must be quadrature or montecarlo, got {self.method!r}")
         if self.method == "montecarlo" and self.seed is None:
             raise ConfigError("montecarlo requires a seed")
+        if self.samples < 1:
+            raise ConfigError(f"samples must be at least 1, got {self.samples}")
         if not self.sweep:
             raise ConfigError("sweep must be nonempty")
         spec = _TASKS[self.task]
@@ -181,11 +183,19 @@ def _number(kind):
     return lambda text: kind(_parse_value(text)[0])
 
 
+def _count(text: str) -> int:
+    """Converter of a count field: a positive int."""
+    value = _number(int)(text)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
 # one converter per non-sweep key: text -> field value
 _FIELDS = {
     "task": str,
     "method": str.lower,
-    "samples": _number(int),
+    "samples": _count,
     "seed": _number(int),
     "output": str,
     "force_both": lambda text: text.lower() in ("1", "true", "yes"),

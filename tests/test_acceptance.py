@@ -52,6 +52,10 @@ def test_criterion_6_phase_homodyne():
     counts = [int(c.label.rsplit("worst of ", 1)[1].rstrip(")")) for c in (small, large)]
     assert sum(counts) == 25 and min(counts) > 0
     assert small.measured <= small.tolerance / 10.0
+    # the moment's Gauss-Legendre oracle leaves the series' own error
+    mom = next(c for c in result.checks if c.label.startswith("circular-moment"))
+    assert mom.tolerance == 1e-8
+    assert mom.measured <= mom.tolerance / 10.0
 
 
 def test_criterion_7_squeezing():

@@ -772,13 +772,16 @@ def fold_cases(draw):
     return strat, prior, np.concatenate([radial, np.abs(sampled)])
 
 
-def kernel_columns(monkeypatch):
-    """Patch the kernel to record the node count of each block it runs."""
+def kernel_columns(monkeypatch, rows=None):
+    """Patch the kernel to record the node count of each call, and the
+    call's outcome rows into ``rows`` when it is given."""
     cols = []
     reduce = bayes._SpreadCalculator._reduce
 
     def counting(feats, kernel, out, shift=None):
         cols.append(kernel[0].shape[1])
+        if rows is not None:
+            rows.append(feats.shape[0])
         return reduce(feats, kernel, out, shift)
     monkeypatch.setattr(bayes._SpreadCalculator, "_reduce", staticmethod(counting))
     return cols
@@ -892,8 +895,8 @@ class TestPhaseFold:
 
     @pytest.mark.parametrize("method", ["montecarlo", "quadrature"])
     def test_cost_guard_folded_rows_run_on_half_the_nodes(self, method, monkeypatch):
-        # an mc_phasehet-sized op: 8192 draws on 512 nodes; and a radial
-        # quadrature row on the prior counts it refines through
+        # an mc_phasehet-sized op: 8192 draws on at most 512 nodes; and a
+        # radial quadrature row on the prior counts it refines through
         from gaussbayes.measurement import HETERODYNE
         cols = kernel_columns(monkeypatch)
         task = phase.PhaseTask(ProbeSpec(1.0, 0.25, math.pi), HETERODYNE)
@@ -901,7 +904,8 @@ class TestPhaseFold:
                                              rng=rng_for(21), grid_nodes=512)
         assert cols and set(cols) <= {n // 2 for n in (64, 128, 256, 512)}
         if method == "montecarlo":
-            assert res.prior_nodes == 512 and set(cols) == {256}
+            # the first chunk on 64 and 128 nodes, which agree
+            assert res.prior_nodes == 128 and set(cols) == {32, 64}
 
 
 def _direct_density(m, mean, cov):
@@ -1317,12 +1321,134 @@ class TestPriorRefinement:
         assert err.value.std_error >= abs(err.value.estimate - want.value)
 
     def test_monte_carlo_draws_on_the_ceiling_grid(self):
-        # a prior rule and its grid of max_nodes nodes give the same draws
+        # theta comes from the rule's grid of max_nodes nodes, whatever
+        # count the engine integrates the posteriors on
         strat = disp.HomodyneQuadratureStrategy(0.7, 0.2)
         rule = bayes.PriorRule.gaussian(strat.prior, 301, 8.0)
+        rng = rng_for(14)
         got = average_posterior_variance(strat, rule, method="montecarlo", samples=5000,
-                                         rng=rng_for(14))
-        want = average_posterior_variance(strat, GridDistribution.from_gaussian(
-            strat.prior, 301, 8.0), method="montecarlo", samples=5000, rng=rng_for(14))
-        assert got == want
-        assert (got.prior_nodes, got.samples, got.levels) == (301, 5000, 0)
+                                         rng=rng)
+        v, _, replayed = replay_monte_carlo(strat, rule, 5000, got.prior_nodes, rng_for(14))
+        assert got.value == pytest.approx(v.mean(), rel=1e-13)
+        assert rng.bit_generator.state == replayed.bit_generator.state
+        assert (got.prior_nodes, got.samples, got.levels) == (129, 5000, 0)
+
+
+def replay_monte_carlo(strat, rule, samples, nodes, rng):
+    """The engine's Monte Carlo draws, made here: theta from the rule's
+    ceiling grid on the support's own rule, in the engine's chunks, and
+    one outcome per theta; then each draw's posterior spread on
+    ``rule.grid(nodes, rule.rule)``, at |beta| where that grid folds.
+    Returns the spreads, the thetas and the generator after the draws."""
+    draw = rule.grid(rule.max_nodes)
+    calc = bayes._SpreadCalculator(rule.grid(nodes, rule.rule), strat,
+                                   bayes._kernel_scratch(nodes))
+    vs, ts = [], []
+    for start in range(0, samples, bayes._MC_CHUNK):
+        ts.append(draw.sample(rng, min(bayes._MC_CHUNK, samples - start)))
+        outcomes = strat.sample_outcomes_given(ts[-1], rng)
+        vs.append(calc.spreads(np.abs(outcomes) if calc.symmetric else outcomes)[0])
+    return np.concatenate(vs), np.concatenate(ts), rng
+
+
+def _squeeze_rule(n, s, grid_nodes=bayes.LINEAR_GRID_NODES):
+    """(strategy, prior rule) of a Squeeze row at prior N(-0.5, 1)."""
+    task = sq.SqueezeTask(ProbeSpec(math.sqrt(n - math.sinh(s) ** 2), s, 0.0),
+                          GaussianPrior(-0.5, 1.0), grid_nodes=grid_nodes)
+    rule = task.prior_rule()
+    return sq.SqueezeStrategy(task.probe, rule.support), rule
+
+
+# (strategy, prior rule, rel_tol) of each task family's Monte Carlo rows:
+# the entry points' rules and tolerances
+MC_CASES = {
+    "Squeeze": lambda: (*_squeeze_rule(3.0, 0.5), 1e-5),
+    "PhaseHet-folded": lambda: (phase.HeterodynePhaseStrategy(1.5, 0.25),
+                                bayes.PriorRule(phase.HET_SUPPORT, None, 2048), 1e-6),
+    "PhaseHom": lambda: (phase.HomodynePhaseStrategy(1.0, 0.5, math.pi / 2),
+                         bayes.PriorRule(phase.HOM_SUPPORT, None, 2048, bayes.GAUSS_LEGENDRE),
+                         1e-6),
+    "DisplacementHet": lambda: (
+        disp.HeterodyneCoordinateStrategy(0.5, 0.3, "R"),
+        bayes.PriorRule.gaussian(GaussianPrior(0.0, 0.5), bayes.LINEAR_GRID_NODES, 8.0), 1e-6),
+}
+
+
+class TestMonteCarloNodeCount:
+    @pytest.mark.parametrize("case", list(MC_CASES))
+    def test_draws_are_the_ceiling_grids(self, case, monkeypatch):
+        # every theta drawn bitwise from the ceiling grid on the support's
+        # own rule, once per chunk, the generator left where those draws
+        # and the outcomes leave it, and the posteriors integrated on the
+        # chosen count of the rule's own quadrature
+        strat, rule, rel_tol = MC_CASES[case]()
+        drawn = []
+        sample = GridDistribution.sample
+        monkeypatch.setattr(GridDistribution, "sample",
+                            lambda grid, rng, size: drawn.append(sample(grid, rng, size))
+                            or drawn[-1])
+        rng = rng_for(22)
+        res = average_posterior_variance(strat, rule, method="montecarlo", samples=6000,
+                                         rng=rng, rel_tol=rel_tol)
+        monkeypatch.undo()
+        assert res.prior_nodes in set(rule.counts()) - {next(rule.counts())}
+        v, thetas, replayed = replay_monte_carlo(strat, rule, 6000, res.prior_nodes,
+                                                 rng_for(22))
+        assert len(drawn) == 2
+        np.testing.assert_array_equal(np.concatenate(drawn), thetas)
+        assert res.value == pytest.approx(v.mean(), rel=1e-13)
+        assert rng.bit_generator.state == replayed.bit_generator.state
+        assert (res.samples, res.levels) == (6000, 0)
+
+    @pytest.mark.parametrize("case", list(MC_CASES))
+    def test_value_within_rel_tol_of_the_ceiling(self, case):
+        # the same draws integrated on the ceiling count of the rule's own
+        # quadrature: Gauss-Legendre on [0, pi), where the midpoint grid
+        # the draws come from is second order
+        strat, rule, rel_tol = MC_CASES[case]()
+        res = average_posterior_variance(strat, rule, method="montecarlo", samples=6000,
+                                         rng=rng_for(23), rel_tol=rel_tol)
+        v = replay_monte_carlo(strat, rule, 6000, rule.max_nodes, rng_for(23))[0]
+        assert abs(res.value - v.mean()) <= rel_tol * abs(res.value)
+
+    def test_no_agreement_falls_back_to_the_ceiling(self):
+        # s = 1, n = 4 needs 257 nodes: at a 129-node ceiling no two
+        # counts agree, and the engine runs on the ceiling grid, as a
+        # ceiling-grid prior does, and adds the last gap
+        strat, rule = _squeeze_rule(4.0, 1.0, grid_nodes=129)
+        res = average_posterior_variance(strat, rule, method="montecarlo", samples=8192,
+                                         rng=rng_for(24), rel_tol=1e-5)
+        want = average_posterior_variance(strat, rule.grid(129), method="montecarlo",
+                                          samples=8192, rng=rng_for(24), rel_tol=1e-5)
+        assert res.value == want.value and res.prior_nodes == 129
+        means = [replay_monte_carlo(strat, rule, bayes._MC_CHUNK, n, rng_for(24))[0].mean()
+                 for n in (65, 129)]
+        gap = abs(means[1] - means[0])
+        assert gap > 1e-5 * abs(means[1])
+        assert res.std_error >= want.std_error + gap
+
+    def test_rel_tol_sets_the_count(self):
+        # the row that needs 257 nodes at the Squeeze tolerance 1e-5
+        strat, rule = _squeeze_rule(4.0, 1.0)
+        counts = [average_posterior_variance(strat, rule, method="montecarlo", samples=4096,
+                                             rng=rng_for(27), rel_tol=rel_tol).prior_nodes
+                  for rel_tol in (1e-3, 1e-5, 1e-11)]
+        assert counts == [129, 257, 513]
+
+    def test_cost_guard_kernel_cells(self, monkeypatch):
+        # an 8192-draw Squeeze op on a 2001-node ceiling, at the row that
+        # needs the most nodes; the ceiling grid cost 2 x 4096 x 2001 cells
+        strat, rule = _squeeze_rule(4.0, 1.0)
+        rows = []
+        cols = kernel_columns(monkeypatch, rows)
+        res = average_posterior_variance(strat, rule, method="montecarlo", samples=8192,
+                                         rng=rng_for(25), rel_tol=1e-5)
+        assert res.prior_nodes < 2001
+        assert np.dot(rows, cols) <= 2 * 4096 * 2001 / 5
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_must_be_positive(self, samples):
+        strat, rule, _ = MC_CASES["DisplacementHet"]()
+        with pytest.raises(ValueError, match="at least one sample"):
+            average_posterior_variance(strat, rule, method="montecarlo", samples=samples,
+                                       rng=rng_for(26))

@@ -70,6 +70,14 @@ class TestParse:
         with pytest.raises(ConfigError, match="cfg:3"):
             parse_config(f"task = PhaseHet\nalpha = 1\n{key} = {value}", path="cfg")
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_samples_must_be_positive(self, value):
+        # -5 once gave a silent zero row and 0 a ZeroDivisionError
+        with pytest.raises(ConfigError, match="cfg:3: bad value samples"):
+            parse_config(f"task = PhaseHet\nalpha = 1\nsamples = {value}", path="cfg")
+        with pytest.raises(ConfigError, match="samples must be at least 1"):
+            parse_config("task = PhaseHet\nalpha = 1", overrides={"samples": int(value)})
+
     @pytest.mark.parametrize("key", ["trunc_n", "tail_tol"])
     def test_series_cutoff_is_not_a_config_key(self, key):
         # the series choose their own cutoff and tail bound
@@ -305,6 +313,21 @@ class TestCli:
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,argv", [("samples = -5\n", []), ("samples = 0\n", []),
+                                           ("", ["--samples", "0"])],
+                             ids=["negative", "zero", "flag"])
+    def test_non_positive_samples_is_a_config_error(self, tmp_path, capsys, line, argv):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("task = Squeeze\nalpha = 1\ns = 0.5\nsigma0sq = 1\n"
+                       f"method = montecarlo\nseed = 3\n{line}")
+        out = tmp_path / "rows.csv"
+        assert cli.main(["run", str(cfg), "--out", str(out)] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "samples" in err
+        if line:
+            assert "sweep.cfg:7:" in err
         assert not out.exists()
 
     def test_montecarlo_without_seed_rejected(self, tmp_path):
