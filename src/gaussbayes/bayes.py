@@ -327,7 +327,13 @@ class GridDistribution:
             mass = np.diff(edges) * self.density
         cdf = np.concatenate([[0.0], np.cumsum(mass)])
         cdf /= cdf[-1]
-        return np.interp(rng.random(size), cdf, edges)
+        # np.interp is several times faster on sorted queries; each value
+        # is the same, so the draws are scattered back in generator order
+        u = rng.random(size)
+        order = np.argsort(u)
+        draws = np.empty(size)
+        draws[order] = np.interp(u[order], cdf, edges)
+        return draws
 
     # constructors -----------------------------------------------------
 

@@ -131,6 +131,8 @@ class ExperimentConfig:
             raise ConfigError("montecarlo requires a seed")
         if self.samples < 1:
             raise ConfigError(f"samples must be at least 1, got {self.samples}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
         if not self.sweep:
             raise ConfigError("sweep must be nonempty")
         spec = _TASKS[self.task]
@@ -142,6 +144,8 @@ class ExperimentConfig:
         for key, values in self.sweep.items():
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"parameter {key!r} has a non-finite value")
+        if not all(float(v).is_integer() for v in self.sweep.get("m_rounds", ())):
+            raise ConfigError("parameter 'm_rounds' takes whole numbers")
         if "alpha" in spec.keys:
             if "alpha" in self.sweep and "n" in self.sweep:
                 raise ConfigError("give either alpha or n, not both")
@@ -178,25 +182,25 @@ def _parse_value(text: str) -> list:
     return [float(text)]
 
 
-def _number(kind):
-    """Converter of a numeric field: the first value given, as ``kind``."""
-    return lambda text: kind(_parse_value(text)[0])
-
-
-def _count(text: str) -> int:
-    """Converter of a count field: a positive int."""
-    value = _number(int)(text)
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return value
+def _integer(low: int):
+    """Converter of an integer field: the first value given, a whole
+    number of at least ``low`` (2.7 is an error, not 2)."""
+    def convert(text: str) -> int:
+        value = _parse_value(text)[0]
+        if not value.is_integer():
+            raise ValueError("must be a whole number")
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return int(value)
+    return convert
 
 
 # one converter per non-sweep key: text -> field value
 _FIELDS = {
     "task": str,
     "method": str.lower,
-    "samples": _count,
-    "seed": _number(int),
+    "samples": _integer(1),
+    "seed": _integer(0),
     "output": str,
     "force_both": lambda text: text.lower() in ("1", "true", "yes"),
 }
@@ -224,7 +228,7 @@ def parse_config(text: str, path: str = "<config>",
                 sweep[key] = _parse_value(value)
             else:
                 fields[key] = _FIELDS[key](value)
-        except (ValueError, OverflowError) as exc:  # OverflowError: int() of inf
+        except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value {key} = {value!r} ({exc})") from None
     if "task" not in fields:
         raise ConfigError(f"{path}: missing required key 'task'")

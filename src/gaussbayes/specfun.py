@@ -6,8 +6,9 @@ value is an entry of a row of exponentially scaled values e^{-|x|} I_n(x),
 n = 0..nmax, vectorized over x, from Miller's normalized backward
 recurrence written for the ratios I_k / I_{k-1}, which cannot overflow
 (Gautschi, SIAM Review 9, 24 (1967)); x = 0 gives the exact row
-(1, 0, ..., 0).  Negative arguments go through the parity identity
-I_n(-x) = (-1)^n I_n(x).
+(1, 0, ..., 0).  A single argument, as in the per-outcome Bessel series,
+runs the same recurrence in Python floats and gets the same bits.
+Negative arguments go through the parity identity I_n(-x) = (-1)^n I_n(x).
 """
 
 from __future__ import annotations
@@ -51,8 +52,26 @@ def _miller_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
     Normalizing with I_0(x) + 2 sum_k I_k(x) = e^x gives
     e^{-x} I_0 = 1 / (1 + 2 h_1), and the running product of the ratios
     the other orders.  Each argument starts at its own order, so a row's
-    bits do not depend on the rest of the batch.
+    bits do not depend on the rest of the batch.  A single argument runs
+    the same operations in the same order on Python floats, which gives
+    the same bits without a numpy call per order.
     """
+    if xs.size == 1:
+        x = float(xs[0])
+        b = max(nmax, math.ceil(x))
+        r = h = 0.0
+        for k in range(b + 40 + math.ceil(2.0 * math.sqrt(b + 1.0)), nmax, -1):
+            r = x / (x * r + 2.0 * k)
+            h = (h + 1.0) * r
+        row = [0.0] * (nmax + 1)
+        for k in range(nmax, 0, -1):
+            r = x / (x * r + 2.0 * k)
+            h = (h + 1.0) * r
+            row[k] = r
+        p = row[0] = 1.0 / (1.0 + 2.0 * h)
+        for k in range(1, nmax + 1):
+            p = row[k] = row[k] * p
+        return np.array([row])
     b = np.maximum(nmax, np.ceil(xs))
     start = (b + 40.0 + np.ceil(2.0 * np.sqrt(b + 1.0))).astype(np.int64)
     order = np.argsort(-start)

@@ -78,6 +78,26 @@ class TestParse:
         with pytest.raises(ConfigError, match="samples must be at least 1"):
             parse_config("task = PhaseHet\nalpha = 1", overrides={"samples": int(value)})
 
+    @pytest.mark.parametrize("line", ["samples = 2.7", "seed = 2.5"])
+    def test_integer_field_rejects_a_fraction(self, line):
+        # int() once truncated these: samples = 2.7 ran 2 samples
+        with pytest.raises(ConfigError, match="cfg:3: bad value .*whole number"):
+            parse_config(f"task = PhaseHet\nalpha = 1\n{line}", path="cfg")
+
+    def test_negative_seed_is_a_config_error(self):
+        # it once reached np.random.SeedSequence and died there
+        with pytest.raises(ConfigError, match="cfg:3: bad value seed .*at least 0"):
+            parse_config("task = PhaseHom\nalpha = 1\nseed = -3", path="cfg")
+        with pytest.raises(ConfigError, match="seed must be at least 0"):
+            parse_config("task = PhaseHom\nalpha = 1", overrides={"seed": -3})
+        assert parse_config("task = PhaseHom\nalpha = 1\nseed = 0").seed == 0
+
+    @pytest.mark.parametrize("value", ["2.5", "1, 2.5", "1:2:3"])
+    def test_m_rounds_takes_whole_numbers(self, value):
+        # 2.5 once wrote an ok row with the 2-round value
+        with pytest.raises(ConfigError, match="'m_rounds' takes whole numbers"):
+            parse_config(f"task = DisplacementHom\nsigma0sq = 1\nm_rounds = {value}")
+
     @pytest.mark.parametrize("key", ["trunc_n", "tail_tol"])
     def test_series_cutoff_is_not_a_config_key(self, key):
         # the series choose their own cutoff and tail bound
@@ -326,6 +346,20 @@ class TestCli:
         assert cli.main(["run", str(cfg), "--out", str(out)] + argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and "samples" in err
+        if line:
+            assert "sweep.cfg:7:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,argv", [("seed = -3\n", []), ("", ["--seed", "-3"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, line, argv):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"task = Squeeze\nalpha = 1\ns = 0.5\nsigma0sq = 1\n"
+                       f"method = montecarlo\nsamples = 100\n{line}")
+        out = tmp_path / "rows.csv"
+        assert cli.main(["run", str(cfg), "--out", str(out)] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "seed" in err
         if line:
             assert "sweep.cfg:7:" in err
         assert not out.exists()

@@ -170,6 +170,35 @@ class TestScaled:
         for x, row in zip(xs, batch):
             np.testing.assert_array_equal(row, bessel_i_scaled_rows([x], nmax)[0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-1e4, 1e4), st.integers(0, 300))
+    @example(5e-324, 300)
+    @example(-5e-324, 1)
+    @example(1e-300, 7)
+    @example(-1e-300, 0)
+    @example(0.0, 300)
+    @example(1e4, 300)
+    @example(-1e4, 0)
+    def test_one_argument_row_is_its_batch_row(self, x, nmax):
+        # one argument runs the recurrence on Python floats: the same
+        # operations in the same order as in a batch, so the same bits
+        batch = bessel_i_scaled_rows([0.3, x, -17.0], nmax)
+        assert bessel_i_scaled_rows([x], nmax)[0].tobytes() == batch[1].tobytes()
+
+    def test_one_argument_row_calls_no_numpy_divide(self, monkeypatch):
+        calls = []
+        divide = np.divide
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return divide(*args, **kwargs)
+
+        monkeypatch.setattr(np, "divide", counting)
+        bessel_i_scaled_rows([50.0], 200)
+        assert calls == []
+        bessel_i_scaled_rows([50.0, 1.0], 200)
+        assert calls
+
     def test_rows_match_mpmath_across_orders_and_arguments(self):
         mpmath = pytest.importorskip("mpmath")
         xs = np.array([1e-3, 0.37, 2.0, 11.5, 48.0, 250.0])
