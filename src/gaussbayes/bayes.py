@@ -171,6 +171,8 @@ def _midpoint_dot(lo: float, hi: float, f: np.ndarray, g):
 def _trapezoid_step(lo: float, hi: float, n: int) -> float:
     # not np.linspace's first node gap, (lo + h) - lo, which cancels the
     # digits of |lo| / h: 3.0e-12 relative on [-1.3, 2.9] at 300001 nodes
+    if n < 2:
+        raise ValueError(f"the trapezoid rule needs at least 2 nodes, got {n}")
     return (hi - lo) / (n - 1)
 
 
@@ -387,6 +389,11 @@ class PriorRule:
     density: Optional[Callable[[np.ndarray], np.ndarray]]
     max_nodes: int
     rule: Optional[str] = None
+
+    def __post_init__(self):
+        least = 2 if (self.rule or _default_rule(self.support)) == TRAPEZOID else 1
+        if self.max_nodes < least:
+            raise ValueError(f"max_nodes must be at least {least}, got {self.max_nodes}")
 
     def grid(self, n: int, rule: Optional[str] = None) -> GridDistribution:
         if self.density is None:
@@ -720,17 +727,20 @@ def _mirror_flat(prior: GridDistribution) -> bool:
 
 
 class _SpreadCalculator:
-    """Posterior variance and evidence for batches of outcomes.
+    """Posterior variance and evidence for batches of outcome features.
 
     Low-rank likelihood kernel: the node coefficients C (k x nodes) are
-    computed once per engine call; each block of outcome rows A (rows x
-    k) then costs exp(A @ C), in place in one reused cache-sized buffer,
-    and one product with the weighted moment matrix, which collects every
-    node-space reduction.  The dense outcome x node likelihood is never
-    formed.  Rounding: log p carries an absolute error, hence p a relative
-    error, of about c eps (|log p| + (|m|^2 + |mu|^2) / sigma^2) for the
-    outcome m, its mean mu and its variance sigma^2 along the narrowest
-    axis; the tests hold c = 16 (measured up to 6).
+    computed once per calculator.  ``spreads`` takes feature rows A
+    (rows x k), ``strategy.outcome_features`` of single outcomes or their
+    sums over rounds, which callers form once for every calculator they
+    run them on.  Each block of rows costs exp(A @ C), in place in one
+    reused cache-sized buffer, and one product with the weighted moment
+    matrix, which collects every node-space reduction.  The dense outcome
+    x node likelihood is never formed.  Rounding: log p carries an
+    absolute error, hence p a relative error, of about
+    c eps (|log p| + (|m|^2 + |mu|^2) / sigma^2) for the outcome m, its
+    mean mu and its variance sigma^2 along the narrowest axis; the tests
+    hold c = 16 (measured up to 6).
     The circular variance uses
     mean sin^2(theta - e) = 1/2 - [cos 2e <cos 2theta> + sin 2e <sin 2theta>]/2.
     log p is floored at ``_LOG_FLOOR`` before the exp; a row whose
@@ -741,13 +751,13 @@ class _SpreadCalculator:
 
     Folding: when the strategy is ``phase_symmetric`` and the prior is a
     flat grid on an even number of midpoint nodes of [-pi, pi)
-    (``_mirror_flat``), a call whose outcomes are all real runs on the n/2
-    nodes theta > 0 with doubled weights, the features (1, x, x^2) and the
-    moments (1, cos 2theta).  Its likelihood is even in theta and the
-    nodes are mirror symmetric, so each dropped node repeats a kept one
-    to rounding: the sin moments vanish, the estimate is 0 or pi, and
-    v = (1 - <cos 2theta>)/2.  Every other call, and every call on any
-    other prior or strategy, runs the full kernel.
+    (``_mirror_flat``), a call whose y features are all zero (real
+    outcomes) runs on the n/2 nodes theta > 0 with doubled weights, the
+    features (1, x, x^2) and the moments (1, cos 2theta).  Its likelihood
+    is even in theta and the nodes are mirror symmetric, so each dropped
+    node repeats a kept one to rounding: the sin moments vanish, the
+    estimate is 0 or pi, and v = (1 - <cos 2theta>)/2.  Every other call,
+    and every call on any other prior or strategy, runs the full kernel.
     """
 
     def __init__(self, prior: GridDistribution, strategy: GaussianOutcomeStrategy,
@@ -826,8 +836,9 @@ class _SpreadCalculator:
             np.exp(buf, out=buf)
             np.matmul(buf, moments, out=out[i:i + rows])
 
-    def spreads(self, outcomes):
-        feats = self.strategy.outcome_features(outcomes)
+    def spreads(self, feats):
+        """(posterior variance, evidence) per row of the outcome features
+        ``feats`` (``strategy.outcome_features``, or sums of them)."""
         if self.symmetric and not feats[:, _Y_FEATURES].any():
             feats, kernel = feats[:, _X_FEATURES], self._fold
         else:
@@ -900,73 +911,73 @@ def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):
                          estimate=prev, std_error=None)
 
 
-def _refine_count(prior: PriorRule, evaluate, rel_tol):
-    """``evaluate(grid) -> (value, result)`` on ``prior.grid(n, prior.rule)``
-    for the counts n of ``prior.counts()``, up to the first count whose
-    value agrees with the previous count's within rel_tol |value|.
-
-    Returns that count's (result, gap, True), or at ``prior.max_nodes``
-    its (result, last gap, False); the gap is None after a single count.
+def _refine_count(strategy, prior: Union[GridDistribution, PriorRule], evaluate, rel_tol):
+    """``evaluate(calc) -> (value, result)`` on ``_SpreadCalculator``s of
+    ``strategy``, one kernel buffer for all of them.  A
+    ``GridDistribution`` is evaluated once, as it is: (result, None, True).
+    A ``PriorRule`` is evaluated on ``prior.grid(n, prior.rule)`` for the
+    counts n of ``prior.counts()`` up to the first whose value agrees with
+    the previous count's within rel_tol |value|: its (result, gap, True),
+    or at ``prior.max_nodes`` (result, last gap or None, False).
     """
+    if isinstance(prior, GridDistribution):
+        counts, grid = [prior.nodes.size], lambda n: prior
+    else:
+        counts, grid = list(prior.counts()), lambda n: prior.grid(n, prior.rule)
+    # one kernel buffer for every count: a buffer per count would have its
+    # pages faulted in afresh each time
+    scratch = _kernel_scratch(*counts)
     prev = gap = None
-    for n in prior.counts():
-        value, result = evaluate(prior.grid(n, prior.rule))
+    for n in counts:
+        value, result = evaluate(_SpreadCalculator(grid(n), strategy, scratch))
         if prev is not None:
             gap = abs(value - prev)
             if gap <= max(rel_tol * abs(value), 1e-300):
                 return result, gap, True
         prev = value
-    return result, gap, False
-
-
-def _chunk_spreads(calc, outcomes):
-    """Posterior spreads of one Monte Carlo chunk's outcomes on ``calc``."""
-    if calc.symmetric:
-        # rotation covariance on the flat full-circle prior: beta and
-        # |beta| have the same posterior spread, and |beta| folds
-        outcomes = np.abs(outcomes)
-    return calc.spreads(outcomes)[0]
+    return result, gap, isinstance(prior, GridDistribution)
 
 
 def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, rng, rel_tol):
     """Seeded Monte Carlo in chunks of ``_MC_CHUNK`` draws.
 
-    On a ``PriorRule`` theta is drawn from ``prior.grid(prior.max_nodes)``,
-    on the support's own rule, and the posteriors are integrated on
-    ``prior.grid(n, prior.rule)``.  The first chunk's spreads are computed
-    at the counts of ``prior.counts()`` until two chunk means agree within
-    rel_tol (``_refine_count``), and that count serves every chunk; at
-    ``max_nodes`` without agreement the ceiling count does.  The draws do
-    not depend on the count, and ``std_error`` is the standard error plus
-    the last gap.  A ``GridDistribution`` is drawn from and integrated on
-    as it is.
+    Theta is drawn from a ``GridDistribution``, or from a ``PriorRule``'s
+    ``grid(max_nodes)`` on the support's own rule.  The first chunk's
+    means choose the calculator (``_refine_count``; on a rule without
+    agreement, the ceiling count's), which serves every chunk.  The draws
+    do not depend on the count; ``std_error`` is the standard error plus
+    the last gap.  Each chunk's features are formed once per reduction
+    and shared by every count the search tries.
     """
     if rng is None:
         raise ValueError("Monte Carlo requires a seeded generator")
     if samples < 1:
         raise ValueError(f"Monte Carlo needs at least one sample, got {samples}")
-    calc, gap = None, 0.0
-    if isinstance(prior, PriorRule):
-        draw = prior.grid(prior.max_nodes)
-        scratch = _kernel_scratch(*prior.counts())
-    else:
-        draw = prior
-        calc = _SpreadCalculator(prior, strategy, _kernel_scratch(prior.nodes.size))
+    draw = prior if isinstance(prior, GridDistribution) else prior.grid(prior.max_nodes)
+    calc = gap = None
     # Chan's merge of the per-chunk count, mean and sum of squared deviations
     done, mean, m2 = 0, 0.0, 0.0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
         thetas = draw.sample(rng, m)
         outcomes = strategy.sample_outcomes_given(thetas, rng)
+        feats = {}  # by calc.symmetric: each count of the search shares them
+
+        def spreads(calc):
+            # rotation covariance on the flat full-circle prior: beta and
+            # |beta| have the same posterior spread, and |beta| folds; a
+            # sum of features over rounds must not be reduced so
+            if calc.symmetric not in feats:
+                feats[calc.symmetric] = strategy.outcome_features(
+                    np.abs(outcomes) if calc.symmetric else outcomes)
+            return calc.spreads(feats[calc.symmetric])[0]
         if calc is None:
-            def evaluate(grid):
-                calc = _SpreadCalculator(grid, strategy, scratch)
-                v = _chunk_spreads(calc, outcomes)
+            def evaluate(calc):
+                v = spreads(calc)
                 return float(v.mean()), (calc, v)
-            (calc, v), gap, _ = _refine_count(prior, evaluate, rel_tol)
-            gap = gap or 0.0
+            (calc, v), gap, _ = _refine_count(strategy, prior, evaluate, rel_tol)
         else:
-            v = _chunk_spreads(calc, outcomes)
+            v = spreads(calc)
         chunk_mean = float(v.mean())
         chunk_m2 = float(((v - chunk_mean) ** 2).sum())
         delta = chunk_mean - mean
@@ -975,49 +986,37 @@ def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, r
         m2 += chunk_m2 + delta * delta * done * m / total
         done = total
     se = math.sqrt(m2 / samples / samples)
-    return AverageVariance(mean, se + gap, "monte-carlo", prior_nodes=calc._prior.nodes.size,
-                           samples=samples)
+    return AverageVariance(mean, se + (gap or 0.0), "monte-carlo",
+                           prior_nodes=calc._prior.nodes.size, samples=samples)
 
 
-def _grid_quadrature(strategy, prior: GridDistribution, rel_tol, max_level, scratch):
-    """Outcome quadrature on one prior grid; ``scratch`` as in
-    ``_SpreadCalculator``."""
-    calc = _SpreadCalculator(prior, strategy, scratch)
+def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, max_level):
+    """Outcome quadrature (``_quadrature_outcome_grid``, features formed
+    once per level) on each calculator of ``_refine_count``.  On a
+    ``PriorRule`` the error is the outcome-step error plus the gap
+    between the last two counts: the rules converge spectrally, so the gap
+    bounds the finer count's prior-grid error.  ToleranceError carries the
+    last value when no two counts agree.
+    """
     rows = strategy.outcome_rows
 
     def rule(level):
         outcomes, weights = strategy.outcome_nodes(level)
         return outcomes.reshape(rows, -1), weights.reshape(rows, -1)
 
-    def integrand(outcomes):
-        v, z = calc.spreads(outcomes.ravel())
-        return (z * v).reshape(outcomes.shape)
-    res = _quadrature_outcome_grid(rule, integrand, rel_tol, max_level)
-    return dataclasses.replace(res, prior_nodes=prior.nodes.size)
-
-
-def _refined_quadrature(strategy, prior: PriorRule, rel_tol, max_level):
-    """Outcome quadrature on prior grids of doubling node count.
-
-    Stops when two consecutive counts agree within rel_tol
-    (``_refine_count``) and returns the finer one, its error the
-    outcome-step error plus the gap; the rules converge spectrally, so the
-    gap bounds the finer count's prior-grid error.  ToleranceError carries
-    the last value when ``prior.max_nodes`` is reached first.
-    """
-    # one kernel buffer for every count: a buffer per count would have its
-    # pages faulted in afresh each time
-    scratch = _kernel_scratch(*prior.counts())
-
-    def evaluate(grid):
-        res = _grid_quadrature(strategy, grid, rel_tol, max_level, scratch)
-        return res.value, res
-    res, gap, agreed = _refine_count(prior, evaluate, rel_tol)
+    def evaluate(calc):
+        def integrand(outcomes):
+            v, z = calc.spreads(strategy.outcome_features(outcomes.ravel()))
+            return (z * v).reshape(outcomes.shape)
+        res = _quadrature_outcome_grid(rule, integrand, rel_tol, max_level)
+        return res.value, dataclasses.replace(res, prior_nodes=calc._prior.nodes.size)
+    res, gap, agreed = _refine_count(strategy, prior, evaluate, rel_tol)
+    if gap is not None:
+        res = dataclasses.replace(res, std_error=res.std_error + gap)
     if agreed:
-        return dataclasses.replace(res, std_error=res.std_error + gap)
+        return res
     raise ToleranceError(f"prior quadrature did not converge within {prior.max_nodes} nodes",
-                         estimate=res.value,
-                         std_error=None if gap is None else res.std_error + gap)
+                         estimate=res.value, std_error=None if gap is None else res.std_error)
 
 
 def average_posterior_variance(strategy, prior: Union[GridDistribution, PriorRule],
@@ -1027,22 +1026,20 @@ def average_posterior_variance(strategy, prior: Union[GridDistribution, PriorRul
     """Outcome-averaged posterior variance of an estimation strategy.
 
     ``method`` is "quadrature" (deterministic, Richardson step-halving
-    error estimate) or "montecarlo" (theta ~ prior, m ~ p(m|theta),
-    standard error reported; ``samples`` >= 1).  On a ``PriorRule`` both
-    also choose the prior node count, doubling it until two counts agree
-    within ``rel_tol``, and add the gap to ``std_error``: quadrature
-    (``_refined_quadrature``) raises ``ToleranceError`` when no two
-    counts agree, Monte Carlo (``_monte_carlo``, which chooses on its
-    first chunk and draws theta from the rule's grid of ``max_nodes``)
-    then runs on the ceiling count.  A ``GridDistribution`` is used as it
-    is.  Monte Carlo draws are chunked at a fixed size so results depend
-    only on the generator's seed.
+    error estimate; ``_quadrature``) or "montecarlo" (theta ~ prior,
+    m ~ p(m|theta), standard error reported, ``samples`` >= 1;
+    ``_monte_carlo``).  Both run one path for either prior type
+    (``_refine_count``).  A ``GridDistribution`` is used as it is.  On a
+    ``PriorRule`` both choose the prior node count, doubling it until two
+    counts agree within ``rel_tol``, and add the gap to ``std_error``:
+    quadrature raises ``ToleranceError`` when no two counts agree, Monte
+    Carlo (which chooses on its first chunk and draws theta from the
+    rule's grid of ``max_nodes``) then runs on the ceiling count.  Monte
+    Carlo draws are chunked at a fixed size so results depend only on the
+    generator's seed.
     """
     if method == "quadrature":
-        if isinstance(prior, PriorRule):
-            return _refined_quadrature(strategy, prior, rel_tol, max_level)
-        return _grid_quadrature(strategy, prior, rel_tol, max_level,
-                                _kernel_scratch(prior.nodes.size))
+        return _quadrature(strategy, prior, rel_tol, max_level)
     if method == "montecarlo":
         return _monte_carlo(strategy, prior, samples, rng, rel_tol)
     raise ValueError(f"unknown method {method!r}")

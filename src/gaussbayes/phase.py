@@ -26,7 +26,7 @@ from . import specfun
 from .bayes import (CIRCLE_GRID_NODES, GAUSS_LEGENDRE, AverageVariance, Circle,
                     GaussianOutcomeStrategy, GridDistribution, PriorRule,
                     _quadrature_outcome_grid, average_posterior_variance,
-                    gaussian_outcome_density, midpoint, trapezoid)
+                    gaussian_outcome_density, trapezoid)
 from .measurement import Measurement, MeasurementKind
 from .phasespace import ProbeSpec, gamma_qq
 
@@ -407,9 +407,8 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
     Outcome moments as in ``squeezed_het_likelihood``.  Outcome quadrature runs over the radial
     coordinate only: the posterior is covariant under rotations of beta,
     so the angular integral contributes a factor 2 pi |beta| (checked by
-    the rotational-covariance property tests).  Setting
-    ``angular_symmetry=False`` integrates the full polar grid instead, one
-    radial rule per angle.
+    the rotational-covariance property tests and against the full polar
+    grid).  ``base_radial`` sets the level-0 radial node count.
 
     ``phase_symmetric``: the theta = 0 law has the real mean alpha and
     axes along x and y (vxy = 0), and theta rotates it by -theta.  So a
@@ -423,28 +422,19 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
 
     phase_symmetric = True
 
-    def __init__(self, alpha: float, r: float = 0.0, base_radial: int = 128,
-                 angular_nodes: int = 256, angular_symmetry: bool = True):
+    def __init__(self, alpha: float, r: float = 0.0, base_radial: int = 128):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
         self.r = float(r)
         self.base_radial = base_radial
-        self.angular_nodes = angular_nodes
-        self.angular_symmetry = angular_symmetry
-        self.outcome_rows = 1 if angular_symmetry else angular_nodes
         self.support = HET_SUPPORT
         super().__init__(lambda t: _het_moments(self.alpha, self.r, t), self._nodes,
                          dim=2, circular=True)
 
     def _nodes(self, level):
         rho, wr = _radial_rule(self.alpha, self.r, self.base_radial, level)
-        if self.angular_symmetry:
-            return rho.astype(complex), 2.0 * math.pi * rho * wr
-        ang, wa = midpoint(-math.pi, math.pi, self.angular_nodes)
-        betas = (np.exp(-1j * ang)[:, None] * rho[None, :]).ravel()
-        weights = (wa[:, None] * (rho * wr)[None, :]).ravel()
-        return betas, weights
+        return rho.astype(complex), 2.0 * math.pi * rho * wr
 
 
 class HomodynePhaseStrategy(GaussianOutcomeStrategy):

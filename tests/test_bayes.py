@@ -26,6 +26,11 @@ def rng_for(*lane):
     return np.random.default_rng(np.random.SeedSequence((99, *lane)))
 
 
+def spreads_at(calc, outcomes):
+    """The kernel's (posterior variance, evidence) at single outcomes."""
+    return calc.spreads(calc.strategy.outcome_features(outcomes))
+
+
 class TestGaussianUpdate:
     def test_equal_variance_midpoint(self):
         post = bayes.gaussian_update(GaussianPrior(0.0, 1.0), 2.0, 1.0)
@@ -105,6 +110,29 @@ class TestGridDistribution:
     def test_empty_grid_is_rejected(self, rule):
         with pytest.raises(ValueError):
             GridDistribution(Interval(0, 1), np.array([]), np.array([]), rule)
+
+    def test_one_node_trapezoid_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 nodes, got 1"):
+            GridDistribution.uniform(Interval(0, 1), 1)
+        with pytest.raises(ValueError, match="at least 2 nodes, got 1"):
+            GridDistribution(Interval(0, 1), [0.5], [1.0])
+
+    @pytest.mark.parametrize("support,rule", [(Circle(-1.0, 1.0), None),
+                                              (Interval(0, 2), bayes.MIDPOINT),
+                                              (Interval(0, 2), bayes.GAUSS_LEGENDRE)])
+    def test_one_node_grids_of_the_other_rules_work(self, support, rule):
+        grid = GridDistribution.uniform(support, 1, rule)
+        assert grid.nodes.tolist() == [0.5 * (support.lo + support.hi)]
+        assert grid.integrate() == 1.0
+
+    @pytest.mark.parametrize("rule,least", [(None, 2), (bayes.TRAPEZOID, 2),
+                                            (bayes.MIDPOINT, 1), (bayes.GAUSS_LEGENDRE, 1)])
+    def test_prior_rule_needs_a_node_count_its_rule_can_take(self, rule, least):
+        for n in (least - 1, -3):
+            with pytest.raises(ValueError, match=f"at least {least}, got {n}"):
+                bayes.PriorRule(Interval(0, 1), None, n, rule)
+        rule_ = bayes.PriorRule(Interval(0, 1), None, least, rule)
+        assert rule_.grid(least, rule).integrate() == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_caller_writes_do_not_reach_the_grid(self, read_only_view):
@@ -313,20 +341,6 @@ class TestRuleTable:
         lo, hi = rule.support.lo, rule.support.hi
         for n in (65, 513, 2001):
             np.testing.assert_array_equal(rule.grid(n).weights, bayes.trapezoid(lo, hi, n)[1])
-
-    @pytest.mark.parametrize("k", [16, 256])
-    def test_full_polar_grid_angles_are_the_midpoint_rule(self, k):
-        strat = phase.HeterodynePhaseStrategy(1.0, 0.3, angular_nodes=k,
-                                              angular_symmetry=False)
-        rho, wr = phase._radial_rule(1.0, 0.3, strat.base_radial, 1)
-        # the angular rule as the strategy wrote it out before the rule
-        # table; at power-of-two counts, the default 256 among them, the
-        # division by k is exact and both forms round alike
-        ang = -math.pi + (np.arange(k) + 0.5) * 2.0 * math.pi / k
-        wa = np.full(k, 2.0 * math.pi / k)
-        betas, weights = strat.outcome_nodes(1)
-        np.testing.assert_array_equal(betas, (np.exp(-1j * ang)[:, None] * rho[None, :]).ravel())
-        np.testing.assert_array_equal(weights, (wa[:, None] * (rho * wr)[None, :]).ravel())
 
     @pytest.mark.parametrize("probe,prior", [
         (ProbeSpec(1.5, 0.4, 0.0), GaussianPrior(-0.5, 1.0)),
@@ -571,7 +585,7 @@ class TestEngines:
         spreads = []
         for size in (bayes._MC_CHUNK, bayes._MC_CHUNK, 123):
             outcomes = strat.sample_outcomes_given(prior.sample(rng, size), rng)
-            spreads.append(calc.spreads(outcomes)[0])
+            spreads.append(spreads_at(calc, outcomes)[0])
         v = np.concatenate(spreads)
         assert res.value == pytest.approx(v.mean(), rel=1e-13)
         assert res.std_error == pytest.approx(v.std() / math.sqrt(v.size), rel=1e-10)
@@ -579,6 +593,30 @@ class TestEngines:
 
 # ---------------------------------------------------------------------------
 # the Gaussian-outcome strategy and its low-rank likelihood kernel
+
+
+def summed_features(strat, outcomes):
+    """Features of the rows of ``outcomes``, each summed over its rounds."""
+    rows, rounds = outcomes.shape
+    return strat.outcome_features(outcomes.ravel()).reshape(rows, rounds, -1).sum(axis=1)
+
+
+class PolarHeterodyne(phase.HeterodynePhaseStrategy):
+    """The heterodyne strategy on the full polar grid, the oracle of its
+    radial quadrature: one radial rule per angle of the ``angular_nodes``
+    midpoint rule on [-pi, pi).  Its complex rows run the full kernel."""
+
+    def __init__(self, alpha, r, angular_nodes, base_radial=128):
+        super().__init__(alpha, r, base_radial)
+        self.angular_nodes = self.outcome_rows = angular_nodes
+
+    def _nodes(self, level):
+        rho, wr = phase._radial_rule(self.alpha, self.r, self.base_radial, level)
+        ang, wa = bayes.midpoint(-math.pi, math.pi, self.angular_nodes)
+        betas = (np.exp(-1j * ang)[:, None] * rho[None, :]).ravel()
+        weights = (wa[:, None] * (rho * wr)[None, :]).ravel()
+        return betas, weights
+
 
 KINDS = ("het", "het_full", "hom", "squeeze", "disp_het", "disp_hom")
 
@@ -596,9 +634,7 @@ def engine_cases(draw, kinds=KINDS):
     if kind == "het":
         strat = phase.HeterodynePhaseStrategy(alpha, r)
     elif kind == "het_full":
-        strat = phase.HeterodynePhaseStrategy(alpha, r, base_radial=8,
-                                              angular_nodes=draw(st.integers(3, 40)),
-                                              angular_symmetry=False)
+        strat = PolarHeterodyne(alpha, r, draw(st.integers(3, 40)), base_radial=8)
     elif kind == "hom":
         strat = phase.HomodynePhaseStrategy(alpha, r, angle)
     elif kind == "squeeze":
@@ -662,7 +698,7 @@ class TestGaussianOutcomeKernel:
     def test_blocked_spreads_match_dense_likelihood(self, case):
         _, strat, prior, outcomes = case
         calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(prior.nodes.size))
-        v, z = calc.spreads(outcomes)
+        v, z = spreads_at(calc, outcomes)
         v_ref, z_ref = dense_spreads(strat, prior, outcomes)
         # below ~1e-280 the kernel's floor of 9e-308 per cell shows
         seen = z_ref > 1e-280
@@ -741,21 +777,16 @@ class TestGaussianOutcomeKernel:
         # coherent alpha = 1 heterodyne, features summed over N rounds: every
         # log p of a row lies far below the floor, yet the posterior is
         # peaked, N APV -> 1/F = 1/2; a flattened row gives v = 1/2, N v = N
-        class SummedRounds(phase.HeterodynePhaseStrategy):
-            def outcome_features(self, outcomes):
-                rows, n = outcomes.shape
-                feats = super().outcome_features(outcomes.ravel())
-                return feats.reshape(rows, n, -1).sum(axis=1)
-
         n_rounds, draws = 1024, 4000
-        strat = SummedRounds(1.0, 0.0)
+        strat = phase.HeterodynePhaseStrategy(1.0, 0.0)
         prior = GridDistribution.uniform(phase.HET_SUPPORT, 4096)
         calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(prior.nodes.size))
         rng = rng_for(15)
         napv = []
         for thetas in np.array_split(prior.sample(rng, draws), 40):
             outcomes = strat.sample_outcomes_given(np.repeat(thetas, n_rounds), rng)
-            napv.append(n_rounds * calc.spreads(outcomes.reshape(thetas.size, n_rounds))[0])
+            feats = summed_features(strat, outcomes.reshape(thetas.size, n_rounds))
+            napv.append(n_rounds * calc.spreads(feats)[0])
         napv = np.concatenate(napv)
         assert abs(napv.mean() - 0.5) <= 4.0 * napv.std() / math.sqrt(draws)
 
@@ -802,7 +833,7 @@ class TestPhaseFold:
         strat, prior, outcomes = case
         calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(prior.nodes.size))
         assert calc.symmetric
-        v, z = calc.spreads(outcomes)
+        v, z = spreads_at(calc, outcomes)
         v_ref, z_ref = dense_spreads(strat, prior, outcomes)
         seen = z_ref > 1e-280
         np.testing.assert_allclose(z[seen], z_ref[seen], rtol=1e-12)
@@ -818,12 +849,11 @@ class TestPhaseFold:
         scratch = bayes._kernel_scratch(n)
         for alpha, r in [(0.5, 0.0), (1.8, 1.0), (4.0, 1.25)]:
             radial = phase.HeterodynePhaseStrategy(alpha, r)
-            polar = phase.HeterodynePhaseStrategy(alpha, r, angular_nodes=k,
-                                                  angular_symmetry=False)
+            polar = PolarHeterodyne(alpha, r, k)
             rho = radial.outcome_nodes(1)[0]
-            v, z = bayes._SpreadCalculator(prior, radial, scratch).spreads(rho)
-            v_p, z_p = bayes._SpreadCalculator(prior, polar, scratch).spreads(
-                polar.outcome_nodes(1)[0])
+            v, z = spreads_at(bayes._SpreadCalculator(prior, radial, scratch), rho)
+            v_p, z_p = spreads_at(bayes._SpreadCalculator(prior, polar, scratch),
+                                  polar.outcome_nodes(1)[0])
             seen = np.broadcast_to(z > 1e-280, (k, rho.size)).ravel()
             np.testing.assert_allclose(z_p[seen], np.tile(z, k)[seen], rtol=1e-12)
             np.testing.assert_allclose(v_p[seen], np.tile(v, k)[seen], rtol=1e-12, atol=1e-14)
@@ -841,8 +871,8 @@ class TestPhaseFold:
         rng = rng_for(18, n)
         betas = strat.sample_outcomes_given(prior.sample(rng, 2000), rng)
         scratch = bayes._kernel_scratch(n)
-        v, _ = bayes._SpreadCalculator(prior, strat, scratch).spreads(np.abs(betas))
-        v_full, _ = bayes._SpreadCalculator(prior, unfolded(strat), scratch).spreads(betas)
+        v, _ = spreads_at(bayes._SpreadCalculator(prior, strat, scratch), np.abs(betas))
+        v_full, _ = spreads_at(bayes._SpreadCalculator(prior, unfolded(strat), scratch), betas)
         assert np.max(np.abs(v - v_full)) <= 1e-13
 
     def test_monte_carlo_runs_on_the_radii_of_its_draws(self):
@@ -854,7 +884,7 @@ class TestPhaseFold:
         rng = rng_for(19)
         betas = strat.sample_outcomes_given(prior.sample(rng, 4000), rng)
         calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(512))
-        v = calc.spreads(np.abs(betas))[0]
+        v = spreads_at(calc, np.abs(betas))[0]
         assert res.value == pytest.approx(v.mean(), rel=1e-13)
 
     @pytest.mark.parametrize("case", ["non-flat", "odd", "hom-support", "legendre",
@@ -863,6 +893,7 @@ class TestPhaseFold:
         strat = phase.HeterodynePhaseStrategy(1.3, 0.6)
         prior = phase.flat_prior(phase.HET_SUPPORT, 512)
         outcomes = strat.outcome_nodes(1)[0]
+        feats = strat.outcome_features(outcomes)
         if case == "non-flat":
             prior = GridDistribution.from_function(phase.HET_SUPPORT,
                                                    lambda t: np.exp(np.cos(t)), 512)
@@ -875,21 +906,17 @@ class TestPhaseFold:
         else:
             rng = rng_for(20)
             outcomes = strat.sample_outcomes_given(prior.sample(rng, 3000), rng)
+            feats = strat.outcome_features(outcomes)
             if case == "summed":
                 # complex outcomes of four rounds per row, features summed
-                class SummedRounds(phase.HeterodynePhaseStrategy):
-                    def outcome_features(self, outcomes):
-                        feats = super().outcome_features(outcomes.ravel())
-                        return feats.reshape(outcomes.shape[0], 4, -1).sum(axis=1)
-                strat = SummedRounds(1.3, 0.6)
-                outcomes = outcomes.reshape(-1, 4)
+                feats = summed_features(strat, outcomes.reshape(-1, 4))
         scratch = bayes._kernel_scratch(prior.nodes.size)
         calc = bayes._SpreadCalculator(prior, strat, scratch)
         assert calc.symmetric == (case in ("complex", "summed"))
         cols = kernel_columns(monkeypatch)
-        v, z = calc.spreads(outcomes)
+        v, z = calc.spreads(feats)
         assert set(cols) == {prior.nodes.size}
-        v_full, z_full = bayes._SpreadCalculator(prior, unfolded(strat), scratch).spreads(outcomes)
+        v_full, z_full = bayes._SpreadCalculator(prior, unfolded(strat), scratch).spreads(feats)
         np.testing.assert_array_equal(v, v_full)
         np.testing.assert_array_equal(z, z_full)
 
@@ -1062,8 +1089,7 @@ def _engine_row(kind):
     if kind == "het":
         return phase.HeterodynePhaseStrategy(1.8, 1.0), phase.flat_prior(phase.HET_SUPPORT, 256)
     if kind == "het_full":
-        strat = phase.HeterodynePhaseStrategy(1.0, 0.3, angular_nodes=16,
-                                              angular_symmetry=False)
+        strat = PolarHeterodyne(1.0, 0.3, 16)
         return strat, phase.flat_prior(phase.HET_SUPPORT, 256)
     if kind == "hom":
         return phase.HomodynePhaseStrategy(1.0, 0.4, 0.3), phase.flat_prior(phase.HOM_SUPPORT, 256)
@@ -1121,7 +1147,7 @@ class TestNestedOutcomeNodes:
 
         def level_value(level):
             outcomes, weights = strat.outcome_nodes(level)
-            v, z = calc.spreads(outcomes)
+            v, z = spreads_at(calc, outcomes)
             return float(weights @ (z * v))
         want, levels = full_reevaluation(level_value, 1e-6, 5)
         got = average_posterior_variance(strat, prior)
@@ -1148,9 +1174,9 @@ class TestNestedOutcomeNodes:
         rows = []
         spreads = bayes._SpreadCalculator.spreads
 
-        def counting(calc, outcomes):
-            rows.append(np.size(outcomes))
-            return spreads(calc, outcomes)
+        def counting(calc, feats):
+            rows.append(len(feats))
+            return spreads(calc, feats)
         monkeypatch.setattr(bayes._SpreadCalculator, "spreads", counting)
         levels = _levels(average_posterior_variance(strat, prior))
         assert levels >= 2
@@ -1290,9 +1316,9 @@ class TestPriorRefinement:
         cells = []
         spreads = bayes._SpreadCalculator.spreads
 
-        def counting(calc, outcomes):
-            cells.append(np.size(outcomes) * calc.moments.shape[0])
-            return spreads(calc, outcomes)
+        def counting(calc, feats):
+            cells.append(len(feats) * calc.moments.shape[0])
+            return spreads(calc, feats)
         monkeypatch.setattr(bayes._SpreadCalculator, "spreads", counting)
         got, parts = _task_engine(task, p)
         refined = sum(cells)
@@ -1347,7 +1373,7 @@ def replay_monte_carlo(strat, rule, samples, nodes, rng):
     for start in range(0, samples, bayes._MC_CHUNK):
         ts.append(draw.sample(rng, min(bayes._MC_CHUNK, samples - start)))
         outcomes = strat.sample_outcomes_given(ts[-1], rng)
-        vs.append(calc.spreads(np.abs(outcomes) if calc.symmetric else outcomes)[0])
+        vs.append(spreads_at(calc, np.abs(outcomes) if calc.symmetric else outcomes)[0])
     return np.concatenate(vs), np.concatenate(ts), rng
 
 
@@ -1445,6 +1471,36 @@ class TestMonteCarloNodeCount:
                                          rng=rng_for(25), rel_tol=1e-5)
         assert res.prior_nodes < 2001
         assert np.dot(rows, cols) <= 2 * 4096 * 2001 / 5
+
+    def test_cost_guard_features_once_per_chunk(self, monkeypatch):
+        # two chunks, the first searched over 65, 129 and 257 nodes: each
+        # chunk's features are formed once, and every count shares them
+        strat, rule = _squeeze_rule(4.0, 1.0)
+        formed = []
+        features = strat.outcome_features
+        monkeypatch.setattr(strat, "outcome_features",
+                            lambda outcomes: formed.append(len(outcomes)) or features(outcomes))
+        cols = kernel_columns(monkeypatch)
+        res = average_posterior_variance(strat, rule, method="montecarlo", samples=8192,
+                                         rng=rng_for(25), rel_tol=1e-5)
+        assert sorted(set(cols)) == [65, 129, 257] and res.prior_nodes == 257
+        assert formed == [4096, 4096]
+
+    def test_a_grid_is_a_one_count_rule(self):
+        # the flat 64-node grid and the rule whose only count is 64: one
+        # path, the same draws, calculator and value bit for bit; only
+        # quadrature, which needs two counts to agree, tells them apart
+        strat = phase.HeterodynePhaseStrategy(1.5, 0.25)
+        grid = phase.flat_prior(phase.HET_SUPPORT, 64)
+        rule = bayes.PriorRule(phase.HET_SUPPORT, None, 64)
+        on_grid, on_rule = (average_posterior_variance(strat, prior, method="montecarlo",
+                                                       samples=6000, rng=rng_for(28))
+                            for prior in (grid, rule))
+        assert on_grid == on_rule and on_grid.prior_nodes == 64
+        assert average_posterior_variance(strat, grid).prior_nodes == 64
+        with pytest.raises(ToleranceError, match="within 64 nodes") as err:
+            average_posterior_variance(strat, rule)
+        assert err.value.std_error is None
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_samples_must_be_positive(self, samples):

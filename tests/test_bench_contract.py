@@ -1,12 +1,19 @@
-"""The benchmark's tracer binds public names of the package by attribute.
+"""The benchmark binds public names of the package by attribute.
 
 ``perfbench/tracer.py`` wraps functions and methods of the gaussbayes
 modules and puts the originals back.  Installing and removing it here
 fails fast when a refactor drops or renames a name it binds.
+``perfbench/make_reference.py`` calls the engine on a ``GridDistribution``
+and sets ``HeterodynePhaseStrategy(base_radial=...)``; one of its stored
+rows is recomputed here.
 """
 
+import json
+import os
 import sys
 from pathlib import Path
+
+import pytest
 
 from gaussbayes import (bayes, displacement, harness, measurement, phase, phasespace,
                         specfun, squeezing)
@@ -46,3 +53,19 @@ def test_tracer_installs_and_restores_every_binding():
         assert after[key].keys() == attrs.keys(), key
         for attr, value in attrs.items():
             assert after[key][attr] is value, f"{key}.{attr}"
+
+
+def test_reference_script_reproduces_a_stored_row(monkeypatch):
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    # the script puts its directories on sys.path and sets BLAS thread
+    # counts at import; monkeypatch undoes both
+    monkeypatch.syspath_prepend(str(perfbench))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    import make_reference
+    import ops
+    key = "phasehet(alpha=1.0,r=0.25)"
+    family, row = ops.required_references()[key]
+    with open(perfbench / "reference.json", encoding="utf-8") as fh:
+        stored = json.load(fh)["values"][key]
+    assert make_reference.reference(family, row) == pytest.approx(stored, rel=1e-12)

@@ -11,6 +11,7 @@ from gaussbayes.bayes import Circle, GridDistribution
 from gaussbayes.measurement import HETERODYNE, homodyne
 from gaussbayes.phasespace import ProbeSpec
 from gaussbayes.phase import TruncationError
+from test_bayes import PolarHeterodyne
 
 SQ2 = math.sqrt(2.0)
 
@@ -277,10 +278,14 @@ class TestNumericEngine:
 
     def test_full_polar_grid_matches_symmetric_path(self):
         sym = phase.average_variance_numeric(phase.PhaseTask(ProbeSpec(1.0), HETERODYNE))
-        strat = phase.HeterodynePhaseStrategy(1.0, 0.0, angular_symmetry=False,
-                                              angular_nodes=64)
+        strat = PolarHeterodyne(1.0, 0.0, 64)
         full = bayes.average_posterior_variance(strat, phase.flat_prior(phase.HET_SUPPORT))
         assert full.value == pytest.approx(sym.value, abs=1e-8)
+
+    def test_no_prior_nodes_is_a_value_error(self):
+        task = phase.PhaseTask(ProbeSpec(1.0), HETERODYNE)
+        with pytest.raises(ValueError, match="at least 1, got 0"):
+            phase.average_variance_numeric(task, grid_nodes=0)
 
     def test_task_validation(self):
         with pytest.raises(ValueError):

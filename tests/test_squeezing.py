@@ -150,6 +150,13 @@ class TestAverageVariance:
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[0] > 0.5  # vacuum probe barely improves on the prior
 
+    @pytest.mark.parametrize("grid_nodes", [0, 1])
+    def test_too_few_prior_nodes_is_a_value_error(self, grid_nodes):
+        # the trapezoid prior needs two nodes; fewer divided by zero
+        task = sq.SqueezeTask(ProbeSpec(0.5), GaussianPrior(0.0, 1.0), grid_nodes=grid_nodes)
+        with pytest.raises(ValueError, match=f"at least 2, got {grid_nodes}"):
+            sq.average_variance(task)
+
     def test_quadrature_vs_monte_carlo(self):
         task = sq.SqueezeTask(ProbeSpec(2.0), GaussianPrior(-0.5, 1.0))
         quad = sq.average_variance(task)
