@@ -131,8 +131,8 @@ class TestGridDistribution:
         for n in (least - 1, -3):
             with pytest.raises(ValueError, match=f"at least {least}, got {n}"):
                 bayes.PriorRule(Interval(0, 1), None, n, rule)
-        rule_ = bayes.PriorRule(Interval(0, 1), None, least, rule)
-        assert rule_.grid(least, rule).integrate() == pytest.approx(1.0, rel=1e-15)
+        prior = bayes.PriorRule(Interval(0, 1), None, least, rule)
+        assert prior.grid(least, rule).integrate() == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_caller_writes_do_not_reach_the_grid(self, read_only_view):
