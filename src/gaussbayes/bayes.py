@@ -203,17 +203,22 @@ def _gauss_legendre_dot(lo: float, hi: float, f: np.ndarray, g):
 def midpoint(lo: float, hi: float, n: int):
     """Nodes and weights of the n-node midpoint rule on [lo, hi), the
     periodic trapezoid rule on a circle."""
+    if n < 1:
+        raise ValueError(f"the midpoint rule needs at least 1 node, got {n}")
     h = (hi - lo) / n
     return lo + (np.arange(n) + 0.5) * h, _midpoint_weights(lo, hi, n)
 
 
 def trapezoid(lo: float, hi: float, n: int):
     """Nodes and weights of the n-node trapezoid rule on [lo, hi]."""
-    return np.linspace(lo, hi, n), _trapezoid_weights(lo, hi, n)
+    weights = _trapezoid_weights(lo, hi, n)  # checks n before linspace does
+    return np.linspace(lo, hi, n), weights
 
 
 def gauss_legendre(lo: float, hi: float, n: int):
     """Nodes and weights of the n-node Gauss-Legendre rule on [lo, hi]."""
+    if n < 1:
+        raise ValueError(f"the Gauss-Legendre rule needs at least 1 node, got {n}")
     x, w = _legendre(n)
     half = 0.5 * (hi - lo)
     return lo + (x + 1.0) * half, w * half
@@ -881,10 +886,17 @@ def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):
     level are ``points[..., 0::2]`` of the next; ``integrand(points)``
     gives one value per point.  Each point is evaluated once: a level
     takes its even points' values from the level before and evaluates
-    only ``points[..., 1::2]``.  ToleranceError carries the last value
-    when ``max_level`` is passed.
+    only ``points[..., 1::2]``.
+
+    Level k returns E_k = T_k + (T_k - T_{k-1})/3 of its trapezoid sum
+    T_k, and quotes the error of that value: |T_1 - T_0|/3 at level 1,
+    where E_1 is the only extrapolated value, and |E_k - E_{k-1}| from
+    level 2 on.  It stops at the first level whose quoted error is within
+    rel_tol |T_k|.  When ``max_level`` is passed, ToleranceError carries
+    the last extrapolated value and its quoted error (T_0 and None when
+    there is only level 0).
     """
-    prev = prev_points = prev_values = None
+    prev = prev_points = prev_values = best = None
     for level in range(max_level + 1):
         points, weights = rule(level)
         if prev_values is None:
@@ -900,15 +912,19 @@ def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):
         value = float(weights.ravel() @ values.ravel())
         if prev is not None:
             # one Richardson step cancels the trapezoid h^2 error, so the
-            # returned value carries error well below the |delta|/3 estimate
+            # returned value carries error well below |delta|/3; the gap
+            # between two extrapolated values is the error it does carry
             delta = value - prev
-            if abs(delta) / 3.0 <= max(rel_tol * abs(value), 1e-300):
-                return AverageVariance(value + delta / 3.0, abs(delta) / 3.0,
-                                       "quadrature", levels=level + 1)
+            extrapolated = value + delta / 3.0
+            err = abs(delta) / 3.0 if best is None else abs(extrapolated - best.value)
+            best = AverageVariance(extrapolated, err, "quadrature", levels=level + 1)
+            if err <= max(rel_tol * abs(value), 1e-300):
+                return best
         prev, prev_points, prev_values = value, points, values
     raise ToleranceError("outcome quadrature did not converge "
                          f"(last delta at level {max_level})",
-                         estimate=prev, std_error=None)
+                         estimate=prev if best is None else best.value,
+                         std_error=None if best is None else best.std_error)
 
 
 def _refine_count(strategy, prior: Union[GridDistribution, PriorRule], evaluate, rel_tol):
@@ -1025,10 +1041,11 @@ def average_posterior_variance(strategy, prior: Union[GridDistribution, PriorRul
                                rel_tol: float = 1e-6, max_level: int = 5) -> AverageVariance:
     """Outcome-averaged posterior variance of an estimation strategy.
 
-    ``method`` is "quadrature" (deterministic, Richardson step-halving
-    error estimate; ``_quadrature``) or "montecarlo" (theta ~ prior,
-    m ~ p(m|theta), standard error reported, ``samples`` >= 1;
-    ``_monte_carlo``).  Both run one path for either prior type
+    ``method`` is "quadrature" (deterministic step halving, returning the
+    Richardson-extrapolated value with the gap to the previous level's
+    extrapolated value as its outcome-step error; ``_quadrature``) or
+    "montecarlo" (theta ~ prior, m ~ p(m|theta), standard error reported,
+    ``samples`` >= 1; ``_monte_carlo``).  Both run one path for either prior type
     (``_refine_count``).  A ``GridDistribution`` is used as it is.  On a
     ``PriorRule`` both choose the prior node count, doubling it until two
     counts agree within ``rel_tol``, and add the gap to ``std_error``:

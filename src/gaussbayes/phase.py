@@ -313,10 +313,11 @@ def _radial_rule(alpha: float, r: float, base: int, level: int):
 def squeezed_het_average_variance(alpha: float, r: float) -> float:
     """Average circular posterior variance by radial quadrature of the series.
 
-    The engine's step-halving driver with one Richardson extrapolation to
-    1e-6 relative, which evaluates the series once per radial node across
-    levels; raises ToleranceError carrying the last value when level 4
-    does not get there.
+    The engine's step-halving driver with one Richardson extrapolation,
+    which evaluates the series once per radial node across levels and
+    stops when the gap between two successive extrapolated values is
+    within 1e-6 relative; raises ToleranceError carrying the last
+    extrapolated value when level 4 does not get there.
     """
     n_max = _sh_cutoff(alpha, r, _sh_radial_extent(alpha, r))
     t = math.tanh(r)

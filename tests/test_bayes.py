@@ -223,6 +223,17 @@ class TestGridRules:
         with pytest.raises(ValueError, match="unknown quadrature rule"):
             GridDistribution(Interval(0, 1), np.linspace(0, 1, 3), np.ones(3), "simpson")
 
+    @pytest.mark.parametrize("rule,least", [(bayes.MIDPOINT, 1), (bayes.GAUSS_LEGENDRE, 1),
+                                            (bayes.TRAPEZOID, 2)])
+    def test_too_few_nodes_raise_a_typed_error(self, rule, least):
+        rule_fn = bayes._RULES[rule][0]
+        for n in (least - 1, -3):
+            with pytest.raises(ValueError, match=f"at least {least} nodes?, got {n}"):
+                rule_fn(0.0, 1.0, n)
+            with pytest.raises(ValueError, match=f"got {n}"):
+                GridDistribution.uniform(Circle(0.0, 1.0), n, rule)
+        assert rule_fn(0.0, 1.0, least)[0].size == least
+
     @pytest.mark.parametrize("grid", [
         GridDistribution.uniform(phase.HET_SUPPORT, 512),
         GridDistribution.from_function(phase.HOM_SUPPORT, lambda t: 1.0 + np.cos(t) ** 2, 300),
@@ -565,6 +576,25 @@ class TestEngines:
         with pytest.raises(ToleranceError) as err:
             average_posterior_variance(strat, prior, max_level=0)
         assert err.value.estimate == pytest.approx(1.0 / 6.0, abs=1e-4)
+
+    @pytest.mark.parametrize("max_level", [1, 2, 3])
+    def test_tolerance_error_carries_the_extrapolated_value(self, max_level):
+        # past level 0 the error carries what the driver would have
+        # returned at max_level: the extrapolated value and its quoted error
+        strat = phase.HeterodynePhaseStrategy(1.8, 1.0)
+        prior = phase.flat_prior(phase.HET_SUPPORT, 128)
+        calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(128))
+        sums = []
+        for level in range(max_level + 1):
+            outcomes, weights = strat.outcome_nodes(level)
+            v, z = spreads_at(calc, outcomes)
+            sums.append(float(weights @ (z * v)))
+        ext = [t + (t - s) / 3.0 for s, t in zip(sums, sums[1:])]
+        want_err = abs(sums[1] - sums[0]) / 3.0 if max_level == 1 else abs(ext[-1] - ext[-2])
+        with pytest.raises(ToleranceError) as err:
+            average_posterior_variance(strat, prior, rel_tol=1e-16, max_level=max_level)
+        assert err.value.estimate == pytest.approx(ext[-1], rel=1e-14)
+        assert abs(err.value.std_error - want_err) <= 1e-14 * ext[-1]
 
     def test_montecarlo_requires_rng(self):
         strat = disp.HeterodyneCoordinateStrategy(0.25, 0.0, "R")
@@ -1107,14 +1137,18 @@ def _engine_row(kind):
 
 def full_reevaluation(level_value, rel_tol, max_level):
     """The step-halving loop that evaluates every node of every level:
-    (extrapolated value, levels)."""
-    prev = None
+    (extrapolated value, its quoted error, levels).  The error is
+    |T_1 - T_0|/3 at level 1 and the gap between successive extrapolated
+    values from level 2 on."""
+    prev = prev_ext = None
     for level in range(max_level + 1):
         value = level_value(level)
         if prev is not None:
-            delta = value - prev
-            if abs(delta) / 3.0 <= max(rel_tol * abs(value), 1e-300):
-                return value + delta / 3.0, level + 1
+            ext = value + (value - prev) / 3.0
+            err = abs(value - prev) / 3.0 if prev_ext is None else abs(ext - prev_ext)
+            if err <= max(rel_tol * abs(value), 1e-300):
+                return ext, err, level + 1
+            prev_ext = ext
         prev = value
     raise AssertionError("no convergence")
 
@@ -1149,9 +1183,10 @@ class TestNestedOutcomeNodes:
             outcomes, weights = strat.outcome_nodes(level)
             v, z = spreads_at(calc, outcomes)
             return float(weights @ (z * v))
-        want, levels = full_reevaluation(level_value, 1e-6, 5)
+        want, err, levels = full_reevaluation(level_value, 1e-6, 5)
         got = average_posterior_variance(strat, prior)
         assert got.value == pytest.approx(want, rel=1e-14)
+        assert abs(got.std_error - err) <= 1e-14 * abs(want)
         assert _levels(got) == levels
 
     def test_series_matches_full_reevaluation(self):
@@ -1164,7 +1199,7 @@ class TestNestedOutcomeNodes:
             rows_u, rows_v = phase._sh_rows(alpha, r, rho, n_max)
             s = (0.5 * phase._sh_terms(rows_u, rows_v, n_max)[1]).sum(axis=1)
             return float(w @ (rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)))
-        want, _ = full_reevaluation(level_value, 1e-6, 4)
+        want, _, _ = full_reevaluation(level_value, 1e-6, 4)
         assert phase.squeezed_het_average_variance(alpha, r) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -1182,6 +1217,27 @@ class TestNestedOutcomeNodes:
         assert levels >= 2
         assert len(rows) == levels
         assert sum(rows) == strat.outcome_nodes(levels - 1)[0].size
+
+    @pytest.mark.parametrize("alpha,r", [(1.0, 0.25), (1.8, 1.0)])
+    def test_phase_het_row_stops_at_level_2(self, alpha, r, monkeypatch):
+        # cost guard: a PhaseHet row stops on the gap between the level-1
+        # and level-2 extrapolated values, and on every prior count the
+        # kernel sees exactly the outcome nodes of level 2
+        from gaussbayes.measurement import HETERODYNE
+        rows = {}
+        spreads = bayes._SpreadCalculator.spreads
+
+        def counting(calc, feats):
+            n = calc._prior.nodes.size
+            rows[n] = rows.get(n, 0) + len(feats)
+            return spreads(calc, feats)
+        monkeypatch.setattr(bayes._SpreadCalculator, "spreads", counting)
+        task = phase.PhaseTask(ProbeSpec(alpha, r, math.pi), HETERODYNE)
+        got = phase.average_variance_numeric(task)
+        assert got.levels == 3
+        assert len(rows) >= 2 and max(rows) == got.prior_nodes
+        level_2 = phase.task_strategy(task).outcome_nodes(2)[0].size
+        assert all(sent == level_2 for sent in rows.values())
 
     def test_series_evaluates_each_radial_node_once(self, monkeypatch):
         from gaussbayes import specfun
@@ -1286,6 +1342,8 @@ C3_ROWS = [
     ("DisplacementHet", dict(sigma0sq=10.0, r=1.5)),
     ("DisplacementHom", dict(sigma0sq=0.25, r=0.0)),
     ("DisplacementHom", dict(sigma0sq=10.0, r=1.5)),
+    # a row whose raw |delta|/3 is 280x the real error of its returned value
+    ("PhaseHet", dict(alpha=1.8, r=1.0)),
 ]
 
 
