@@ -184,9 +184,19 @@ def _coordinate_engine(strategy, method, samples, rng) -> AverageVariance:
 def het_avg_total_variance_numeric(sigma0sq: float, r: float, method: str = "quadrature",
                                    samples: int = 100_000,
                                    rng: Optional[np.random.Generator] = None) -> AverageVariance:
-    """Engine evaluation of the heterodyne total variance (both coordinates)."""
-    parts = [_coordinate_engine(HeterodyneCoordinateStrategy(sigma0sq, r, coord),
-                                method, samples, rng) for coord in ("R", "I")]
+    """Engine evaluation of the heterodyne total variance (both coordinates).
+
+    An unsqueezed probe (r = 0) gives both coordinates one likelihood, so
+    quadrature, which is deterministic, evaluates the R coordinate once and
+    counts it twice; Monte Carlo draws each coordinate afresh.
+    """
+    parts = [_coordinate_engine(HeterodyneCoordinateStrategy(sigma0sq, r, "R"),
+                                method, samples, rng)]
+    if method == "quadrature" and _het_like_var(r, "R") == _het_like_var(r, "I"):
+        parts.append(parts[0])
+    else:
+        parts.append(_coordinate_engine(HeterodyneCoordinateStrategy(sigma0sq, r, "I"),
+                                        method, samples, rng))
     value = parts[0].value + parts[1].value
     err = math.hypot(parts[0].std_error, parts[1].std_error)
     # the finer grid and the deeper level of the two; draws of both

@@ -198,6 +198,29 @@ class TestEngines:
             1.0, 0.0, method="montecarlo", samples=20_000, rng=rng_for(4))
         assert abs(mc.value - 0.2) <= 4.0 * mc.std_error + 1e-9
 
+    @pytest.mark.parametrize("r, method, engines", [(0.0, "quadrature", 1),
+                                                    (0.3, "quadrature", 2),
+                                                    (0.0, "montecarlo", 2)])
+    def test_cost_guard_unsqueezed_quadrature_runs_one_coordinate(
+            self, monkeypatch, r, method, engines):
+        coords = []
+        engine = disp._coordinate_engine
+
+        def counted(strategy, *args):
+            coords.append(strategy)
+            return engine(strategy, *args)
+        monkeypatch.setattr(disp, "_coordinate_engine", counted)
+        got = disp.het_avg_total_variance_numeric(0.5, r, method=method, samples=4096,
+                                                  rng=rng_for(5))
+        assert len(coords) == engines
+        if engines == 1:
+            # the I coordinate, run on its own, is the R coordinate bit for bit
+            i_part = engine(disp.HeterodyneCoordinateStrategy(0.5, r, "I"), method, 0, None)
+            r_part = engine(coords[0], method, 0, None)
+            assert i_part == r_part
+            assert got.value == r_part.value + i_part.value
+            assert got.std_error == math.hypot(r_part.std_error, i_part.std_error)
+
     def test_task_validation(self):
         with pytest.raises(ValueError):
             disp.DisplacementTask(0.0)
