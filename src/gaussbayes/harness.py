@@ -26,7 +26,7 @@ import numpy as np
 
 from . import displacement as disp
 from . import phase, squeezing
-from .bayes import GaussianPrior, ToleranceError
+from .bayes import AverageVariance, GaussianPrior, ToleranceError
 from .measurement import HETERODYNE, homodyne
 from .phase import TruncationError
 from .phasespace import ProbeSpec
@@ -59,7 +59,8 @@ _DEFAULTS = {"alpha": 0.0, "r": 0.0, "s": 0.0, "psi": 0.0, "r0": 0.0, "m_rounds"
 class _Task:
     """What a task accepts and how one of its rows is evaluated.
 
-    ``closed(p, alpha)`` returns ``(value, method_tag)``;
+    ``closed(p, alpha)`` returns an ``AverageVariance``: a closed form
+    with ``std_error`` 0, or a Bessel series with its quadrature error;
     ``engine(p, alpha, method=, samples=, rng=)`` returns an
     ``AverageVariance``, or None where the engine does not cover the row.
     ``p`` is the row's parameters over ``_DEFAULTS`` and ``alpha`` the
@@ -73,21 +74,25 @@ class _Task:
     engine: Callable
 
 
+def _closed_form(value):
+    return AverageVariance(value, 0.0, "closed-form")
+
+
 def _phase_het_closed(p, alpha):
     if p["r"] == 0.0:
-        return phase.coherent_het_average_variance(alpha), "closed-form"
-    return phase.squeezed_het_average_variance(alpha, p["r"]), "series"
+        return _closed_form(phase.coherent_het_average_variance(alpha))
+    return phase.squeezed_het_average_variance(alpha, p["r"])
 
 
 _TASKS = {
     "DisplacementHet": _Task(
         frozenset({"sigma0sq", "r"}), "r", True,
-        lambda p, alpha: (disp.het_avg_total_variance(p["sigma0sq"], p["r"]), "closed-form"),
+        lambda p, alpha: _closed_form(disp.het_avg_total_variance(p["sigma0sq"], p["r"])),
         lambda p, alpha, **kw: disp.het_avg_total_variance_numeric(p["sigma0sq"], p["r"], **kw)),
     "DisplacementHom": _Task(
         frozenset({"sigma0sq", "r", "m_rounds"}), "r", True,
-        lambda p, alpha: (disp.repeated_variance(p["sigma0sq"], p["r"], int(p["m_rounds"])),
-                          "closed-form"),
+        lambda p, alpha: _closed_form(disp.repeated_variance(p["sigma0sq"], p["r"],
+                                                             int(p["m_rounds"]))),
         # the engine covers single rounds only
         lambda p, alpha, **kw: (disp.hom_avg_variance_q_numeric(p["sigma0sq"], p["r"], **kw)
                                 if int(p["m_rounds"]) == 1 else None)),
@@ -273,8 +278,7 @@ def _evaluate_row(task, params, config, row_index) -> ResultRecord:
     try:
         alpha = _resolve_alpha(p, spec.squeeze)
         if spec.closed is not None:
-            value, tag = spec.closed(p, alpha)
-            err = 0.0
+            res = spec.closed(p, alpha)
             if config.force_both:
                 try:
                     engine = spec.engine(p, alpha, **engine_args)
@@ -282,13 +286,14 @@ def _evaluate_row(task, params, config, row_index) -> ResultRecord:
                     engine = None
                     status = f"cross-check-error:{type(exc).__name__}"
                 if engine is not None:
-                    gap = abs(engine.value - value)
-                    tol = max(1e-6 * max(abs(value), 1e-12), 4.0 * engine.std_error)
+                    gap = abs(engine.value - res.value)
+                    tol = max(1e-6 * max(abs(res.value), 1e-12), 4.0 * engine.std_error,
+                              res.std_error)
                     if gap > tol:
                         status = f"cross-check-failed:engine={format_value(engine.value)}"
         else:
-            engine = spec.engine(p, alpha, **engine_args)
-            value, err, tag = engine.value, engine.std_error, engine.method
+            res = spec.engine(p, alpha, **engine_args)
+        value, err, tag = res.value, res.std_error, res.method
         photon = p["n"] if "n" in p else alpha ** 2 + math.sinh(p[spec.squeeze]) ** 2
     except (ToleranceError, TruncationError, ValueError) as exc:
         estimate = getattr(exc, "estimate", None)

@@ -17,7 +17,7 @@ supported parameter range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -303,6 +303,11 @@ def _sh_radial_extent(alpha: float, r: float) -> float:
     return alpha + 7.0 / math.sqrt(1.0 - math.tanh(r))
 
 
+# level-0 radial nodes per 8 units of outcome radius, of the series and the
+# engine alike
+_RADIAL_BASE = 128
+
+
 def _radial_rule(alpha: float, r: float, base: int, level: int):
     """Trapezoid nodes and weights on the outcome radius [0, extent]; the
     level-0 step stays comparable across extents, and each level halves it."""
@@ -310,14 +315,17 @@ def _radial_rule(alpha: float, r: float, base: int, level: int):
     return trapezoid(0.0, extent, base * max(1, math.ceil(extent / 8.0)) * 2**level + 1)
 
 
-def squeezed_het_average_variance(alpha: float, r: float) -> float:
+def squeezed_het_average_variance(alpha: float, r: float) -> AverageVariance:
     """Average circular posterior variance by radial quadrature of the series.
 
-    The engine's step-halving driver with one Richardson extrapolation,
-    which evaluates the series once per radial node across levels and
-    stops when the gap between two successive extrapolated values is
-    within 1e-6 relative; raises ToleranceError carrying the last
-    extrapolated value when level 4 does not get there.
+    Runs on the engine's radial rule, ``_radial_rule`` at ``_RADIAL_BASE``,
+    the rule of ``HeterodynePhaseStrategy``, and on the engine's
+    step-halving driver with one Richardson extrapolation, which evaluates
+    the series once per radial node across levels and stops when the gap
+    between two successive extrapolated values is within 1e-6 relative.
+    Returns the driver's result with ``method="series"``: ``std_error`` is
+    that gap, ``levels`` the levels it ran.  Raises ToleranceError carrying
+    the last extrapolated value when level 4 does not get there.
     """
     n_max = _sh_cutoff(alpha, r, _sh_radial_extent(alpha, r))
     t = math.tanh(r)
@@ -332,8 +340,9 @@ def squeezed_het_average_variance(alpha: float, r: float) -> float:
         # p(rho) V_post(rho) 2 pi rho = rho e^{-(1-t)(rho-alpha)^2} s / cosh r
         return rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)
 
-    return _quadrature_outcome_grid(lambda level: _radial_rule(alpha, r, 512, level),
-                                    integrand, 1e-6, 4).value
+    res = _quadrature_outcome_grid(lambda level: _radial_rule(alpha, r, _RADIAL_BASE, level),
+                                   integrand, 1e-6, 4)
+    return replace(res, method="series")
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +418,9 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
     coordinate only: the posterior is covariant under rotations of beta,
     so the angular integral contributes a factor 2 pi |beta| (checked by
     the rotational-covariance property tests and against the full polar
-    grid).  ``base_radial`` sets the level-0 radial node count.
+    grid).  ``base_radial`` sets the level-0 radial node count; its
+    default, ``_RADIAL_BASE``, is the rule of the Bessel series
+    ``squeezed_het_average_variance``, so both lay the same radii.
 
     ``phase_symmetric``: the theta = 0 law has the real mean alpha and
     axes along x and y (vxy = 0), and theta rotates it by -theta.  So a
@@ -423,7 +434,7 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
 
     phase_symmetric = True
 
-    def __init__(self, alpha: float, r: float = 0.0, base_radial: int = 128):
+    def __init__(self, alpha: float, r: float = 0.0, base_radial: int = _RADIAL_BASE):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)

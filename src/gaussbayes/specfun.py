@@ -95,8 +95,7 @@ def _miller_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
         if k <= nmax:
             rows[k] = r
     rows[0] = 1.0 / (1.0 + 2.0 * h)
-    for prev, row in zip(rows, rows[1:]):
-        row *= prev
+    np.multiply.accumulate(rows, axis=0, out=rows)
     out = np.empty((x.size, nmax + 1))
     out[order] = rows.T
     return out

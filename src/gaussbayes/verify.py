@@ -138,9 +138,9 @@ def criterion_5_phase_heterodyne_squeezed(seed=DEFAULT_SEED) -> CriterionResult:
     t0 = time.perf_counter()
     for alpha in (0.5, 1.0, 2.0):
         _close(res, f"r=0 reduction at alpha={alpha}",
-               phase.squeezed_het_average_variance(alpha, 0.0),
+               phase.squeezed_het_average_variance(alpha, 0.0).value,
                phase.coherent_het_average_variance(alpha), 1e-6)
-    series = phase.squeezed_het_average_variance(1.0, 0.25)
+    series = phase.squeezed_het_average_variance(1.0, 0.25).value
     oracle = phase.average_variance_numeric(
         phase.PhaseTask(ProbeSpec(1.0, 0.25, math.pi), HETERODYNE))
     _close(res, "series vs grid-quadrature oracle at (1, 0.25)",
@@ -149,7 +149,7 @@ def criterion_5_phase_heterodyne_squeezed(seed=DEFAULT_SEED) -> CriterionResult:
 
     def gap(n, r):
         alpha = math.sqrt(n - math.sinh(r) ** 2)
-        return (phase.squeezed_het_average_variance(alpha, r)
+        return (phase.squeezed_het_average_variance(alpha, r).value
                 - phase.coherent_het_average_variance(math.sqrt(n)))
 
     for n in (3.0, 4.0):

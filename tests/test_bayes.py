@@ -1153,6 +1153,19 @@ def full_reevaluation(level_value, rel_tol, max_level):
     raise AssertionError("no convergence")
 
 
+def series_integrand(alpha, r):
+    """The squeezed-heterodyne series' radial integrand, written from the
+    Bessel rows: rho e^{-(1-t)(rho-alpha)^2} s(rho) / cosh r."""
+    n_max = phase._sh_cutoff(alpha, r, phase._sh_radial_extent(alpha, r))
+    t = math.tanh(r)
+
+    def integrand(rho):
+        rows_u, rows_v = phase._sh_rows(alpha, r, rho, n_max)
+        s = (0.5 * phase._sh_terms(rows_u, rows_v, n_max)[1]).sum(axis=1)
+        return rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)
+    return integrand
+
+
 def _levels(result):
     return result.levels
 
@@ -1170,8 +1183,8 @@ class TestNestedOutcomeNodes:
     @pytest.mark.parametrize("alpha,r", [(0.3, 0.0), (1.8, 1.0), (4.0, 1.25)])
     def test_radial_rule_is_nested(self, alpha, r):
         for level in range(5):
-            coarse = phase._radial_rule(alpha, r, 128, level)[0]
-            fine = phase._radial_rule(alpha, r, 128, level + 1)[0]
+            coarse = phase._radial_rule(alpha, r, phase._RADIAL_BASE, level)[0]
+            fine = phase._radial_rule(alpha, r, phase._RADIAL_BASE, level + 1)[0]
             assert np.array_equal(fine[0::2], coarse)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -1191,16 +1204,42 @@ class TestNestedOutcomeNodes:
 
     def test_series_matches_full_reevaluation(self):
         alpha, r = 1.8, 1.0
-        n_max = phase._sh_cutoff(alpha, r, phase._sh_radial_extent(alpha, r))
-        t = math.tanh(r)
+        integrand = series_integrand(alpha, r)
 
         def level_value(level):
-            rho, w = phase._radial_rule(alpha, r, 512, level)
-            rows_u, rows_v = phase._sh_rows(alpha, r, rho, n_max)
-            s = (0.5 * phase._sh_terms(rows_u, rows_v, n_max)[1]).sum(axis=1)
-            return float(w @ (rho * np.exp(-(1.0 - t) * (rho - alpha) ** 2) * s / math.cosh(r)))
-        want, _, _ = full_reevaluation(level_value, 1e-6, 4)
-        assert phase.squeezed_het_average_variance(alpha, r) == pytest.approx(want, rel=1e-14)
+            rho, w = phase._radial_rule(alpha, r, phase._RADIAL_BASE, level)
+            return float(w @ integrand(rho))
+        want, err, levels = full_reevaluation(level_value, 1e-6, 4)
+        got = phase.squeezed_het_average_variance(alpha, r)
+        assert got.value == pytest.approx(want, rel=1e-14)
+        assert abs(got.std_error - err) <= 1e-14 * abs(want)
+        assert (got.levels, got.method) == (levels, "series")
+
+    @pytest.mark.parametrize("alpha,r", [(1.8, 1.0), (0.345, 1.0), (1.0, 0.25)])
+    def test_series_lays_the_engine_radii(self, alpha, r, monkeypatch):
+        rules = []
+        driver = phase._quadrature_outcome_grid
+
+        def recording(rule, integrand, rel_tol, max_level):
+            rules.append(rule)
+            return driver(rule, integrand, rel_tol, max_level)
+        monkeypatch.setattr(phase, "_quadrature_outcome_grid", recording)
+        phase.squeezed_het_average_variance(alpha, r)
+        strat = phase.HeterodynePhaseStrategy(alpha, r)
+        for level in range(3):
+            rho = rules[0](level)[0]
+            nodes = strat.outcome_nodes(level)[0]
+            assert np.array_equal(nodes.real, rho) and not nodes.imag.any()
+
+    @pytest.mark.parametrize("alpha,r", [(1.8, 1.0), (0.345, 1.0), (1.0, 0.25)])
+    def test_series_error_covers_the_fine_rule(self, alpha, r):
+        # reference: the same series on the 4x finer base-512 rule, driven
+        # to a gap of 1e-12 relative
+        fine = bayes._quadrature_outcome_grid(
+            lambda level: phase._radial_rule(alpha, r, 512, level),
+            series_integrand(alpha, r), 1e-12, 6)
+        got = phase.squeezed_het_average_variance(alpha, r)
+        assert 0.0 < abs(got.value - fine.value) <= got.std_error
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_outcome_node_is_evaluated_once(self, kind, monkeypatch):
@@ -1255,7 +1294,22 @@ class TestNestedOutcomeNodes:
                             driver(rule, integrand, 1.0, 1))
         phase.squeezed_het_average_variance(1.8, 1.0)
         # one u row and one v row per radius; levels 0 and 1
-        assert sum(radii) == 2 * phase._radial_rule(1.8, 1.0, 512, 1)[0].size
+        assert sum(radii) == 2 * phase._radial_rule(1.8, 1.0, phase._RADIAL_BASE, 1)[0].size
+
+    def test_series_row_sends_the_level_2_radii(self, monkeypatch):
+        # cost guard: a series row stops at level 2, and the Bessel rows
+        # see each radius of that level once, one u and one v argument
+        from gaussbayes import harness, specfun
+        radii = []
+        rows = specfun.bessel_i_scaled_rows
+
+        def counting(x, nmax):
+            radii.append(np.size(x))
+            return rows(x, nmax)
+        monkeypatch.setattr(specfun, "bessel_i_scaled_rows", counting)
+        rec = harness.run(harness.parse_config("task = PhaseHet\nalpha = 1.8\nr = 1.0"))[0]
+        assert (rec.status, rec.method) == ("ok", "series")
+        assert sum(radii) == 2 * phase._radial_rule(1.8, 1.0, phase._RADIAL_BASE, 2)[0].size
 
     def test_non_nested_rule_raises(self):
         def shifted(level):

@@ -161,7 +161,7 @@ ENGINE_ROWS = {
     "DisplacementHom": ("sigma0sq = 0.5\nr = 0.25",
                         lambda: disp.hom_avg_variance_q(0.5, 0.25), math.sinh(0.25) ** 2),
     "PhaseHet": ("n = 1.5\nr = 0.25",
-                 lambda: phase.squeezed_het_average_variance(_ALPHA_HET, 0.25), 1.5),
+                 lambda: phase.squeezed_het_average_variance(_ALPHA_HET, 0.25).value, 1.5),
     "PhaseHom": ("alpha = 0.8\nr = 0.3\npsi = 0.2",
                  lambda: phase.average_variance_numeric(phase.PhaseTask(
                      ProbeSpec(0.8, 0.3, 0.2), homodyne(0.0))).value,
@@ -205,9 +205,16 @@ class TestRun:
     def test_series_path_for_squeezed_heterodyne(self):
         cfg = parse_config("task = PhaseHet\nalpha = 1.0\nr = 0.25")
         rec = harness.run(cfg)[0]
+        series = phase.squeezed_het_average_variance(1.0, 0.25)
         assert rec.method == "series"
-        assert rec.avg_variance == pytest.approx(
-            phase.squeezed_het_average_variance(1.0, 0.25), rel=1e-12)
+        assert rec.avg_variance == pytest.approx(series.value, rel=1e-12)
+        # the row carries the series' quadrature error, not the 0 of a closed form
+        assert rec.std_error == series.std_error > 0.0
+
+    def test_force_both_agrees_on_series_rows(self):
+        cfg = parse_config("task = PhaseHet\nalpha = 1.0\nr = 0.25, 1.0\nforce_both = true")
+        for rec in harness.run(cfg):
+            assert (rec.method, rec.status) == ("series", "ok")
 
     def test_infeasible_energy_row_is_flagged(self):
         cfg = parse_config("task = PhaseHet\nn = 0.5\nr = 1.25")

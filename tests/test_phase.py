@@ -164,11 +164,11 @@ class TestSqueezedHeterodyne:
 
     def test_average_variance_reduction(self):
         for alpha in (0.5, 1.0, 2.0):
-            assert phase.squeezed_het_average_variance(alpha, 0.0) == pytest.approx(
+            assert phase.squeezed_het_average_variance(alpha, 0.0).value == pytest.approx(
                 phase.coherent_het_average_variance(alpha), abs=1e-6)
 
     def test_average_variance_vs_engine(self):
-        series = phase.squeezed_het_average_variance(1.0, 0.25)
+        series = phase.squeezed_het_average_variance(1.0, 0.25).value
         task = phase.PhaseTask(ProbeSpec(1.0, 0.25, math.pi), HETERODYNE)
         engine = phase.average_variance_numeric(task)
         assert series == pytest.approx(engine.value, abs=1e-4)
@@ -179,7 +179,7 @@ class TestSqueezedHeterodyne:
         r = 1.25
         # not enough energy for r=1.25 at n=2? sinh^2(1.25) = 2.60 > 2: use n=3
         n = 3.0
-        worse = phase.squeezed_het_average_variance(math.sqrt(n - math.sinh(r) ** 2), r)
+        worse = phase.squeezed_het_average_variance(math.sqrt(n - math.sinh(r) ** 2), r).value
         assert worse > phase.coherent_het_average_variance(math.sqrt(n))
 
 

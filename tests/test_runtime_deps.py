@@ -27,7 +27,7 @@ for info in pkgutil.iter_modules(gaussbayes.__path__):
 
 from gaussbayes import cli, phase
 assert cli.main(["verify", "--suite", "fast"]) == 0
-assert 0.0 < phase.squeezed_het_average_variance(1.0, 0.5) < 0.5
+assert 0.0 < phase.squeezed_het_average_variance(1.0, 0.5).value < 0.5
 assert 0.0 < phase.coherent_het_posterior_variance(1.0, 1.0) < 0.5
 """
 
