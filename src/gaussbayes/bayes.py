@@ -386,8 +386,10 @@ class PriorRule:
     ``rule``, doubling ``n`` over ``counts()`` until two counts agree and
     using at most ``max_nodes`` nodes.  Monte Carlo draws theta from
     ``grid(max_nodes)``, on the support's own rule, whatever count it
-    integrates on.  ``density`` is the unnormalized density, None for the
-    flat prior.
+    integrates on; where every count folds (a flat midpoint rule on
+    [-pi, pi) with an even ``max_nodes``, under a ``phase_symmetric``
+    strategy) it draws no theta and builds no such grid.  ``density`` is
+    the unnormalized density, None for the flat prior.
     """
 
     support: Support
@@ -886,7 +888,8 @@ def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):
     level are ``points[..., 0::2]`` of the next; ``integrand(points)``
     gives one value per point.  Each point is evaluated once: a level
     takes its even points' values from the level before and evaluates
-    only ``points[..., 1::2]``.
+    only ``points[..., 1::2]``.  ``rule`` and ``integrand`` are each called
+    once per level, level 0 first.
 
     Level k returns E_k = T_k + (T_k - T_{k-1})/3 of its trapezoid sum
     T_k, and quotes the error of that value: |T_1 - T_0|/3 at level 1,
@@ -954,29 +957,56 @@ def _refine_count(strategy, prior: Union[GridDistribution, PriorRule], evaluate,
     return result, gap, isinstance(prior, GridDistribution)
 
 
+def _folds_every_count(strategy, prior: Union[GridDistribution, PriorRule]) -> bool:
+    """True when every ``_SpreadCalculator`` that ``_refine_count`` can
+    build on ``prior`` folds: a ``phase_symmetric`` strategy on a
+    ``_mirror_flat`` grid, or on a flat rule whose every grid is one (the
+    midpoint rule on [-pi, pi) and an even ceiling, since the counts below
+    it, 64 doubling, are even)."""
+    if not strategy.phase_symmetric:
+        return False
+    if isinstance(prior, GridDistribution):
+        return _mirror_flat(prior)
+    return (prior.density is None and prior.support == Circle(-math.pi, math.pi)
+            and (prior.rule or MIDPOINT) == MIDPOINT and prior.max_nodes % 2 == 0)
+
+
 def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, rng, rel_tol):
     """Seeded Monte Carlo in chunks of ``_MC_CHUNK`` draws.
 
     Theta is drawn from a ``GridDistribution``, or from a ``PriorRule``'s
-    ``grid(max_nodes)`` on the support's own rule.  The first chunk's
-    means choose the calculator (``_refine_count``; on a rule without
-    agreement, the ceiling count's), which serves every chunk.  The draws
-    do not depend on the count; ``std_error`` is the standard error plus
-    the last gap.  Each chunk's features are formed once per reduction
-    and shared by every count the search tries.
+    ``grid(max_nodes)`` on the support's own rule, and one outcome per
+    theta.  Where every calculator folds (``_folds_every_count``) a draw
+    enters only through |beta|, whose law is the same at every theta: the
+    law at theta is the theta = 0 law rotated by -theta.  There no theta
+    is drawn and no ceiling grid built; each outcome is drawn from the
+    theta = 0 law, exactly the law of |beta| under the prior.  The first
+    chunk's means choose the calculator (``_refine_count``; on a rule
+    without agreement, the ceiling count's), which serves every chunk.
+    The draws do not depend on the count; ``std_error`` is the standard
+    error plus the last gap.  Each chunk's features are formed once per
+    reduction and shared by every count the search tries.
     """
     if rng is None:
         raise ValueError("Monte Carlo requires a seeded generator")
     if samples < 1:
         raise ValueError(f"Monte Carlo needs at least one sample, got {samples}")
-    draw = prior if isinstance(prior, GridDistribution) else prior.grid(prior.max_nodes)
+    if _folds_every_count(strategy, prior):
+        moments = strategy.outcome_moments(0.0)
+
+        def draw_outcomes(m):
+            return sample_gaussian_outcomes(*moments, rng, m)
+    else:
+        draw = prior if isinstance(prior, GridDistribution) else prior.grid(prior.max_nodes)
+
+        def draw_outcomes(m):
+            return strategy.sample_outcomes_given(draw.sample(rng, m), rng)
     calc = gap = None
     # Chan's merge of the per-chunk count, mean and sum of squared deviations
     done, mean, m2 = 0, 0.0, 0.0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        thetas = draw.sample(rng, m)
-        outcomes = strategy.sample_outcomes_given(thetas, rng)
+        outcomes = draw_outcomes(m)
         feats = {}  # by calc.symmetric: each count of the search shares them
 
         def spreads(calc):
@@ -1007,22 +1037,33 @@ def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, r
 
 
 def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, max_level):
-    """Outcome quadrature (``_quadrature_outcome_grid``, features formed
-    once per level) on each calculator of ``_refine_count``.  On a
+    """Outcome quadrature (``_quadrature_outcome_grid``) on each calculator
+    of ``_refine_count``.  Each level's rule and the features of the
+    outcomes it evaluates are made once, on the first count that reaches
+    the level, and every count shares them.  On a
     ``PriorRule`` the error is the outcome-step error plus the gap
     between the last two counts: the rules converge spectrally, so the gap
     bounds the finer count's prior-grid error.  ToleranceError carries the
     last value when no two counts agree.
     """
     rows = strategy.outcome_rows
+    fresh = []  # the features of the outcomes each level evaluates
 
+    @functools.cache
     def rule(level):
         outcomes, weights = strategy.outcome_nodes(level)
         return outcomes.reshape(rows, -1), weights.reshape(rows, -1)
 
     def evaluate(calc):
+        level = 0
+
         def integrand(outcomes):
-            v, z = calc.spreads(strategy.outcome_features(outcomes.ravel()))
+            # the driver evaluates each level once, level 0 first
+            nonlocal level
+            if level == len(fresh):
+                fresh.append(strategy.outcome_features(outcomes.ravel()))
+            v, z = calc.spreads(fresh[level])
+            level += 1
             return (z * v).reshape(outcomes.shape)
         res = _quadrature_outcome_grid(rule, integrand, rel_tol, max_level)
         return res.value, dataclasses.replace(res, prior_nodes=calc._prior.nodes.size)

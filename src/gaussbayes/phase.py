@@ -429,7 +429,10 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
     the engine folds such rows onto the nodes theta > 0, exact to
     rounding since the midpoint nodes are +-(k + 1/2) h.  The radial
     outcomes fold as they are; Monte Carlo folds its draws beta as |beta|,
-    which the rotation leaves with the same posterior spread.
+    which the rotation leaves with the same posterior spread.  |beta| has
+    the same law at every theta, so where every prior count folds Monte
+    Carlo draws no theta: it draws beta from the theta = 0 law, whose
+    moments are (alpha, ((1 + e^{2r})/4, (1 + e^{-2r})/4, 0)).
     """
 
     phase_symmetric = True

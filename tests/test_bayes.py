@@ -909,13 +909,73 @@ class TestPhaseFold:
         strat = phase.HeterodynePhaseStrategy(1.5, 0.25)
         prior = phase.flat_prior(phase.HET_SUPPORT, 512)
         # one chunk of draws
-        res = average_posterior_variance(strat, prior, method="montecarlo", samples=4000,
-                                         rng=rng_for(19))
         rng = rng_for(19)
-        betas = strat.sample_outcomes_given(prior.sample(rng, 4000), rng)
+        res = average_posterior_variance(strat, prior, method="montecarlo", samples=4000,
+                                         rng=rng)
+        replayed = rng_for(19)
+        betas = theta_zero_draws(strat, replayed, 4000)
         calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(512))
         v = spreads_at(calc, np.abs(betas))[0]
         assert res.value == pytest.approx(v.mean(), rel=1e-13)
+        assert rng.bit_generator.state == replayed.bit_generator.state
+
+    @pytest.mark.parametrize("alpha,r", [(0.5, 0.0), (1.0, 0.25), (1.5, 0.5), (2.0, 0.5)])
+    def test_theta_zero_radii_have_the_law_of_the_prior_draws(self, alpha, r):
+        # |beta| drawn from the theta = 0 law against |beta| of beta drawn
+        # at theta ~ the flat 512-node prior: the mean and variance of
+        # |beta| and the mean folded spread, within 4 combined SE
+        strat = phase.HeterodynePhaseStrategy(alpha, r)
+        prior = phase.flat_prior(phase.HET_SUPPORT, 512)
+        size = 2**17
+        rng = rng_for(40, round(100 * alpha), round(100 * r))
+        direct = np.abs(theta_zero_draws(strat, rng, size))
+        per_theta = np.abs(strat.sample_outcomes_given(prior.sample(rng, size), rng))
+        calc = bayes._SpreadCalculator(phase.flat_prior(phase.HET_SUPPORT, 128), strat,
+                                       bayes._kernel_scratch(128))
+
+        def stats(rho):
+            # (statistic, its standard error): the variance's from the
+            # fourth central moment
+            dev = rho - rho.mean()
+            var = float((dev**2).mean())
+            v = spreads_at(calc, rho)[0]
+            return [(rho.mean(), math.sqrt(var / size)),
+                    (var, math.sqrt(((dev**4).mean() - var**2) / size)),
+                    (v.mean(), v.std() / math.sqrt(size))]
+        for (a, sa), (b, sb) in zip(stats(direct), stats(per_theta)):
+            assert abs(a - b) <= 4.0 * math.hypot(sa, sb)
+
+    @pytest.mark.parametrize("alpha,r", [(0.5, 0.0), (1.5, 0.0), (1.0, 0.25), (2.0, 0.5)])
+    def test_monte_carlo_on_the_theta_zero_law_meets_the_references(self, alpha, r):
+        # the closed form at r = 0, the Bessel series at r > 0
+        from gaussbayes.measurement import HETERODYNE
+        task = phase.PhaseTask(ProbeSpec(alpha, r, math.pi if r > 0 else 0.0), HETERODYNE)
+        res = phase.average_variance_numeric(task, method="montecarlo", samples=2**15,
+                                             rng=rng_for(41, round(100 * alpha), round(100 * r)),
+                                             grid_nodes=512)
+        ref = (phase.coherent_het_average_variance(alpha) if r == 0.0
+               else phase.squeezed_het_average_variance(alpha, r).value)
+        assert abs(res.value - ref) <= 4.0 * res.std_error
+
+    def test_cost_guard_folded_monte_carlo_draws_no_theta(self, monkeypatch):
+        # an mc_phasehet-sized op: 8192 draws on a 512-node ceiling; no
+        # theta drawn, no outcome drawn per theta, no ceiling grid built
+        from gaussbayes.measurement import HETERODYNE
+        calls, grids = [], []
+        sample = GridDistribution.sample
+        given_ = phase.HeterodynePhaseStrategy.sample_outcomes_given
+        grid = bayes.PriorRule.grid
+        monkeypatch.setattr(GridDistribution, "sample",
+                            lambda *a: calls.append("sample") or sample(*a))
+        monkeypatch.setattr(phase.HeterodynePhaseStrategy, "sample_outcomes_given",
+                            lambda *a: calls.append("given") or given_(*a))
+        monkeypatch.setattr(bayes.PriorRule, "grid",
+                            lambda rule, n, *a: grids.append(n) or grid(rule, n, *a))
+        task = phase.PhaseTask(ProbeSpec(1.0, 0.25, math.pi), HETERODYNE)
+        res = phase.average_variance_numeric(task, method="montecarlo", samples=8192,
+                                             rng=rng_for(42), grid_nodes=512)
+        assert calls == [] and res.samples == 8192
+        assert grids == [64, 128] and res.prior_nodes == 128
 
     @pytest.mark.parametrize("case", ["non-flat", "odd", "hom-support", "legendre",
                                       "complex", "summed"])
@@ -1440,6 +1500,21 @@ class TestPriorRefinement:
             average_posterior_variance(strat, rule.grid(rule.max_nodes))
         assert refined < sum(cells) / 4
 
+    def test_cost_guard_one_rule_and_features_per_level(self, monkeypatch):
+        # the Squeeze row (s = 1, n = 4) runs its outcome levels on three
+        # counts: each level's rule and features are made once, for all
+        strat, rule = _squeeze_rule(4.0, 1.0)
+        made = []
+        nodes, features = strat.outcome_nodes, strat.outcome_features
+        monkeypatch.setattr(strat, "outcome_nodes",
+                            lambda level: made.append("rule") or nodes(level))
+        monkeypatch.setattr(strat, "outcome_features",
+                            lambda outcomes: made.append("features") or features(outcomes))
+        cols = kernel_columns(monkeypatch)
+        res = average_posterior_variance(strat, rule, rel_tol=1e-5)
+        assert sorted(set(cols)) == [65, 129, 257] and res.prior_nodes == 257
+        assert made == ["rule", "features"] * res.levels
+
     def test_counts_double_up_to_the_ceiling(self):
         flat = bayes.PriorRule(phase.HET_SUPPORT, None, 2048)
         assert list(flat.counts()) == [64, 128, 256, 512, 1024, 2048]
@@ -1472,21 +1547,36 @@ class TestPriorRefinement:
         assert (got.prior_nodes, got.samples, got.levels) == (129, 5000, 0)
 
 
-def replay_monte_carlo(strat, rule, samples, nodes, rng):
+def theta_zero_draws(strat, rng, size):
+    """``size`` outcomes of the theta = 0 law: mean + L z, written out."""
+    mean, (vxx, vyy, vxy) = strat.outcome_moments(0.0)
+    z = rng.standard_normal((size, 2))
+    l11 = math.sqrt(vxx)
+    l21 = vxy / l11
+    return mean + l11 * z[:, 0] + 1j * (l21 * z[:, 0] + math.sqrt(vyy - l21 * l21) * z[:, 1])
+
+
+def replay_monte_carlo(strat, rule, samples, nodes, rng, folded=False):
     """The engine's Monte Carlo draws, made here: theta from the rule's
     ceiling grid on the support's own rule, in the engine's chunks, and
-    one outcome per theta; then each draw's posterior spread on
+    one outcome per theta, or, ``folded``, no theta and the outcomes of
+    the theta = 0 law; then each draw's posterior spread on
     ``rule.grid(nodes, rule.rule)``, at |beta| where that grid folds.
-    Returns the spreads, the thetas and the generator after the draws."""
+    Returns the spreads, the thetas (None when ``folded``) and the
+    generator after the draws."""
     draw = rule.grid(rule.max_nodes)
     calc = bayes._SpreadCalculator(rule.grid(nodes, rule.rule), strat,
                                    bayes._kernel_scratch(nodes))
     vs, ts = [], []
     for start in range(0, samples, bayes._MC_CHUNK):
-        ts.append(draw.sample(rng, min(bayes._MC_CHUNK, samples - start)))
-        outcomes = strat.sample_outcomes_given(ts[-1], rng)
+        size = min(bayes._MC_CHUNK, samples - start)
+        if folded:
+            outcomes = theta_zero_draws(strat, rng, size)
+        else:
+            ts.append(draw.sample(rng, size))
+            outcomes = strat.sample_outcomes_given(ts[-1], rng)
         vs.append(spreads_at(calc, np.abs(outcomes) if calc.symmetric else outcomes)[0])
-    return np.concatenate(vs), np.concatenate(ts), rng
+    return np.concatenate(vs), np.concatenate(ts) if ts else None, rng
 
 
 def _squeeze_rule(n, s, grid_nodes=bayes.LINEAR_GRID_NODES):
@@ -1503,6 +1593,15 @@ MC_CASES = {
     "Squeeze": lambda: (*_squeeze_rule(3.0, 0.5), 1e-5),
     "PhaseHet-folded": lambda: (phase.HeterodynePhaseStrategy(1.5, 0.25),
                                 bayes.PriorRule(phase.HET_SUPPORT, None, 2048), 1e-6),
+    # PhaseHet rules whose grids do not all fold: their draws keep theta
+    "PhaseHet-odd": lambda: (phase.HeterodynePhaseStrategy(1.5, 0.25),
+                             bayes.PriorRule(phase.HET_SUPPORT, None, 2047), 1e-6),
+    "PhaseHet-legendre": lambda: (phase.HeterodynePhaseStrategy(1.5, 0.25),
+                                  bayes.PriorRule(phase.HET_SUPPORT, None, 2048,
+                                                  bayes.GAUSS_LEGENDRE), 1e-6),
+    "PhaseHet-non-flat": lambda: (phase.HeterodynePhaseStrategy(1.5, 0.25),
+                                  bayes.PriorRule(phase.HET_SUPPORT,
+                                                  lambda t: np.exp(np.cos(t)), 2048), 1e-6),
     "PhaseHom": lambda: (phase.HomodynePhaseStrategy(1.0, 0.5, math.pi / 2),
                          bayes.PriorRule(phase.HOM_SUPPORT, None, 2048, bayes.GAUSS_LEGENDRE),
                          1e-6),
@@ -1512,13 +1611,18 @@ MC_CASES = {
 }
 
 
+# the cases on which every count folds: their draws are the theta = 0 law's
+FOLDED = {"PhaseHet-folded"}
+
+
 class TestMonteCarloNodeCount:
     @pytest.mark.parametrize("case", list(MC_CASES))
     def test_draws_are_the_ceiling_grids(self, case, monkeypatch):
         # every theta drawn bitwise from the ceiling grid on the support's
-        # own rule, once per chunk, the generator left where those draws
-        # and the outcomes leave it, and the posteriors integrated on the
-        # chosen count of the rule's own quadrature
+        # own rule, once per chunk (none where every count folds), the
+        # generator left where those draws and the outcomes leave it, and
+        # the posteriors integrated on the chosen count of the rule's own
+        # quadrature
         strat, rule, rel_tol = MC_CASES[case]()
         drawn = []
         sample = GridDistribution.sample
@@ -1531,9 +1635,12 @@ class TestMonteCarloNodeCount:
         monkeypatch.undo()
         assert res.prior_nodes in set(rule.counts()) - {next(rule.counts())}
         v, thetas, replayed = replay_monte_carlo(strat, rule, 6000, res.prior_nodes,
-                                                 rng_for(22))
-        assert len(drawn) == 2
-        np.testing.assert_array_equal(np.concatenate(drawn), thetas)
+                                                 rng_for(22), folded=case in FOLDED)
+        if case in FOLDED:
+            assert drawn == [] and thetas is None
+        else:
+            assert len(drawn) == 2
+            np.testing.assert_array_equal(np.concatenate(drawn), thetas)
         assert res.value == pytest.approx(v.mean(), rel=1e-13)
         assert rng.bit_generator.state == replayed.bit_generator.state
         assert (res.samples, res.levels) == (6000, 0)
@@ -1546,7 +1653,8 @@ class TestMonteCarloNodeCount:
         strat, rule, rel_tol = MC_CASES[case]()
         res = average_posterior_variance(strat, rule, method="montecarlo", samples=6000,
                                          rng=rng_for(23), rel_tol=rel_tol)
-        v = replay_monte_carlo(strat, rule, 6000, rule.max_nodes, rng_for(23))[0]
+        v = replay_monte_carlo(strat, rule, 6000, rule.max_nodes, rng_for(23),
+                               folded=case in FOLDED)[0]
         assert abs(res.value - v.mean()) <= rel_tol * abs(res.value)
 
     def test_no_agreement_falls_back_to_the_ceiling(self):

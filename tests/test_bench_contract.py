@@ -5,7 +5,8 @@ modules and puts the originals back.  Installing and removing it here
 fails fast when a refactor drops or renames a name it binds.
 ``perfbench/make_reference.py`` calls the engine on a ``GridDistribution``
 and sets ``HeterodynePhaseStrategy(base_radial=...)``; one of its stored
-rows is recomputed here.
+rows is recomputed here.  The ``montecarlo`` workload's PhaseHet ops are
+the rows whose draws skip theta; one cycle of it is run here.
 """
 
 import json
@@ -69,3 +70,26 @@ def test_reference_script_reproduces_a_stored_row(monkeypatch):
     with open(perfbench / "reference.json", encoding="utf-8") as fh:
         stored = json.load(fh)["values"][key]
     assert make_reference.reference(family, row) == pytest.approx(stored, rel=1e-12)
+
+
+def test_montecarlo_phasehet_ops_draw_no_theta(monkeypatch):
+    # every PhaseHet op of a montecarlo cycle folds on every count, so it
+    # draws no theta from a grid; every Squeeze op draws its theta
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import ops
+    drawn = []
+    sample = bayes.GridDistribution.sample
+    monkeypatch.setattr(bayes.GridDistribution, "sample",
+                        lambda *args: drawn.append(1) or sample(*args))
+    theta_draws = {}
+    for op in ops.build_cycle("montecarlo", 5, ops.load_references()):
+        drawn.clear()
+        assert ops.err_ratio(op, *op.call()) <= 1.0, op.kind
+        theta_draws.setdefault(op.kind, []).append(len(drawn))
+    assert set(theta_draws) == {"mc_phasehet", "mc_phasehet_full", "mc_squeeze",
+                                "mc_squeeze_harness"}
+    for kind, counts in theta_draws.items():
+        if kind.startswith("mc_phasehet"):
+            assert not any(counts), kind
+        else:
+            assert all(counts), kind
