@@ -33,6 +33,7 @@ __all__ = [
     "TRAPEZOID",
     "GAUSS_LEGENDRE",
     "InconsistentOutcomeError",
+    "PriorSymmetryError",
     "ToleranceError",
     "gaussian_update",
     "gamma_update",
@@ -69,6 +70,11 @@ _MC_CHUNK = 4096  # fixed chunk size keeps Monte Carlo draws schedule-independen
 
 class InconsistentOutcomeError(ValueError):
     """The observed outcome has zero probability under the prior."""
+
+
+class PriorSymmetryError(ValueError):
+    """The strategy's outcome rule is exact only on a prior of a symmetry
+    the given prior lacks (``GaussianOutcomeStrategy.radial_outcomes``)."""
 
 
 class ToleranceError(RuntimeError):
@@ -655,10 +661,16 @@ class GaussianOutcomeStrategy:
     the heterodyne law at theta is the theta = 0 law rotated by -theta,
     and the theta = 0 law has a real mean and vxy = 0, so that a real
     outcome's likelihood is even in theta (``_SpreadCalculator`` folds).
+    ``radial_outcomes``: True when the outcome rule lays the radii |beta|
+    only, each weighted by 2 pi |beta|, which is exact only when the
+    posterior is covariant under rotations of beta, that is on a prior
+    flat on the full circle [-pi, pi) (``_flat_full_circle``); quadrature
+    raises ``PriorSymmetryError`` on any other prior.
     """
 
     outcome_rows = 1
     phase_symmetric = False
+    radial_outcomes = False
 
     def __init__(self, moments, nodes, dim: int, circular: bool):
         if dim not in (1, 2):
@@ -722,15 +734,24 @@ _Y_FEATURES = [2, 4, 5]
 _X_FEATURES = [0, 1, 3]
 
 
+def _flat_full_circle(prior: Union[GridDistribution, PriorRule]) -> bool:
+    """True for a prior flat on the full circle [-pi, pi): a ``PriorRule``
+    without a density (its density function is not inspected, so no node
+    is built), or a grid of equal densities."""
+    if prior.support != Circle(-math.pi, math.pi):
+        return False
+    if isinstance(prior, PriorRule):
+        return prior.density is None
+    return prior.density.min() == prior.density.max()
+
+
 def _mirror_flat(prior: GridDistribution) -> bool:
     """True for a flat prior on an even number of midpoint nodes of the
     full circle [-pi, pi): its nodes are +-(k + 1/2) h, mirror symmetric
     about 0 to rounding, and a rotation of theta leaves the prior flat."""
-    s, n = prior.support, prior.nodes.size
-    return (isinstance(s, Circle) and s.lo == -math.pi and s.hi == math.pi
-            and prior.rule == MIDPOINT and n % 2 == 0
-            and prior.density.min() == prior.density.max()
-            and np.array_equal(prior.nodes, midpoint(s.lo, s.hi, n)[0]))
+    n = prior.nodes.size
+    return (prior.rule == MIDPOINT and n % 2 == 0 and _flat_full_circle(prior)
+            and np.array_equal(prior.nodes, midpoint(-math.pi, math.pi, n)[0]))
 
 
 class _SpreadCalculator:
@@ -967,8 +988,8 @@ def _folds_every_count(strategy, prior: Union[GridDistribution, PriorRule]) -> b
         return False
     if isinstance(prior, GridDistribution):
         return _mirror_flat(prior)
-    return (prior.density is None and prior.support == Circle(-math.pi, math.pi)
-            and (prior.rule or MIDPOINT) == MIDPOINT and prior.max_nodes % 2 == 0)
+    return ((prior.rule or MIDPOINT) == MIDPOINT and prior.max_nodes % 2 == 0
+            and _flat_full_circle(prior))
 
 
 def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, rng, rel_tol):
@@ -1044,8 +1065,13 @@ def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, ma
     ``PriorRule`` the error is the outcome-step error plus the gap
     between the last two counts: the rules converge spectrally, so the gap
     bounds the finer count's prior-grid error.  ToleranceError carries the
-    last value when no two counts agree.
+    last value when no two counts agree.  A ``radial_outcomes`` strategy
+    on a prior that is not flat on the full circle raises
+    ``PriorSymmetryError``: its rule would integrate the wrong outcome law.
     """
+    if strategy.radial_outcomes and not _flat_full_circle(prior):
+        raise PriorSymmetryError("a radial outcome rule needs a prior flat on the full "
+                                 "circle [-pi, pi); use method='montecarlo'")
     rows = strategy.outcome_rows
     fresh = []  # the features of the outcomes each level evaluates
 

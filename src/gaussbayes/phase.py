@@ -43,9 +43,7 @@ __all__ = [
     "coherent_het_posterior_variance",
     "coherent_het_average_variance",
     "squeezed_het_likelihood",
-    "squeezed_het_outcome_density",
     "squeezed_het_posterior_variance",
-    "squeezed_het_estimator",
     "squeezed_het_average_variance",
     "coherent_hom_likelihood",
     "squeezed_hom_likelihood",
@@ -116,10 +114,6 @@ def _check_tail(terms, totals):
 def phase_of_outcome(beta: complex) -> float:
     """phi_beta in the decomposition beta = |beta| e^{-i phi_beta}."""
     return -math.atan2(complex(beta).imag, complex(beta).real)
-
-
-def _wrap(angle: float, support: Circle) -> float:
-    return (angle - support.lo) % support.span + support.lo
 
 
 def flat_prior(support: Circle, n: Optional[int] = None) -> GridDistribution:
@@ -225,14 +219,19 @@ def _sh_rows(alpha, r, rho, n_max):
     Returns (rows_u, rows_v) with rows_u[:, n] = e^{-u} I_n(u) at
     u = rho^2 tanh r and rows_v[:, k] = e^{-v} I_k(v) at
     v = 2 alpha rho (1 - tanh r); both argument families are nonnegative,
-    so every term in the sums below is positive.
+    so every term in the sums below is positive.  Several radii run both
+    families in one recurrence pass, each argument at its own order; one
+    radius runs each on the Python-float path.
     """
     t = math.tanh(r)
     u = rho * rho * t
     v = 2.0 * alpha * rho * (1.0 - t)
-    rows_u = specfun.bessel_i_scaled_rows(u, n_max)
-    rows_v = specfun.bessel_i_scaled_rows(v, 2 * n_max + 3)
-    return rows_u, rows_v
+    if rho.size == 1:
+        return (specfun.bessel_i_scaled_rows(u, n_max),
+                specfun.bessel_i_scaled_rows(v, 2 * n_max + 3))
+    rows = specfun.bessel_i_scaled_rows(np.concatenate([u, v]),
+                                        np.repeat([n_max, 2 * n_max + 3], rho.size))
+    return rows[:rho.size, :n_max + 1], rows[rho.size:]
 
 
 def _sh_terms(rows_u, rows_v, n_max: int):
@@ -251,51 +250,19 @@ def _sh_terms(rows_u, rows_v, n_max: int):
 
 
 def _sh_point(alpha, r, babs):
-    """Normalization sum k, variance sum, the Bessel rows and the cutoff at
-    one radius."""
+    """Normalization sum k and variance sum at one radius."""
     n_max = _sh_cutoff(alpha, r, babs)
-    rows_u, rows_v = _sh_rows(alpha, r, np.array([float(babs)]), n_max)
-    norm, var = _sh_terms(rows_u, rows_v, n_max)
+    norm, var = _sh_terms(*_sh_rows(alpha, r, np.array([float(babs)]), n_max), n_max)
     k = norm.sum(axis=1)
     _check_tail(norm, k)
-    return float(k[0]), float(var.sum()), rows_u, rows_v, n_max
-
-
-def squeezed_het_outcome_density(alpha: float, r: float, beta: complex) -> float:
-    """p(beta) for the squeezed probe as a Bessel series.
-
-    Equals e^{-(1-t)(|beta|-alpha)^2} sum_n I_n(|beta|^2 t)
-    I_{2n}(2 alpha |beta| (1-t)) / (pi cosh r) with t = tanh r; at r = 0
-    only n = 0 survives and the coherent form is recovered.
-    """
-    babs = abs(complex(beta))
-    k = _sh_point(alpha, r, babs)[0]
-    t = math.tanh(r)
-    return math.exp(-(1.0 - t) * (babs - alpha) ** 2) * k / (math.pi * math.cosh(r))
+    return float(k[0]), float(var.sum())
 
 
 def squeezed_het_posterior_variance(alpha: float, r: float, abs_beta: float) -> float:
     """Circular posterior variance at outcome radius |beta| (angle drops out)."""
-    k, s = _sh_point(alpha, r, abs_beta)[:2]
+    k, s = _sh_point(alpha, r, abs_beta)
     # <sin^2(theta - est)> = (1 - <cos 2(theta - est)>) / 2 = s / (4 k)
     return 0.25 * s / k
-
-
-def squeezed_het_estimator(alpha: float, r: float, beta: complex) -> Optional[float]:
-    """Phase estimator arg <e^{i theta}>: phi_beta when the moment series is
-    positive, phi_beta + pi when negative, None when it vanishes."""
-    k, _, rows_u, rows_v, n_max = _sh_point(alpha, r, abs(complex(beta)))
-    # I_n(u) I_|2n+1|(v) is not symmetric in n: sum over n = -N..N
-    n = np.arange(-n_max, n_max + 1)
-    moment = float((rows_u[0, np.abs(n)] * rows_v[0, np.abs(2 * n + 1)]).sum())
-    if k > 0:
-        moment /= k
-    if abs(moment) < 1e-12:
-        return None
-    phi = phase_of_outcome(beta)
-    if moment < 0.0:
-        phi += math.pi
-    return _wrap(phi, HET_SUPPORT)
 
 
 def _sh_radial_extent(alpha: float, r: float) -> float:
@@ -390,20 +357,24 @@ def coherent_hom_outcome_density(alpha: float, q: float) -> float:
 def coherent_hom_circular_moment(alpha: float, q: float) -> complex:
     """<e^{i theta}> under the posterior p(theta | q) on [0, pi].
 
-    Real part: ratio of single Bessel sums; imaginary part: double sum
-    with the quartic integer denominator.  The estimator is the argument
-    of the returned complex number.
+    Real part: ratio of single Bessel sums.  Imaginary part: the double
+    sum over m, n = -N..N of b_m a_n num/den, b_m = I_|m|(-alpha^2) and
+    a_n = I_|2n|(2 sqrt2 q alpha) scaled, with the quartic integer
+    denominator den = (4(n-m)^2 - 1)(4(n+m)^2 - 1) and
+    num = 1 - 4m^2 - 4n^2.  num/den = -[K(n+m) + K(n-m)]/2 with
+    K(d) = 1/(4d^2 - 1), and b is even in m, so the double sum is
+    -b^T (K * a), one Toeplitz product (``np.convolve``) in O(N^2) flops
+    without N^2 arrays.  The estimator is the argument of the returned
+    complex number.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     rows_a, rows_b, n, norm, _, _ = _hom_series(alpha, q)
     re = float((rows_a[np.abs(2 * n + 1)] * rows_b[np.abs(n)]).sum()) / norm
-    nm, nn = np.meshgrid(n, n, indexing="ij")
-    num = 1.0 - 4.0 * nm.astype(float) ** 2 - 4.0 * nn.astype(float) ** 2
-    den = ((2 * nn - 2 * nm - 1) * (2 * nn - 2 * nm + 1)
-           * (2 * nn + 2 * nm + 1) * (2 * nn + 2 * nm - 1)).astype(float)
-    dbl = rows_b[np.abs(nm)] * rows_a[np.abs(2 * nn)] * num / den
-    im = 2.0 / math.pi * float(dbl.sum()) / norm
+    d = np.arange(1 - n.size, n.size, dtype=float)  # n - m = -2N..2N
+    kern = 1.0 / (4.0 * d * d - 1.0)
+    dbl = -float(rows_b[np.abs(n)] @ np.convolve(kern, rows_a[np.abs(2 * n)], mode="valid"))
+    im = 2.0 / math.pi * dbl / norm
     return complex(re, im)
 
 
@@ -415,11 +386,14 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
     """Phase encoding on D(alpha) S(-r) |0> read out by heterodyne detection.
 
     Outcome moments as in ``squeezed_het_likelihood``.  Outcome quadrature runs over the radial
-    coordinate only: the posterior is covariant under rotations of beta,
-    so the angular integral contributes a factor 2 pi |beta| (checked by
-    the rotational-covariance property tests and against the full polar
-    grid).  ``base_radial`` sets the level-0 radial node count; its
-    default, ``_RADIAL_BASE``, is the rule of the Bessel series
+    coordinate only (``radial_outcomes``): on the flat prior on the full
+    circle the posterior is covariant under rotations of beta, so the
+    angular integral contributes a factor 2 pi |beta| (checked by the
+    rotational-covariance property tests and against the full polar
+    grid).  On any other prior quadrature raises ``PriorSymmetryError``;
+    Monte Carlo, which draws beta in the plane, serves every prior.
+    ``base_radial`` sets the level-0 radial node count; its default,
+    ``_RADIAL_BASE``, is the rule of the Bessel series
     ``squeezed_het_average_variance``, so both lay the same radii.
 
     ``phase_symmetric``: the theta = 0 law has the real mean alpha and
@@ -436,6 +410,7 @@ class HeterodynePhaseStrategy(GaussianOutcomeStrategy):
     """
 
     phase_symmetric = True
+    radial_outcomes = True
 
     def __init__(self, alpha: float, r: float = 0.0, base_radial: int = _RADIAL_BASE):
         if alpha <= 0:

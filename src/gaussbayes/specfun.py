@@ -6,9 +6,17 @@ value is an entry of a row of exponentially scaled values e^{-|x|} I_n(x),
 n = 0..nmax, vectorized over x, from Miller's normalized backward
 recurrence written for the ratios I_k / I_{k-1}, which cannot overflow
 (Gautschi, SIAM Review 9, 24 (1967)); x = 0 gives the exact row
-(1, 0, ..., 0).  A single argument, as in the per-outcome Bessel series,
-runs the same recurrence in Python floats and gets the same bits.
-Negative arguments go through the parity identity I_n(-x) = (-1)^n I_n(x).
+(1, 0, ..., 0).  The recurrence starts at order
+n0 + ceil(40 / log1p(n0 / x)), n0 = max(nmax, 1): by the ratio bound
+I_k / I_{k-1} <= e^{-asinh(k/x)} (Amos, Math. Comp. 28, 239 (1974)) an
+error at the start is damped by e^-80 or more before order nmax, and the
+start never exceeds b + 40 + ceil(2 sqrt(b + 1)), b = max(nmax, ceil(x)),
+the rule it replaced, whose rows it reproduces bit for bit.  ``nmax`` may
+be one order per argument: one recurrence pass then serves rows of
+different lengths, each with the bits of its own call.  A single argument,
+as in the per-outcome Bessel series, runs the same recurrence in Python
+floats and gets the same bits.  Negative arguments go through the parity
+identity I_n(-x) = (-1)^n I_n(x).
 """
 
 from __future__ import annotations
@@ -42,25 +50,39 @@ class DomainError(ValueError):
     """Argument outside the function's domain (e.g. a non-finite argument)."""
 
 
-def _miller_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
+def _miller_scaled(xs: np.ndarray, nmax) -> np.ndarray:
     """e^{-x} I_n(x) for n = 0..nmax, x >= 0, vectorized over xs.
 
     Miller's backward recurrence in ratio form, which cannot overflow:
     r_k = I_k / I_{k-1} = x / (2k + x r_{k+1}) and
     h_k = sum_{j>=k} I_j / I_{k-1} = r_k (1 + h_{k+1}), both 0 above the
-    start order b + 40 + ceil(2 sqrt(b + 1)), b = max(nmax, ceil(x)).
-    Normalizing with I_0(x) + 2 sum_k I_k(x) = e^x gives
-    e^{-x} I_0 = 1 / (1 + 2 h_1), and the running product of the ratios
-    the other orders.  Each argument starts at its own order, so a row's
-    bits do not depend on the rest of the batch.  A single argument runs
-    the same operations in the same order on Python floats, which gives
-    the same bits without a numpy call per order.
+    start order.  An error at the start is damped by
+    prod r_k^2 <= e^{-2 sum asinh(k/x)} on the way down to n0 = max(nmax, 1),
+    and asinh(y) >= log1p(y): so the start n0 + ceil(40 / log1p(n0/x))
+    damps it by e^-80 or more, far below rounding.  The start never goes
+    above b + 40 + ceil(2 sqrt(b + 1)), b = max(nmax, ceil(x)), the rule it
+    replaced, whose rows it reproduces bit for bit.  Normalizing with
+    I_0(x) + 2 sum_k I_k(x) = e^x gives e^{-x} I_0 = 1 / (1 + 2 h_1), and
+    the running product of the ratios the other orders.
+
+    ``nmax`` is an int, or one order per argument (an int array shaped
+    like ``xs``): a row then has max(nmax) + 1 entries, zero past its own
+    order.  Each argument starts at its own order, so a row's bits depend
+    on its argument and order only, not on the rest of the batch.  A
+    single argument runs the same operations in the same order on Python
+    floats, which gives the same bits without a numpy call per order.
     """
     if xs.size == 1:
         x = float(xs[0])
+        if isinstance(nmax, np.ndarray):
+            nmax = int(nmax[0])
         b = max(nmax, math.ceil(x))
+        start = b + 40 + math.ceil(2.0 * math.sqrt(b + 1.0))
+        if x > 0.0:
+            n0 = max(nmax, 1)
+            start = min(start, n0 + math.ceil(40.0 / math.log1p(n0 / x)))
         r = h = 0.0
-        for k in range(b + 40 + math.ceil(2.0 * math.sqrt(b + 1.0)), nmax, -1):
+        for k in range(start, nmax, -1):
             r = x / (x * r + 2.0 * k)
             h = (h + 1.0) * r
         row = [0.0] * (nmax + 1)
@@ -72,14 +94,20 @@ def _miller_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
         for k in range(1, nmax + 1):
             p = row[k] = row[k] * p
         return np.array([row])
-    b = np.maximum(nmax, np.ceil(xs))
-    start = (b + 40.0 + np.ceil(2.0 * np.sqrt(b + 1.0))).astype(np.int64)
+    orders = np.broadcast_to(nmax, xs.shape)
+    width = int(orders.max(initial=0)) + 1
+    b = np.maximum(orders, np.ceil(xs))
+    n0 = np.maximum(orders, 1)
+    # x = 0 and a subnormal x send n0 / x to inf, and the start to n0
+    with np.errstate(divide="ignore", over="ignore"):
+        lead = np.ceil(40.0 / np.log1p(n0 / xs))
+    start = np.minimum(b + 40.0 + np.ceil(2.0 * np.sqrt(b + 1.0)), n0 + lead).astype(np.int64)
     order = np.argsort(-start)
     x = xs[order]
     # the arguments active at order k, start >= k, are a prefix of x
     ks = np.arange(start.max(initial=0), 0, -1)
     active = x.size - np.searchsorted(start[order][::-1], ks)
-    rows = np.empty((nmax + 1, x.size))
+    rows = np.empty((width, x.size))
     r = np.zeros(x.size)
     h = np.zeros(x.size)
     m = 0
@@ -92,32 +120,45 @@ def _miller_scaled(xs: np.ndarray, nmax: int) -> np.ndarray:
         np.divide(xk, rk, out=rk)
         hk += 1.0
         hk *= rk
-        if k <= nmax:
+        if k < width:
             rows[k] = r
     rows[0] = 1.0 / (1.0 + 2.0 * h)
-    np.multiply.accumulate(rows, axis=0, out=rows)
-    out = np.empty((x.size, nmax + 1))
+    # a zero ratio just past an argument's own order zeroes the rest of
+    # its row in the running product
+    own = orders[order]
+    short = np.flatnonzero(own < width - 1)
+    rows[own[short] + 1, short] = 0.0
+    for k in range(1, width):
+        np.multiply(rows[k], rows[k - 1], out=rows[k])
+    out = np.empty((x.size, width))
     out[order] = rows.T
     return out
 
 
-def bessel_i_scaled_rows(x, nmax: int) -> np.ndarray:
+def bessel_i_scaled_rows(x, nmax) -> np.ndarray:
     """Rows of e^{-|x|} I_n(x) for n = 0..nmax, vectorized over x.
 
     The parity sign for negative arguments is applied, so
     ``rows[i, n] == exp(-|x_i|) * I_n(x_i)`` for every real x_i.  Orders
-    are nonnegative; use I_{-n} = I_n for negative orders.
+    are nonnegative; use I_{-n} = I_n for negative orders.  ``nmax`` is
+    one order for every argument, or one per argument, broadcast over x:
+    then each row has max(nmax) + 1 entries, those past its own order 0,
+    and its other entries are those of a call with that order alone.
     """
-    if nmax > _MAX_ORDER:
-        raise DomainError("order out of supported range")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    top = nmax
+    if not isinstance(nmax, (int, np.integer)):
+        nmax = np.broadcast_to(np.asarray(nmax, dtype=np.int64), x.shape)
+        top = nmax.max(initial=0)
+    if top > _MAX_ORDER:
+        raise DomainError("order out of supported range")
     # the recurrence starts above |x|: bound its length as the order's
     if not np.all(np.abs(x) <= _MAX_ORDER):
         raise DomainError(f"bessel argument must be finite and at most {_MAX_ORDER:g} in size")
     out = _miller_scaled(np.abs(x), nmax)
     neg = x < 0.0
     if np.any(neg):
-        out[neg] *= (-1.0) ** np.arange(nmax + 1)[None, :]
+        out[neg] *= (-1.0) ** np.arange(out.shape[1])[None, :]
     if not np.all(np.isfinite(out)):
         raise DomainError("scaled Bessel rows are not finite")
     return out

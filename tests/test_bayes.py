@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from gaussbayes import bayes, displacement as disp, measurement as meas, phase
 from gaussbayes import phasespace as ps, squeezing as sq
 from gaussbayes.bayes import (Circle, GammaPrior, GaussianPrior, GridDistribution,
-                              InconsistentOutcomeError, Interval, ToleranceError,
-                              average_posterior_variance)
+                              InconsistentOutcomeError, Interval, PriorSymmetryError,
+                              ToleranceError, average_posterior_variance)
 from gaussbayes.phasespace import ProbeSpec
 
 
@@ -634,7 +634,10 @@ def summed_features(strat, outcomes):
 class PolarHeterodyne(phase.HeterodynePhaseStrategy):
     """The heterodyne strategy on the full polar grid, the oracle of its
     radial quadrature: one radial rule per angle of the ``angular_nodes``
-    midpoint rule on [-pi, pi).  Its complex rows run the full kernel."""
+    midpoint rule on [-pi, pi).  Its complex rows run the full kernel,
+    and its rule holds on any prior."""
+
+    radial_outcomes = False
 
     def __init__(self, alpha, r, angular_nodes, base_radial=128):
         super().__init__(alpha, r, base_radial)
@@ -1037,6 +1040,73 @@ def _direct_density(m, mean, cov):
     dx, dy = np.real(d), np.imag(d)
     expo = -0.5 * ((vyy * dx * dx - 2.0 * vxy * dx * dy + vxx * dy * dy) / det)
     return np.exp(expo) / (2.0 * math.pi * np.sqrt(det)), expo
+
+
+class TestRadialRulePrior:
+    """The radial outcome rule of ``HeterodynePhaseStrategy`` is exact only
+    on a prior flat on the full circle; quadrature refuses any other."""
+
+    # alpha = 1, r = 0 under the von Mises prior e^{2 cos theta}: the
+    # conjugate value, int d^2 beta e^{-|beta|^2 - alpha^2} [I0(k') - I2(k')]
+    # / (2 pi I0(2)) with k' = |2 + 2 alpha beta|, on a polar trapezoid
+    # grid; the radial rule returned 0.438344 +- 2.3e-9 here
+    VON_MISES_APV = 0.2351574
+
+    @staticmethod
+    def von_mises(t):
+        return np.exp(2.0 * np.cos(t))
+
+    @pytest.mark.parametrize("as_grid", [False, True])
+    def test_von_mises_quadrature_raises(self, as_grid):
+        strat = phase.HeterodynePhaseStrategy(1.0, 0.0)
+        prior = bayes.PriorRule(phase.HET_SUPPORT, self.von_mises, 512)
+        with pytest.raises(PriorSymmetryError, match="flat on the full circle"):
+            average_posterior_variance(strat, prior.grid(512) if as_grid else prior)
+
+    def test_von_mises_monte_carlo_draws_beta_in_the_plane(self):
+        strat = phase.HeterodynePhaseStrategy(1.0, 0.0)
+        prior = bayes.PriorRule(phase.HET_SUPPORT, self.von_mises, 512)
+        res = average_posterior_variance(strat, prior, method="montecarlo", samples=20000,
+                                         rng=rng_for(30))
+        assert abs(res.value - self.VON_MISES_APV) <= 4.0 * res.std_error
+
+    @pytest.mark.parametrize("prior", [
+        bayes.PriorRule(Circle(0.0, 2.0 * math.pi), None, 512),
+        bayes.PriorRule(phase.HOM_SUPPORT, None, 512),
+        GridDistribution.from_function(Circle(-math.pi, math.pi), lambda t: 1.5 + np.sin(t), 64),
+    ])
+    def test_other_priors_raise(self, prior):
+        with pytest.raises(PriorSymmetryError):
+            average_posterior_variance(phase.HeterodynePhaseStrategy(1.0, 0.3), prior)
+
+    def test_flat_rule_is_checked_without_nodes(self, monkeypatch):
+        # a flat PriorRule passes on its fields alone: no grid is built,
+        # no density evaluated
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+        monkeypatch.setattr(bayes.PriorRule, "grid", no_grid)
+        monkeypatch.setattr(GridDistribution, "uniform", no_grid)
+        for rule in (None, bayes.GAUSS_LEGENDRE):
+            assert bayes._flat_full_circle(bayes.PriorRule(phase.HET_SUPPORT, None, 2048, rule))
+        assert not bayes._flat_full_circle(
+            bayes.PriorRule(phase.HET_SUPPORT, self.von_mises, 2048))
+
+    def test_flat_priors_run(self):
+        # every prior the phase tasks build: flat grids and rules on the
+        # full circle, on either rule
+        strat = phase.HeterodynePhaseStrategy(1.0, 0.3)
+        want = average_posterior_variance(strat, phase.flat_prior(phase.HET_SUPPORT, 256))
+        got = average_posterior_variance(
+            strat, GridDistribution.from_function(phase.HET_SUPPORT, np.ones_like, 256))
+        assert got == want
+        average_posterior_variance(strat, bayes.PriorRule(phase.HET_SUPPORT, None, 512,
+                                                          bayes.GAUSS_LEGENDRE))
+
+    def test_other_strategies_take_any_prior(self):
+        strat = phase.HomodynePhaseStrategy(1.0, 0.0)
+        prior = bayes.PriorRule(phase.HOM_SUPPORT, lambda t: np.exp(np.cos(2.0 * t)), 512,
+                                bayes.GAUSS_LEGENDRE)
+        assert 0.0 < average_posterior_variance(strat, prior).value < 0.5
 
 
 class TestOutcomeDensity:

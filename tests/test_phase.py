@@ -103,37 +103,6 @@ class TestSqueezedHeterodyne:
                             for bb in b]) * rho, rho)) * ha
         assert total == pytest.approx(1.0, abs=1e-5)
 
-    def test_outcome_density_reduction_and_quadrature(self):
-        # r=0 collapses to the coherent closed form
-        assert phase.squeezed_het_outcome_density(1.0, 0.0, 0.7 + 0.1j) == pytest.approx(
-            phase.coherent_het_outcome_density(1.0, abs(0.7 + 0.1j)), rel=1e-12)
-        th, h = circle_grid(Circle(-math.pi, math.pi), 16384)
-        for (alpha, r, beta) in [(1.0, 0.25, 1.0 + 0j), (2.0, 0.75, 1.5 + 0.3j),
-                                 (0.4, 1.25, 3.0 - 1.0j)]:
-            want = float(phase.squeezed_het_likelihood(alpha, r, beta, th).mean())
-            got = phase.squeezed_het_outcome_density(alpha, r, beta)
-            assert got == pytest.approx(want, rel=1e-8)
-
-    def test_outcome_density_normalization(self):
-        alpha, r = 1.0, 0.5
-        ext = phase._sh_radial_extent(alpha, r)
-        rho = np.linspace(0.0, ext, 3001)
-        dens = np.array([phase.squeezed_het_outcome_density(alpha, r, b) for b in rho])
-        assert float(np.trapezoid(2 * math.pi * rho * dens, rho)) == pytest.approx(
-            1.0, abs=1e-4)
-
-    def test_estimator_matches_grid_oracle(self):
-        prior = phase.flat_prior(phase.HET_SUPPORT, 4096)
-        for (alpha, r, beta) in [(1.0, 0.0, 0.8 + 0.3j),
-                                 (1.0, 0.5, 0.5 * np.exp(-0.4j)),
-                                 (1.0, 0.5, 0.05j),
-                                 (0.7, 1.0, -0.2 + 0.02j)]:
-            est = phase.squeezed_het_estimator(alpha, r, beta)
-            post = bayes.grid_update(
-                prior, lambda t, m: phase.squeezed_het_likelihood(alpha, r, m, t), beta)
-            want = bayes.circular_mean(post)
-            assert est == pytest.approx(want, abs=1e-6)
-
     def test_posterior_variance_coherent_limit(self):
         for alpha, babs in ((0.4, 0.3), (1.3, 0.7), (2.0, 2.5)):
             assert phase.squeezed_het_posterior_variance(alpha, 0.0, babs) == pytest.approx(
@@ -155,12 +124,30 @@ class TestSqueezedHeterodyne:
             assert phase.squeezed_het_posterior_variance(alpha, r, babs) == pytest.approx(
                 want, rel=1e-9)
 
-    def test_estimator_coherent_case_is_outcome_phase(self):
-        beta = 0.9 * complex(math.cos(1.1), -math.sin(1.1))
-        assert phase.squeezed_het_estimator(1.0, 0.0, beta) == pytest.approx(1.1, abs=1e-12)
+    def test_one_radius_calls_no_numpy_divide(self, monkeypatch):
+        # one radius runs each Bessel family on the Python-float path
+        calls = []
+        divide = np.divide
 
-    def test_estimator_flag_at_origin(self):
-        assert phase.squeezed_het_estimator(1.0, 0.3, 0.0) is None
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return divide(*args, **kwargs)
+
+        monkeypatch.setattr(np, "divide", counting)
+        phase.squeezed_het_posterior_variance(1.5, 0.25, 2.0)
+        assert calls == []
+
+    def test_radial_rows_in_one_pass_equal_rows_per_radius(self):
+        # both families of several radii run in one recurrence pass, each
+        # argument at its own order: the rows of each radius alone
+        alpha, r, n_max = 2.5, 0.25, 30
+        rho = np.array([0.0, 1e-170, 0.4, 2.0, 5.5, 11.0])
+        rows_u, rows_v = phase._sh_rows(alpha, r, rho, n_max)
+        assert rows_u.shape == (rho.size, n_max + 1) and rows_v.shape == (rho.size, 2 * n_max + 4)
+        for i, x in enumerate(rho):
+            u, v = phase._sh_rows(alpha, r, np.array([x]), n_max)
+            assert rows_u[i].tobytes() == u[0].tobytes()
+            assert rows_v[i].tobytes() == v[0].tobytes()
 
     def test_average_variance_reduction(self):
         for alpha in (0.5, 1.0, 2.0):
@@ -236,6 +223,29 @@ class TestCoherentHomodyne:
         got = phase.coherent_hom_circular_moment(1.0, 0.0)
         assert got.real == pytest.approx(0.0, abs=1e-14)
 
+    @staticmethod
+    def double_sum_moment(alpha, q):
+        """Imaginary part of the circular moment as the literal double sum
+        over the quartic denominator, and eps times the sum of its terms'
+        magnitudes, both scaled as the moment."""
+        rows_a, rows_b, n, norm, _, _ = phase._hom_series(alpha, q)
+        nm, nn = np.meshgrid(n, n, indexing="ij")
+        num = 1.0 - 4.0 * nm.astype(float) ** 2 - 4.0 * nn.astype(float) ** 2
+        den = ((2 * nn - 2 * nm - 1) * (2 * nn - 2 * nm + 1)
+               * (2 * nn + 2 * nm + 1) * (2 * nn + 2 * nm - 1)).astype(float)
+        terms = rows_b[np.abs(nm)] * rows_a[np.abs(2 * nn)] * num / den
+        scale = 2.0 / math.pi / norm
+        return scale * float(terms.sum()), scale * np.finfo(float).eps * float(np.abs(terms).sum())
+
+    def test_toeplitz_moment_matches_the_double_sum(self):
+        # num/den = -[K(n+m) + K(n-m)]/2, K(d) = 1/(4d^2 - 1): the
+        # convolution is the double sum to rounding
+        for alpha in np.linspace(0.1, 3.0, 7):
+            for q in np.linspace(-6.0, 6.0, 13):
+                want, eps_mag = self.double_sum_moment(alpha, q)
+                got = phase.coherent_hom_circular_moment(alpha, q).imag
+                assert abs(got - want) <= 8.0 * eps_mag, (alpha, q)
+
     def test_circular_moment_flat_limit(self):
         got = phase.coherent_hom_circular_moment(1e-7, 0.6)
         assert got == pytest.approx(2j / math.pi, abs=1e-7)
@@ -302,15 +312,9 @@ class TestTruncation:
         assert phase._hom_cutoff(-3.0, -10.0) == 24
         assert phase._hom_cutoff(0.0, 0.0) == 4
 
-    def test_corrupted_truncation_detected(self, monkeypatch):
-        monkeypatch.setattr(phase, "_sh_cutoff", lambda alpha, r, rho_max: 1)
-        with pytest.raises(TruncationError):
-            phase.squeezed_het_outcome_density(2.0, 0.75, 3.0 + 0j)
-
     @pytest.mark.parametrize("call", [
         lambda: phase.squeezed_het_average_variance(2.0, 0.75),
-        lambda: phase.squeezed_het_posterior_variance(2.0, 0.75, 3.0),
-        lambda: phase.squeezed_het_outcome_density(2.0, 0.75, 3.0 + 0j)])
+        lambda: phase.squeezed_het_posterior_variance(2.0, 0.75, 3.0)])
     def test_short_cutoff_raises_on_half_range_sums(self, call, monkeypatch):
         call()
         monkeypatch.setattr(phase, "_sh_cutoff", lambda alpha, r, rho_max: 1)
@@ -362,14 +366,17 @@ class TestTruncation:
                 assert abs(phase.coherent_hom_circular_moment(alpha, q)) <= 1.0
 
     def test_duality_on_parameter_box(self):
-        # seeded samples over alpha in [0.1, 3], r in [0, 1.25]
+        # seeded samples over alpha in [0.1, 3], r in [0, 1.25]: the series
+        # at |beta| against the grid posterior of the likelihood at beta
         rng = np.random.default_rng(np.random.SeedSequence(41))
-        th, h = circle_grid(Circle(-math.pi, math.pi), 16384)
+        prior = phase.flat_prior(phase.HET_SUPPORT, 4096)
         for _ in range(10):
             alpha = float(rng.uniform(0.1, 3.0))
             r = float(rng.uniform(0.0, 1.25))
             babs = float(rng.uniform(0.0, alpha + 3.0))
             beta = babs * np.exp(-1j * rng.uniform(-math.pi, math.pi))
-            want = float(phase.squeezed_het_likelihood(alpha, r, beta, th).mean())
-            got = phase.squeezed_het_outcome_density(alpha, r, beta)
-            assert got == pytest.approx(want, rel=1e-6, abs=1e-300)
+            post = bayes.grid_update(
+                prior, lambda t, m: phase.squeezed_het_likelihood(alpha, r, m, t), beta)
+            want = bayes.variance_circular(post, bayes.circular_mean(post))
+            got = phase.squeezed_het_posterior_variance(alpha, r, babs)
+            assert got == pytest.approx(want, rel=1e-9)

@@ -23,6 +23,52 @@ def series_oracle(n, x, terms=80):
     return total
 
 
+def old_start(x, nmax):
+    """The start order of the rule the converged start replaced:
+    b + 40 + ceil(2 sqrt(b + 1)), b = max(nmax, ceil(x))."""
+    b = max(nmax, math.ceil(x))
+    return b + 40 + math.ceil(2.0 * math.sqrt(b + 1.0))
+
+
+def miller_row(x, nmax, start):
+    """e^{-x} I_n(x), n = 0..nmax, x >= 0: the ratio recurrence of
+    ``specfun._miller_scaled`` from order ``start``, in its operations and
+    their order, on Python floats."""
+    r = h = 0.0
+    row = [0.0] * (nmax + 1)
+    for k in range(start, 0, -1):
+        r = x / (x * r + 2.0 * k)
+        h = (h + 1.0) * r
+        if k <= nmax:
+            row[k] = r
+    p = row[0] = 1.0 / (1.0 + 2.0 * h)
+    for k in range(1, nmax + 1):
+        p = row[k] = row[k] * p
+    return np.array(row)
+
+
+def old_rule_rows(xs, orders):
+    """{(x, nmax): row} on the old start rule.  Orders that share a start
+    (all those below ceil(x)) run the same operations down to order 1, so
+    their rows are prefixes of the longest one's, which is run once."""
+    rows = {}
+    for x in xs:
+        runs = {}
+        for n in sorted(orders, reverse=True):
+            start = old_start(x, n)
+            if start not in runs:
+                runs[start] = miller_row(x, n, start)
+            rows[x, n] = runs[start][:n + 1]
+    return rows
+
+
+# the grid of the start-rule oracle: x from 0 and the smallest subnormal
+# to the largest supported size, orders from 0 to 1000
+GRID_XS = [0.0, 5e-324, 1e-300, 1e-100, 1e-10, 1e-3, 0.3, 1.0, 2.5, 7.0, 20.0, 60.0,
+           200.0, 700.0, 3e3, 1e4, 1e5, 1e6]
+GRID_ORDERS = [0, 1, 2, 3, 4, 6, 9, 14, 21, 33, 50, 75, 113, 170, 256, 384, 577, 866, 1000]
+
+
 # frozen from the power-series oracle: sum_k 1/(k!(k+1)!)
 I1_AT_2 = 1.5906368546373291
 
@@ -198,6 +244,47 @@ class TestScaled:
         assert calls == []
         bessel_i_scaled_rows([50.0, 1.0], 200)
         assert calls
+
+    @pytest.fixture(scope="class")
+    def old_rows(self):
+        return old_rule_rows(GRID_XS, GRID_ORDERS)
+
+    def test_start_rule_keeps_the_old_rows_on_one_argument(self, old_rows):
+        # the start n0 + ceil(40 / log1p(n0 / x)) damps the start error by
+        # e^-80, far below rounding: every bit of the old rule's rows holds
+        for (x, n), want in old_rows.items():
+            assert bessel_i_scaled_rows([x], n)[0].tobytes() == want.tobytes(), (x, n)
+
+    def test_start_rule_keeps_the_old_rows_on_a_batch(self, old_rows):
+        # one batch of every (x, order) pair up to x = 1e5, each argument
+        # at its own order; a batch runs one numpy pass per order, and
+        # x = 1e6 would take a million of them
+        pairs = [(x, n) for (x, n) in old_rows if x <= 1e5]
+        rows = bessel_i_scaled_rows([x for x, _ in pairs], [n for _, n in pairs])
+        for (x, n), row in zip(pairs, rows):
+            assert row[:n + 1].tobytes() == old_rows[x, n].tobytes(), (x, n)
+
+    def test_per_argument_orders_equal_separate_calls(self):
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([[0.0, 5e-324, -5e-324, 1e-300, -1e-4], rng.uniform(-60.0, 60.0, 40),
+                             [300.0, -704.2]])
+        orders = rng.integers(0, 90, xs.size)
+        orders[:3] = (0, 89, 1)
+        rows = bessel_i_scaled_rows(xs, orders)
+        assert rows.shape == (xs.size, orders.max() + 1)
+        for x, n, row in zip(xs, orders, rows):
+            assert row[:n + 1].tobytes() == bessel_i_scaled_rows([x], int(n))[0].tobytes()
+            # past its own order a row holds zeros, -0.0 at the odd orders
+            # of a negative argument (the parity sign)
+            assert np.all(row[n + 1:] == 0.0)
+        # one order broadcast over x, and one argument with an order array
+        np.testing.assert_array_equal(bessel_i_scaled_rows(xs, [7]), bessel_i_scaled_rows(xs, 7))
+        assert (bessel_i_scaled_rows([2.5], np.array([9])).tobytes()
+                == bessel_i_scaled_rows([2.5], 9).tobytes())
+
+    def test_order_array_out_of_range(self):
+        with pytest.raises(DomainError):
+            bessel_i_scaled_rows([1.0, 2.0], [3, 10**6 + 1])
 
     def test_rows_match_mpmath_across_orders_and_arguments(self):
         mpmath = pytest.importorskip("mpmath")
