@@ -95,7 +95,7 @@ def _miller_scaled(xs: np.ndarray, nmax) -> np.ndarray:
             p = row[k] = row[k] * p
         return np.array([row])
     orders = np.broadcast_to(nmax, xs.shape)
-    width = int(orders.max(initial=0)) + 1
+    width = (int(orders.max(initial=0)) if isinstance(nmax, np.ndarray) else nmax) + 1
     b = np.maximum(orders, np.ceil(xs))
     n0 = np.maximum(orders, 1)
     # x = 0 and a subnormal x send n0 / x to inf, and the start to n0

@@ -282,6 +282,10 @@ class TestScaled:
         assert (bessel_i_scaled_rows([2.5], np.array([9])).tobytes()
                 == bessel_i_scaled_rows([2.5], 9).tobytes())
 
+    def test_empty_batch_keeps_its_width(self):
+        assert bessel_i_scaled_rows([], 3).shape == (0, 4)
+        assert bessel_i_scaled_rows([], []).shape == (0, 1)
+
     def test_order_array_out_of_range(self):
         with pytest.raises(DomainError):
             bessel_i_scaled_rows([1.0, 2.0], [3, 10**6 + 1])
