@@ -416,7 +416,10 @@ class PriorRule:
     def counts(self):
         """The node counts the engines try: 64 doubling (65, 129, ... on
         the trapezoid rule, whose step then halves), the last one
-        ``max_nodes``."""
+        ``max_nodes``.  Each trapezoid count 2n - 1 holds every node of
+        count n, bit for bit, so the engines run its kernel on its odd
+        nodes only (``_refine_count``); a ceiling that is not 2n - 1, and
+        every count of the other rules, is evaluated afresh."""
         odd = int((self.rule or _default_rule(self.support)) == TRAPEZOID)
         n = 64 + odd
         while n < self.max_nodes:
@@ -777,6 +780,18 @@ class _SpreadCalculator:
     is a view into ``scratch``, a ``_kernel_scratch`` made for the prior's
     node count, which calculators on grids of other counts may share.
 
+    Nesting: ``coarse`` is a calculator on this grid's even nodes, built
+    with ``keep``, which holds the unshifted moment sums of each feature
+    array it reduced, by identity.  When ``spreads`` gets such an array it
+    runs the kernel on its odd nodes only, on ``coeffs[:, 1::2]`` and
+    ``moments[1::2]`` and a view of ``scratch``, and adds the coarse sums
+    scaled by the ratio of this grid's weights to the coarse grid's at the
+    shared nodes (one number on a trapezoid rule, exactly 1/2 on a flat
+    prior); the coarse sums are released then.  The sums are added in
+    another order than the full kernel's, so (v, z) moves by a few eps
+    relative; a row whose combined evidence is below ``_z_low`` is redone
+    on the full kernel with its shift, as on any other calculator.
+
     Folding: when the strategy is ``phase_symmetric`` and the prior is a
     flat grid on an even number of midpoint nodes of [-pi, pi)
     (``_mirror_flat``), a call whose y features are all zero (real
@@ -789,7 +804,8 @@ class _SpreadCalculator:
     """
 
     def __init__(self, prior: GridDistribution, strategy: GaussianOutcomeStrategy,
-                 scratch: np.ndarray):
+                 scratch: np.ndarray, coarse: Optional["_SpreadCalculator"] = None,
+                 keep: bool = False):
         self.strategy = strategy
         self.circular = strategy.circular
         self._prior = prior
@@ -799,7 +815,14 @@ class _SpreadCalculator:
         self._z_low = math.exp(_LOG_FLOOR + 37.0) * float(w.sum())
         n = prior.nodes.size
         rows = _block_rows(n)
+        self._scratch = scratch
         self._buf = scratch[:rows * n].reshape(rows, n)
+        self._coarse = coarse
+        if coarse is not None:
+            self._ratio = float(w[0::2].sum()) / float(coarse._w.sum())
+        # (features, unshifted moment sums) by id(features); the features
+        # are held so that their id is not reused
+        self._sums = {} if keep else None
         self.symmetric = strategy.phase_symmetric and _mirror_flat(prior)
         if self.symmetric:
             half = prior.nodes[n // 2:]
@@ -824,6 +847,15 @@ class _SpreadCalculator:
         else:
             cols = [w, w * nodes, w * nodes**2]
         return np.column_stack(cols)
+
+    @functools.cached_property
+    def _odd(self):
+        """The kernel on the odd nodes, which the coarse grid lacks."""
+        coeffs = np.ascontiguousarray(self.coeffs[:, 1::2])
+        n = coeffs.shape[1]
+        rows = self._scratch.size // n
+        return (coeffs, np.ascontiguousarray(self.moments[1::2]),
+                self._scratch[:rows * n].reshape(rows, n))
 
     def finish(self, m):
         """(posterior variance, evidence) from the moment sums m: those of
@@ -867,17 +899,26 @@ class _SpreadCalculator:
     def spreads(self, feats):
         """(posterior variance, evidence) per row of the outcome features
         ``feats`` (``strategy.outcome_features``, or sums of them)."""
+        sent = feats
+        kept = None if self._coarse is None else self._coarse._sums.pop(id(feats), None)
         if self.symmetric and not feats[:, _Y_FEATURES].any():
             feats, kernel = feats[:, _X_FEATURES], self._fold
         else:
             kernel = (self.coeffs, self.moments, self._buf)
         m = np.empty((feats.shape[0], kernel[1].shape[1]))
-        self._reduce(feats, kernel, m)
+        if kept is None:
+            self._reduce(feats, kernel, m)
+        else:
+            self._reduce(feats, self._odd, m)
+            m += self._ratio * kept[1]
+        if self._sums is not None:
+            self._sums[id(sent)] = sent, m
         # a row whose evidence the floor may have flattened is redone with
         # its largest log p at 0, and the shift goes back into the evidence
         low = np.flatnonzero(m[:, 0] < self._z_low)
         if low.size == 0:
             return self.finish(m)
+        m = m.copy()  # the kept sums stay unshifted
         shift = np.empty(low.size)
         m_low = np.empty((low.size, m.shape[1]))
         self._reduce(feats[low], kernel, m_low, shift)
@@ -959,20 +1000,36 @@ def _refine_count(strategy, prior: Union[GridDistribution, PriorRule], evaluate,
     counts n of ``prior.counts()`` up to the first whose value agrees with
     the previous count's within rel_tol |value|: its (result, gap, True),
     or at ``prior.max_nodes`` (result, last gap or None, False).
+
+    On the trapezoid rule a count 2n - 1 after count n holds every node of
+    count n, so its calculator gets count n's as ``coarse``: on the
+    feature arrays both reduce, which ``evaluate`` passes to each count as
+    the same objects, it runs the kernel on its odd nodes only.  A search
+    up to count N then costs N kernel columns per outcome row, not about
+    2N; its values move by a few eps relative.  Any other count (the
+    midpoint and Gauss-Legendre rules, or a ceiling such as 200 after 129)
+    runs its full kernel, bit for bit as alone.
     """
     if isinstance(prior, GridDistribution):
-        counts, grid = [prior.nodes.size], lambda n: prior
+        counts, grid, trapezoid = [prior.nodes.size], lambda n: prior, False
     else:
         counts, grid = list(prior.counts()), lambda n: prior.grid(n, prior.rule)
+        trapezoid = (prior.rule or _default_rule(prior.support)) == TRAPEZOID
     # one kernel buffer for every count: a buffer per count would have its
     # pages faulted in afresh each time
     scratch = _kernel_scratch(*counts)
-    prev = gap = None
-    for n in counts:
-        value, result = evaluate(_SpreadCalculator(grid(n), strategy, scratch))
+    coarse = prev = gap = None
+    for n, following in zip(counts, counts[1:] + [None]):
+        nests = trapezoid and following == 2 * n - 1
+        calc = _SpreadCalculator(grid(n), strategy, scratch, coarse, keep=nests)
+        value, result = evaluate(calc)
+        # the sums count n kept and this count did not use go with it
+        calc._coarse = None
+        coarse = calc if nests else None
         if prev is not None:
             gap = abs(value - prev)
             if gap <= max(rel_tol * abs(value), 1e-300):
+                calc._sums = None  # Monte Carlo's later chunks keep nothing
                 return result, gap, True
         prev = value
     return result, gap, isinstance(prior, GridDistribution)
@@ -1006,7 +1063,10 @@ def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, r
     without agreement, the ceiling count's), which serves every chunk.
     The draws do not depend on the count; ``std_error`` is the standard
     error plus the last gap.  Each chunk's features are formed once per
-    reduction and shared by every count the search tries.
+    reduction and shared by every count the search tries, as one array,
+    so a nested trapezoid count reduces only its odd nodes on the first
+    chunk and adds the sums of the count before (``_refine_count``);
+    later chunks run the chosen count's full kernel and keep no sums.
     """
     if rng is None:
         raise ValueError("Monte Carlo requires a seeded generator")
@@ -1061,13 +1121,16 @@ def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, ma
     """Outcome quadrature (``_quadrature_outcome_grid``) on each calculator
     of ``_refine_count``.  Each level's rule and the features of the
     outcomes it evaluates are made once, on the first count that reaches
-    the level, and every count shares them.  On a
-    ``PriorRule`` the error is the outcome-step error plus the gap
-    between the last two counts: the rules converge spectrally, so the gap
-    bounds the finer count's prior-grid error.  ToleranceError carries the
-    last value when no two counts agree.  A ``radial_outcomes`` strategy
-    on a prior that is not flat on the full circle raises
-    ``PriorSymmetryError``: its rule would integrate the wrong outcome law.
+    the level, and every count shares them: a nested trapezoid count
+    reduces only its odd nodes at each level the count before reached, to
+    a few eps relative of its grid alone.  On a ``PriorRule`` the error is
+    the outcome-step error plus the gap between the last two counts: the
+    rules converge spectrally, so the gap bounds the finer count's
+    prior-grid error.  ToleranceError carries the last value when no two
+    counts agree; on a rule of one count, which no second count can check,
+    it says so.  A ``radial_outcomes`` strategy on a prior that is not flat
+    on the full circle raises ``PriorSymmetryError``: its rule would
+    integrate the wrong outcome law.
     """
     if strategy.radial_outcomes and not _flat_full_circle(prior):
         raise PriorSymmetryError("a radial outcome rule needs a prior flat on the full "
@@ -1098,8 +1161,12 @@ def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, ma
         res = dataclasses.replace(res, std_error=res.std_error + gap)
     if agreed:
         return res
+    if gap is None:
+        raise ToleranceError(f"the prior rule has one count within {prior.max_nodes} nodes, "
+                             "and one count cannot check the prior-grid error: pass a "
+                             "GridDistribution or a larger max_nodes", estimate=res.value)
     raise ToleranceError(f"prior quadrature did not converge within {prior.max_nodes} nodes",
-                         estimate=res.value, std_error=None if gap is None else res.std_error)
+                         estimate=res.value, std_error=res.std_error)
 
 
 def average_posterior_variance(strategy, prior: Union[GridDistribution, PriorRule],

@@ -1224,8 +1224,10 @@ class TestAllocationGuard:
     def test_one_kernel_buffer_per_engine_call(self, monkeypatch):
         strat = disp.HomodyneQuadratureStrategy(0.7, 0.2)
         rule = bayes.PriorRule.gaussian(strat.prior, bayes.LINEAR_GRID_NODES, 8.0)
-        per_count = [average_posterior_variance(strat, rule.grid(n), rel_tol=1e-6)
-                     for n in rule.counts()]
+        # the same prior on the midpoint rule, whose counts do not nest
+        mid = bayes.PriorRule(rule.support, rule.density, 2000, bayes.MIDPOINT)
+        per_count = [[average_posterior_variance(strat, r.grid(n, r.rule), rel_tol=1e-6)
+                      for n in r.counts()] for r in (rule, mid)]
         made = []
         scratch = bayes._kernel_scratch
 
@@ -1233,11 +1235,20 @@ class TestAllocationGuard:
             made.append(counts)
             return scratch(*counts)
         monkeypatch.setattr(bayes, "_kernel_scratch", counting)
-        got = average_posterior_variance(strat, rule, rel_tol=1e-6)
-        assert len(made) == 1 and got.prior_nodes > 65
-        # bitwise the value of its own count's grid on a buffer of its own
-        want = next(r for r in per_count if r.prior_nodes == got.prior_nodes)
-        assert got.value == want.value
+        got = []
+        for r, values in zip((rule, mid), per_count):
+            made.clear()
+            res = average_posterior_variance(strat, r, rel_tol=1e-6)
+            assert len(made) == 1 and res.prior_nodes > 65
+            want = next(w for w in values if w.prior_nodes == res.prior_nodes)
+            assert res.levels == want.levels
+            got.append((res, want))
+        # the value of its own count's grid on a buffer of its own: to
+        # rounding where the count nests on the one before, whose moment
+        # sums it adds in another order, and bitwise where it does not
+        (res, want), (res_mid, want_mid) = got
+        assert res.value == pytest.approx(want.value, rel=1e-14)
+        assert res_mid.value == want_mid.value
 
 
 # ---------------------------------------------------------------------------
@@ -1582,7 +1593,9 @@ class TestPriorRefinement:
                             lambda outcomes: made.append("features") or features(outcomes))
         cols = kernel_columns(monkeypatch)
         res = average_posterior_variance(strat, rule, rel_tol=1e-5)
-        assert sorted(set(cols)) == [65, 129, 257] and res.prior_nodes == 257
+        # the 129- and 257-node counts nest on the count before and run
+        # their odd nodes only: 64 and 128 kernel columns per level
+        assert cols == [65, 65, 64, 64, 128, 128] and (res.prior_nodes, res.levels) == (257, 2)
         assert made == ["rule", "features"] * res.levels
 
     def test_counts_double_up_to_the_ceiling(self):
@@ -1736,12 +1749,21 @@ class TestMonteCarloNodeCount:
                                          rng=rng_for(24), rel_tol=1e-5)
         want = average_posterior_variance(strat, rule.grid(129), method="montecarlo",
                                           samples=8192, rng=rng_for(24), rel_tol=1e-5)
-        assert res.value == want.value and res.prior_nodes == 129
+        # 129 nodes nest on 65: the moment sums are added in another order
+        assert res.value == pytest.approx(want.value, rel=1e-14) and res.prior_nodes == 129
         means = [replay_monte_carlo(strat, rule, bayes._MC_CHUNK, n, rng_for(24))[0].mean()
                  for n in (65, 129)]
         gap = abs(means[1] - means[0])
         assert gap > 1e-5 * abs(means[1])
-        assert res.std_error >= want.std_error + gap
+        assert res.std_error >= want.std_error + gap - 1e-14 * abs(want.value)
+        # a 128-node ceiling does not nest on 65: its grid's value bit for bit
+        strat, rule = _squeeze_rule(4.0, 1.0, grid_nodes=128)
+        res = average_posterior_variance(strat, rule, method="montecarlo", samples=8192,
+                                         rng=rng_for(24), rel_tol=1e-5)
+        want = average_posterior_variance(strat, rule.grid(128), method="montecarlo",
+                                          samples=8192, rng=rng_for(24), rel_tol=1e-5)
+        assert res.value == want.value and res.prior_nodes == 128
+        assert res.std_error > want.std_error
 
     def test_rel_tol_sets_the_count(self):
         # the row that needs 257 nodes at the Squeeze tolerance 1e-5
@@ -1764,7 +1786,8 @@ class TestMonteCarloNodeCount:
 
     def test_cost_guard_features_once_per_chunk(self, monkeypatch):
         # two chunks, the first searched over 65, 129 and 257 nodes: each
-        # chunk's features are formed once, and every count shares them
+        # chunk's features are formed once, and every count shares them;
+        # 129 and 257 nest on the count before and run their odd nodes only
         strat, rule = _squeeze_rule(4.0, 1.0)
         formed = []
         features = strat.outcome_features
@@ -1773,7 +1796,7 @@ class TestMonteCarloNodeCount:
         cols = kernel_columns(monkeypatch)
         res = average_posterior_variance(strat, rule, method="montecarlo", samples=8192,
                                          rng=rng_for(25), rel_tol=1e-5)
-        assert sorted(set(cols)) == [65, 129, 257] and res.prior_nodes == 257
+        assert cols == [65, 64, 128, 257] and res.prior_nodes == 257
         assert formed == [4096, 4096]
 
     def test_a_grid_is_a_one_count_rule(self):
@@ -1791,6 +1814,8 @@ class TestMonteCarloNodeCount:
         with pytest.raises(ToleranceError, match="within 64 nodes") as err:
             average_posterior_variance(strat, rule)
         assert err.value.std_error is None
+        assert "one count cannot check the prior-grid error" in str(err.value)
+        assert "GridDistribution or a larger max_nodes" in str(err.value)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_samples_must_be_positive(self, samples):
@@ -1798,3 +1823,175 @@ class TestMonteCarloNodeCount:
         with pytest.raises(ValueError, match="at least one sample"):
             average_posterior_variance(strat, rule, method="montecarlo", samples=samples,
                                        rng=rng_for(26))
+
+
+# ---------------------------------------------------------------------------
+# nested prior counts: a trapezoid count 2n - 1 runs the kernel only on the
+# nodes count n lacks
+
+
+def searched_spreads(monkeypatch, strat, prior, feats):
+    """(grid, v, z, kernel columns) of each count of the engine's count
+    search on the feature rows ``feats``, passed to every count as one
+    array; no two counts agree, so the search runs to the ceiling."""
+    cols = kernel_columns(monkeypatch)
+    seen = []
+
+    def evaluate(calc):
+        start = len(cols)
+        v, z = calc.spreads(feats)
+        seen.append((calc._prior, v.copy(), z.copy(), cols[start:]))
+        return float(len(seen)), None
+    bayes._refine_count(strat, prior, evaluate, 0.0)
+    return seen
+
+
+def spreads_alone(strat, grid, feats):
+    """(v, z) of ``feats`` on ``grid``, on a calculator and buffer of its own."""
+    scratch = bayes._kernel_scratch(grid.nodes.size)
+    return bayes._SpreadCalculator(grid, strat, scratch).spreads(feats)
+
+
+def drifting_heterodyne():
+    """A 2-D strategy of this file's own, on an interval: the heterodyne
+    outcome's mean and covariance both move with theta."""
+    def moments(t):
+        cov = (0.6 + 0.1 * t * t, 0.4 + 0.05 * np.cos(t), 0.1 * np.sin(t))
+        return (1.0 + 0.5j) * t + 0.3j * t * t, cov
+
+    def nodes(level):
+        raise AssertionError("this strategy has no outcome rule")
+    return bayes.GaussianOutcomeStrategy(moments, nodes, dim=2, circular=False)
+
+
+def _sampled(strat, rule, size, seed):
+    rng = rng_for(30, seed)
+    return strat.sample_outcomes_given(rule.grid(rule.max_nodes).sample(rng, size), rng)
+
+
+def _tail_case():
+    # homodyne outcomes up to 60 sd past every node's mean: each such row's
+    # evidence is below the floor's reach, so each count redoes it shifted
+    strat = disp.HomodyneQuadratureStrategy(0.7, 0.2)
+    rule = bayes.PriorRule.gaussian(strat.prior, 257, 8.0)
+    return strat, rule, np.concatenate([np.linspace(-60.0, 60.0, 41),
+                                        _sampled(strat, rule, 300, 1)])
+
+
+def _drifting_case():
+    strat = drifting_heterodyne()
+    rule = bayes.PriorRule(Interval(-1.0, 2.0), lambda t: np.exp(-t * t), 513)
+    return strat, rule, _sampled(strat, rule, 700, 2)
+
+
+# (strategy, trapezoid prior rule whose every count nests, outcomes)
+NESTED_CASES = {
+    "Squeeze": lambda: (*_squeeze_rule(4.0, 1.0, grid_nodes=513),
+                        _squeeze_rule(4.0, 1.0)[0].outcome_nodes(1)[0]),
+    "2-D": _drifting_case,
+    "tail": _tail_case,
+}
+
+
+class TestNestedPriorCounts:
+    @pytest.mark.parametrize("case", list(NESTED_CASES))
+    def test_nested_counts_match_their_grids_alone(self, case, monkeypatch):
+        strat, rule, outcomes = NESTED_CASES[case]()
+        feats = strat.outcome_features(outcomes)
+        seen = searched_spreads(monkeypatch, strat, rule, feats)
+        assert [grid.nodes.size for grid, *_ in seen] == list(rule.counts())
+        # the first count has nothing to reuse: its grid alone, bit for bit
+        grid, v, z, cols = seen[0]
+        v0, z0 = spreads_alone(strat, grid, feats)
+        assert cols[0] == grid.nodes.size
+        assert np.array_equal(v, v0) and np.array_equal(z, z0)
+        scale = max(rule.support.lo ** 2, rule.support.hi ** 2)
+        for (coarse, *_), (grid, v, z, cols) in zip(seen, seen[1:]):
+            n = grid.nodes.size
+            assert np.array_equal(grid.nodes[0::2], coarse.nodes)
+            # the odd nodes only; tail rows again on the full kernel
+            assert cols == ([n // 2, n] if case == "tail" else [n // 2])
+            v0, z0 = spreads_alone(strat, grid, feats)
+            np.testing.assert_allclose(z, z0, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(v, v0, rtol=1e-14, atol=1e-14 * scale)
+        if case == "tail":
+            assert (z0 < 1e-300).sum() >= 20 and (z0 > 1e-3).sum() >= 250
+
+    def test_kept_sums_are_unshifted_and_released_once_used(self):
+        # the tail rows are redone shifted; the sums kept for the next
+        # count are the unshifted ones, and that count takes them away
+        strat, rule, outcomes = _tail_case()
+        feats = strat.outcome_features(outcomes)
+        scratch = bayes._kernel_scratch(65, 129)
+        coarse = bayes._SpreadCalculator(rule.grid(65), strat, scratch, keep=True)
+        coarse.spreads(feats)
+        kept = coarse._sums[id(feats)][1]
+        want = np.empty_like(kept)
+        coarse._reduce(feats, (coarse.coeffs, coarse.moments, coarse._buf), want)
+        assert np.array_equal(kept, want)
+        fine = bayes._SpreadCalculator(rule.grid(129), strat, scratch, coarse)
+        fine.spreads(feats)
+        assert coarse._sums == {} and fine._sums is None
+
+    def test_a_ceiling_that_does_not_nest_runs_its_own_grid(self, monkeypatch):
+        # 200 after 129 shares only the end nodes: its full kernel, bitwise
+        strat, rule = _squeeze_rule(4.0, 1.0, grid_nodes=200)
+        feats = strat.outcome_features(strat.outcome_nodes(1)[0])
+        seen = searched_spreads(monkeypatch, strat, rule, feats)
+        assert [(grid.nodes.size, cols) for grid, _, _, cols in seen] == [
+            (65, [65]), (129, [64]), (200, [200])]
+        grid, v, z, _ = seen[-1]
+        v0, z0 = spreads_alone(strat, grid, feats)
+        assert np.array_equal(v, v0) and np.array_equal(z, z0)
+
+    @pytest.mark.parametrize("case", ["PhaseHet-odd", "PhaseHom", "midpoint-2n-1", "grid"])
+    def test_other_priors_run_every_count_alone(self, case, monkeypatch):
+        # midpoint and Gauss-Legendre counts never nest, not even the
+        # midpoint count 2n - 1 (127 after 64, 2047 after 1024), and a grid
+        # is one count: each count's spreads are its grid's alone, bitwise
+        if case == "midpoint-2n-1":
+            strat = disp.HomodyneQuadratureStrategy(0.7, 0.2)
+            gauss = bayes.PriorRule.gaussian(strat.prior, 127, 8.0)
+            prior = bayes.PriorRule(gauss.support, gauss.density, 127, bayes.MIDPOINT)
+        elif case == "grid":
+            strat, rule = _squeeze_rule(4.0, 1.0, grid_nodes=129)
+            prior = rule.grid(129)
+        else:
+            strat, prior, _ = MC_CASES[case]()
+        rule = prior if isinstance(prior, bayes.PriorRule) else None
+        outcomes = (_sampled(strat, rule, 200, 3) if rule is not None
+                    else strat.sample_outcomes_given(prior.sample(rng_for(30, 3), 200),
+                                                     rng_for(30, 4)))
+        feats = strat.outcome_features(outcomes)
+        seen = searched_spreads(monkeypatch, strat, prior, feats)
+        want = [prior.nodes.size] if rule is None else list(rule.counts())
+        assert [grid.nodes.size for grid, *_ in seen] == want
+        for grid, v, z, cols in seen:
+            assert cols == [grid.nodes.size]
+            v0, z0 = spreads_alone(strat, grid, feats)
+            assert np.array_equal(v, v0) and np.array_equal(z, z0)
+
+    @pytest.mark.parametrize("case", ["PhaseHet-odd", "PhaseHom", "grid"])
+    def test_monte_carlo_on_other_priors_is_bitwise(self, case, monkeypatch):
+        # every chunk's spreads on the chosen count, bit for bit those of
+        # the engine's draws replayed on that count's grid alone
+        if case == "grid":
+            strat, rule = _squeeze_rule(4.0, 1.0, grid_nodes=129)
+            prior, rel_tol = rule.grid(129), 1e-5
+        else:
+            strat, rule, rel_tol = MC_CASES[case]()
+            prior = rule
+        seen = []
+        spreads = bayes._SpreadCalculator.spreads
+
+        def recording(calc, feats):
+            v, z = spreads(calc, feats)
+            seen.append((calc._prior.nodes.size, v.copy()))
+            return v, z
+        monkeypatch.setattr(bayes._SpreadCalculator, "spreads", recording)
+        res = average_posterior_variance(strat, prior, method="montecarlo", samples=6000,
+                                         rng=rng_for(29), rel_tol=rel_tol)
+        monkeypatch.undo()
+        got = np.concatenate([v for n, v in seen if n == res.prior_nodes])
+        v = replay_monte_carlo(strat, rule, 6000, res.prior_nodes, rng_for(29))[0]
+        assert np.array_equal(got, v)
