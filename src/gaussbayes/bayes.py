@@ -999,7 +999,9 @@ def _refine_count(strategy, prior: Union[GridDistribution, PriorRule], evaluate,
     A ``PriorRule`` is evaluated on ``prior.grid(n, prior.rule)`` for the
     counts n of ``prior.counts()`` up to the first whose value agrees with
     the previous count's within rel_tol |value|: its (result, gap, True),
-    or at ``prior.max_nodes`` (result, last gap or None, False).
+    or at ``prior.max_nodes`` (result, last gap or None, False).  A count
+    whose ``evaluate`` raises ToleranceError gives no value, so the next is
+    compared with none; only the ceiling count raises it.
 
     On the trapezoid rule a count 2n - 1 after count n holds every node of
     count n, so its calculator gets count n's as ``coarse``: on the
@@ -1022,11 +1024,17 @@ def _refine_count(strategy, prior: Union[GridDistribution, PriorRule], evaluate,
     for n, following in zip(counts, counts[1:] + [None]):
         nests = trapezoid and following == 2 * n - 1
         calc = _SpreadCalculator(grid(n), strategy, scratch, coarse, keep=nests)
-        value, result = evaluate(calc)
+        try:
+            value, result = evaluate(calc)
+        except ToleranceError:
+            # finer counts may converge; the kept sums still serve the next
+            if following is None:
+                raise
+            value = None
         # the sums count n kept and this count did not use go with it
         calc._coarse = None
         coarse = calc if nests else None
-        if prev is not None:
+        if prev is not None and value is not None:
             gap = abs(value - prev)
             if gap <= max(rel_tol * abs(value), 1e-300):
                 calc._sums = None  # Monte Carlo's later chunks keep nothing
@@ -1127,10 +1135,11 @@ def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, ma
     the outcome-step error plus the gap between the last two counts: the
     rules converge spectrally, so the gap bounds the finer count's
     prior-grid error.  ToleranceError carries the last value when no two
-    counts agree; on a rule of one count, which no second count can check,
-    it says so.  A ``radial_outcomes`` strategy on a prior that is not flat
-    on the full circle raises ``PriorSymmetryError``: its rule would
-    integrate the wrong outcome law.
+    counts agree; where no two successive counts gave values (a rule of
+    one count), which no second count can check, it says so.  A
+    ``radial_outcomes`` strategy on a prior that is not flat on the full
+    circle raises ``PriorSymmetryError``: its rule would integrate the
+    wrong outcome law.
     """
     if strategy.radial_outcomes and not _flat_full_circle(prior):
         raise PriorSymmetryError("a radial outcome rule needs a prior flat on the full "
@@ -1162,9 +1171,9 @@ def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, ma
     if agreed:
         return res
     if gap is None:
-        raise ToleranceError(f"the prior rule has one count within {prior.max_nodes} nodes, "
-                             "and one count cannot check the prior-grid error: pass a "
-                             "GridDistribution or a larger max_nodes", estimate=res.value)
+        raise ToleranceError(f"no two successive counts within {prior.max_nodes} nodes gave "
+                             "values, and one count cannot check the prior-grid error: pass "
+                             "a GridDistribution or a larger max_nodes", estimate=res.value)
     raise ToleranceError(f"prior quadrature did not converge within {prior.max_nodes} nodes",
                          estimate=res.value, std_error=res.std_error)
 

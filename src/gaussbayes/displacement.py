@@ -188,17 +188,30 @@ def het_avg_total_variance_numeric(sigma0sq: float, r: float, method: str = "qua
 
     An unsqueezed probe (r = 0) gives both coordinates one likelihood, so
     quadrature, which is deterministic, evaluates the R coordinate once and
-    counts it twice; Monte Carlo draws each coordinate afresh.
+    counts it twice; Monte Carlo draws each coordinate afresh.  The errors
+    of deterministic parts add linearly, those of independent draws in
+    quadrature.  When a coordinate raises ToleranceError, the total's
+    carries the sum of both coordinates' estimates and errors.
     """
-    parts = [_coordinate_engine(HeterodyneCoordinateStrategy(sigma0sq, r, "R"),
-                                method, samples, rng)]
-    if method == "quadrature" and _het_like_var(r, "R") == _het_like_var(r, "I"):
+    coords = ["R"]
+    if method != "quadrature" or _het_like_var(r, "R") != _het_like_var(r, "I"):
+        coords.append("I")
+    parts, failed = [], None
+    for coord in coords:
+        try:
+            parts.append(_coordinate_engine(HeterodyneCoordinateStrategy(sigma0sq, r, coord),
+                                            method, samples, rng))
+        except bayes.ToleranceError as exc:
+            failed = exc
+            parts.append(AverageVariance(exc.estimate, exc.std_error, method))
+    if len(parts) == 1:
         parts.append(parts[0])
-    else:
-        parts.append(_coordinate_engine(HeterodyneCoordinateStrategy(sigma0sq, r, "I"),
-                                        method, samples, rng))
     value = parts[0].value + parts[1].value
-    err = math.hypot(parts[0].std_error, parts[1].std_error)
+    errs = [p.std_error for p in parts]
+    err = None if None in errs else sum(errs) if method == "quadrature" else math.hypot(*errs)
+    if failed is not None:
+        raise bayes.ToleranceError(f"{failed} (in one coordinate of the total)",
+                                   estimate=value, std_error=err) from failed
     # the finer grid and the deeper level of the two; draws of both
     return AverageVariance(value, err, parts[0].method,
                            levels=max(p.levels for p in parts),

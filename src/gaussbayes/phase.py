@@ -33,19 +33,15 @@ from .phasespace import ProbeSpec, gamma_qq
 __all__ = [
     "TruncationError",
     "PhaseTask",
-    "phase_of_outcome",
     "HET_SUPPORT",
     "HOM_SUPPORT",
     "flat_prior",
     "coherent_het_likelihood",
-    "coherent_het_outcome_density",
-    "coherent_het_posterior",
     "coherent_het_posterior_variance",
     "coherent_het_average_variance",
     "squeezed_het_likelihood",
     "squeezed_het_posterior_variance",
     "squeezed_het_average_variance",
-    "coherent_hom_likelihood",
     "squeezed_hom_likelihood",
     "coherent_hom_outcome_density",
     "coherent_hom_circular_moment",
@@ -111,11 +107,6 @@ def _check_tail(terms, totals):
         raise TruncationError(f"series terms cancel: rounding exceeds {_CANCEL_TOL:g} of the sum")
 
 
-def phase_of_outcome(beta: complex) -> float:
-    """phi_beta in the decomposition beta = |beta| e^{-i phi_beta}."""
-    return -math.atan2(complex(beta).imag, complex(beta).real)
-
-
 def flat_prior(support: Circle, n: Optional[int] = None) -> GridDistribution:
     return GridDistribution.uniform(support, n)
 
@@ -170,28 +161,13 @@ def coherent_het_likelihood(alpha: float, beta: complex, thetas):
     return squeezed_het_likelihood(alpha, 0.0, beta, thetas)
 
 
-def coherent_het_outcome_density(alpha: float, beta: complex) -> float:
-    """p(beta) = e^{-(alpha^2+|beta|^2)} I_0(2 alpha |beta|) / pi."""
-    babs = abs(complex(beta))
-    i0 = specfun.bessel_i_scaled_row(2.0 * alpha * babs, 0)[0]
-    return math.exp(-(alpha - babs) ** 2) * float(i0) / math.pi
-
-
-def coherent_het_posterior(alpha: float, beta: complex) -> GridDistribution:
-    """Posterior e^{2 alpha |beta| cos(theta - phi_beta)} / (2 pi I_0)."""
-    babs = abs(complex(beta))
-    phi = phase_of_outcome(beta)
-    return GridDistribution.from_function(
-        HET_SUPPORT, lambda t: np.exp(2.0 * alpha * babs * (np.cos(t - phi) - 1.0)))
-
-
 def coherent_het_posterior_variance(alpha: float, abs_beta: float) -> float:
     """Circular posterior variance I_1(k) / (k I_0(k)), k = 2 alpha |beta|."""
     k = 2.0 * alpha * abs_beta
     if k == 0.0:
         return 0.5
     # both factors grow like e^k; evaluate the ratio through scaled values
-    i0, i1 = specfun.bessel_i_scaled_row(k, 1)
+    i0, i1 = specfun.bessel_i_scaled_rows([k], 1)[0]
     return float(i1 / (k * i0))
 
 
@@ -320,11 +296,6 @@ def _hom_moments(alpha: float, r: float, phi_s: float, thetas):
     """q-homodyne mean sqrt2 alpha cos theta and variance gamma_qq(r, phi_s
     + 2 theta) / 2 of D(alpha) S(r e^{i phi_s}) |0> rotated by theta."""
     return math.sqrt(2.0) * alpha * np.cos(thetas), gamma_qq(r, phi_s + 2.0 * thetas) / 2.0
-
-
-def coherent_hom_likelihood(alpha: float, q: float, thetas):
-    """p(q | theta) = e^{-(q - sqrt2 alpha cos theta)^2} / sqrt(pi)."""
-    return squeezed_hom_likelihood(alpha, 0.0, 0.0, q, thetas)
 
 
 def squeezed_hom_likelihood(alpha: float, r: float, phi_s: float, q: float, thetas):

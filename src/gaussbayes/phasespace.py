@@ -40,14 +40,6 @@ _DET_ROUNDING = 16.0
 _EPS = float(np.finfo(float).eps)
 
 
-def _det_and_slack(c00: float, c01: float, c11: float, tol: float):
-    """det of the symmetric [[c00, c01], [c01, c11]] and the slack its
-    rounding needs, max(tol, _DET_ROUNDING * eps * kappa)."""
-    prod = c00 * c11
-    sq = c01 * c01
-    return prod - sq, max(tol, _DET_ROUNDING * _EPS * (abs(prod) + sq))
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianState:
     """First-moment vector (2,) and symmetric covariance matrix (2,2).
@@ -73,7 +65,9 @@ class GaussianState:
         if not abs(c01 - c10) <= 1e-12 + 1e-5 * min(abs(c01), abs(c10)):
             raise ValueError("covariance must be symmetric")
         c01 = 0.5 * (c01 + c10)
-        det_cov, slack = _det_and_slack(c00, c01, c11, _UNCERTAINTY_TOL)
+        prod, sq = c00 * c11, c01 * c01
+        det_cov = prod - sq
+        slack = max(_UNCERTAINTY_TOL, _DET_ROUNDING * _EPS * (abs(prod) + sq))
         if not (c00 > 0 and det_cov >= 0.25 - slack):
             raise ValueError("covariance violates the uncertainty relation")
         det = det_cov if self.det is None else float(self.det)
@@ -85,12 +79,6 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "det", det)
-
-    def is_pure(self) -> bool:
-        """det(cov) = 1/4 within the uncertainty check's slack."""
-        (c00, c01), (_, c11) = self.cov.tolist()
-        det, slack = _det_and_slack(c00, c01, c11, _UNCERTAINTY_TOL)
-        return abs(det - 0.25) <= slack
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ __all__ = [
     "DomainError",
     "bessel_i",
     "bessel_i_log_scaled",
-    "bessel_i_scaled_row",
     "bessel_i_scaled_rows",
 ]
 
@@ -162,11 +161,6 @@ def bessel_i_scaled_rows(x, nmax) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise DomainError("scaled Bessel rows are not finite")
     return out
-
-
-def bessel_i_scaled_row(x: float, nmax: int) -> np.ndarray:
-    """Single row of e^{-|x|} I_n(x), n = 0..nmax."""
-    return bessel_i_scaled_rows([x], nmax)[0]
 
 
 def bessel_i_log_scaled(n: int, x: float) -> float:

@@ -9,7 +9,8 @@ treatment in the precision of the outcome distribution.
 Conjugacy bookkeeping: the outcome given r is N(0, delta^2) with
 delta = e^{-r}/sqrt2 for a vacuum probe.  The Gamma family is conjugate
 in the precision lambda = 1/delta^2 = 2 e^{2r}; the (a, b) update rule
-(a + m/2, b + sum q_i^2/2) is exactly the textbook precision update, and
+(a + m/2, b + sum q_i^2/2) of ``bayes.gamma_update`` is exactly the
+textbook precision update, and
 r is recovered through r = ln(lambda/2)/2 = -ln(sqrt2 delta).
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,16 +26,12 @@ from . import bayes
 from .bayes import (AverageVariance, GammaPrior, GaussianOutcomeStrategy, GaussianPrior,
                     GridDistribution, Interval, PriorRule, average_posterior_variance,
                     gaussian_outcome_density, trapezoid)
-from .phasespace import GaussianState, ProbeSpec, _symplectic_apply, gamma_qq
+from .phasespace import ProbeSpec, gamma_qq
 
 __all__ = [
     "SqueezeTask",
-    "squeeze_channel",
     "homodyne_likelihood",
     "conditional_moments",
-    "vacuum_gamma_update",
-    "delta_to_r",
-    "r_to_delta",
     "precision_of_r",
     "gamma_prior_r_grid",
     "gamma_density_over_r",
@@ -64,15 +61,6 @@ class SqueezeTask:
         return PriorRule.gaussian(self.prior, self.grid_nodes, self.span_sigmas)
 
 
-def squeeze_channel(st: GaussianState, r: float) -> GaussianState:
-    """Moment map of the estimated squeezer at phi = 0: diag(e^{-r}, e^{r}).
-
-    Goes through the shared symplectic update, so the result carries the
-    uncertainty invariant of ``st``.
-    """
-    return _symplectic_apply(st, np.diag([math.exp(-r), math.exp(r)]))
-
-
 def conditional_moments(probe: ProbeSpec, r):
     """Mean and standard deviation of the q outcome given the strength r."""
     r = np.asarray(r, dtype=float)
@@ -94,22 +82,8 @@ def homodyne_likelihood(probe: ProbeSpec, r, q):
 # vacuum probe: Gamma conjugacy
 
 
-def delta_to_r(delta: float) -> float:
-    return -math.log(math.sqrt(2.0) * delta)
-
-
-def r_to_delta(r: float) -> float:
-    return math.exp(-r) / math.sqrt(2.0)
-
-
 def precision_of_r(r):
     return 2.0 * np.exp(2.0 * np.asarray(r, dtype=float))
-
-
-def vacuum_gamma_update(prior: GammaPrior, outcomes: Sequence[float]) -> GammaPrior:
-    """Conjugate update for the vacuum probe; see the module docstring for
-    the delta/precision/r bookkeeping."""
-    return bayes.gamma_update(prior, outcomes)
 
 
 def gamma_density_over_r(gp: GammaPrior, r_nodes) -> np.ndarray:

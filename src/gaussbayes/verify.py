@@ -214,11 +214,11 @@ def criterion_6_phase_homodyne(seed=DEFAULT_SEED) -> CriterionResult:
     for _ in range(25):
         alpha = float(rng.uniform(0.1, 3.0))
         q = float(rng.uniform(-6.0, 6.0))
-        like = phase.coherent_hom_likelihood(alpha, q, thetas)
+        like = phase.squeezed_hom_likelihood(alpha, 0.0, 0.0, q, thetas)
         pq_oracle = float(like.mean())
         pq = phase.coherent_hom_outcome_density(alpha, q)
         pq_err[alpha <= 2.0].append(abs(pq - pq_oracle) / pq_oracle)
-        wl = w_gl * phase.coherent_hom_likelihood(alpha, q, t_gl)
+        wl = w_gl * phase.squeezed_hom_likelihood(alpha, 0.0, 0.0, q, t_gl)
         mom_oracle = complex(wl @ np.exp(1j * t_gl) / wl.sum())
         mom = phase.coherent_hom_circular_moment(alpha, q)
         worst_mom = max(worst_mom, abs(mom - mom_oracle))
@@ -239,15 +239,15 @@ def criterion_7_squeezing(seed=DEFAULT_SEED) -> CriterionResult:
     qs = [0.4, -1.1, 0.7]
     chained = gp
     for q in qs:
-        chained = sq.vacuum_gamma_update(chained, [q])
-    batched = sq.vacuum_gamma_update(gp, qs)
+        chained = bayes.gamma_update(chained, [q])
+    batched = bayes.gamma_update(gp, qs)
     _true(res, "gamma chain equals batch", chained == batched,
           chained.a, batched.a, note=f"b: {chained.b} vs {batched.b}")
 
     grid = sq.gamma_prior_r_grid(GammaPrior(2.0, 1.0), -3.0, 3.0, 4001)
     vac_task = sq.SqueezeTask(ProbeSpec(0.0), GaussianPrior(0.0, 1.0))
     post = sq.posterior(vac_task, 0.7, prior_grid=grid)
-    closed = sq.gamma_density_over_r(sq.vacuum_gamma_update(GammaPrior(2.0, 1.0), [0.7]),
+    closed = sq.gamma_density_over_r(bayes.gamma_update(GammaPrior(2.0, 1.0), [0.7]),
                                      post.nodes)
     _close(res, "grid vs Gamma posterior (pointwise)",
            float(np.max(np.abs(post.density - closed))), 0.0, 1e-4)

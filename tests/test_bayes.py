@@ -437,7 +437,7 @@ class TestEvidence:
         prior = GridDistribution.uniform(Circle(0.0, math.pi), 4096)
         for q in (-0.8, 0.5, 1.7):
             got = bayes.evidence(
-                prior, lambda t, m: phase.coherent_hom_likelihood(alpha, m, t), q)
+                prior, lambda t, m: phase.squeezed_hom_likelihood(alpha, 0.0, 0.0, m, t), q)
             assert got == pytest.approx(
                 phase.coherent_hom_outcome_density(alpha, q), rel=1e-6)
 

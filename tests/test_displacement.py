@@ -190,6 +190,20 @@ class TestEngines:
         got = disp.hom_avg_variance_q_numeric(0.5, 0.4)
         assert got.value == pytest.approx(disp.hom_avg_variance_q(0.5, 0.4), abs=1e-6)
 
+    def test_a_failed_coarse_count_does_not_end_the_count_search(self):
+        # the 65-node count's outcome quadrature fails at its last level;
+        # the finer counts converge and agree
+        got = disp.hom_avg_variance_q_numeric(100.0, 1.0)
+        assert got.value == pytest.approx(disp.hom_avg_variance_q(100.0, 1.0), rel=1e-9)
+
+    def test_total_tolerance_error_carries_both_coordinates(self):
+        # at sigma0^2 = 1e4 the ceiling count of the R coordinate fails; the
+        # total's error carries R counted twice, not R alone
+        with pytest.raises(bayes.ToleranceError) as err:
+            disp.het_avg_total_variance_numeric(1e4, 0.0)
+        assert err.value.estimate == pytest.approx(disp.het_avg_total_variance(1e4, 0.0),
+                                                   rel=1e-6)
+
     def test_monte_carlo_within_four_se(self):
         mc = disp.het_avg_total_variance_numeric(
             0.25, 0.0, method="montecarlo", samples=20_000, rng=rng_for(3))
@@ -219,7 +233,8 @@ class TestEngines:
             r_part = engine(coords[0], method, 0, None)
             assert i_part == r_part
             assert got.value == r_part.value + i_part.value
-            assert got.std_error == math.hypot(r_part.std_error, i_part.std_error)
+            # deterministic errors add linearly
+            assert got.std_error == r_part.std_error + i_part.std_error
 
     def test_task_validation(self):
         with pytest.raises(ValueError):

@@ -22,14 +22,20 @@ def circle_grid(support, k):
     return support.lo + (np.arange(k) + 0.5) * h, h
 
 
+def flat_het_posterior(alpha, beta):
+    """Coherent-heterodyne posterior on the flat prior's grid."""
+    return bayes.grid_update(phase.flat_prior(phase.HET_SUPPORT),
+                             lambda t, m: phase.coherent_het_likelihood(alpha, m, t), beta)
+
+
 class TestCoherentHeterodyne:
     def test_flat_posterior_at_zero_outcome(self):
-        d = phase.coherent_het_posterior(1.0, 0.0)
+        d = flat_het_posterior(1.0, 0.0)
         np.testing.assert_allclose(d.density, 1.0 / (2 * math.pi), rtol=1e-12)
 
     def test_posterior_mean_is_outcome_phase(self):
         beta = 1.3 * complex(math.cos(0.7), -math.sin(0.7))
-        d = phase.coherent_het_posterior(1.0, beta)
+        d = flat_het_posterior(1.0, beta)
         assert bayes.circular_mean(d) == pytest.approx(0.7, abs=1e-9)
         assert d.integrate() == pytest.approx(1.0, abs=1e-9)
 
@@ -62,19 +68,6 @@ class TestCoherentHeterodyne:
         assert phase.coherent_het_average_variance(1e-6) == pytest.approx(0.5, abs=1e-9)
         v10 = phase.coherent_het_average_variance(math.sqrt(10.0))
         assert v10 == pytest.approx(0.05, rel=1e-3)
-
-    def test_outcome_density(self):
-        # p(beta) integrates to 1 and matches the direct theta average
-        alpha = 1.2
-        th, h = circle_grid(Circle(-math.pi, math.pi), 8192)
-        for babs in (0.0, 0.7, 2.5):
-            got = phase.coherent_het_outcome_density(alpha, babs)
-            want = float(phase.coherent_het_likelihood(alpha, babs, th).mean())
-            assert got == pytest.approx(want, rel=1e-12)
-        rho = np.linspace(0.0, alpha + 8.0, 2001)
-        dens = np.array([phase.coherent_het_outcome_density(alpha, b) for b in rho])
-        assert float(np.trapezoid(2 * math.pi * rho * dens, rho)) == pytest.approx(
-            1.0, abs=1e-6)
 
 
 class TestSqueezedHeterodyne:
@@ -172,14 +165,15 @@ class TestSqueezedHeterodyne:
 
 class TestCoherentHomodyne:
     def test_likelihood_values(self):
-        assert phase.coherent_hom_likelihood(1.7, 0.3, math.pi / 2) == pytest.approx(
-            math.exp(-0.09) / math.sqrt(math.pi), rel=1e-13)
+        assert phase.squeezed_hom_likelihood(1.7, 0.0, 0.0, 0.3, math.pi / 2) == \
+            pytest.approx(math.exp(-0.09) / math.sqrt(math.pi), rel=1e-13)
 
     def test_squeezed_likelihood_reduction(self):
+        # unsqueezed, the angle drops out: e^{-(q - sqrt2 alpha cos theta)^2} / sqrt(pi)
         th = np.linspace(0, math.pi, 33)
         np.testing.assert_allclose(
             phase.squeezed_hom_likelihood(0.9, 0.0, 0.3, 0.2, th),
-            phase.coherent_hom_likelihood(0.9, 0.2, th), rtol=1e-13)
+            np.exp(-(0.2 - SQ2 * 0.9 * np.cos(th)) ** 2) / math.sqrt(math.pi), rtol=1e-13)
 
     def test_likelihood_matches_measurement_module(self):
         from gaussbayes import measurement as meas
@@ -200,7 +194,7 @@ class TestCoherentHomodyne:
     def test_outcome_density_quadrature(self):
         th, h = circle_grid(Circle(0.0, math.pi), 16384)
         for (alpha, q) in [(1.0, 0.5), (2.5, -1.3), (0.4, 3.0)]:
-            want = float(phase.coherent_hom_likelihood(alpha, q, th).mean())
+            want = float(phase.squeezed_hom_likelihood(alpha, 0.0, 0.0, q, th).mean())
             assert phase.coherent_hom_outcome_density(alpha, q) == pytest.approx(
                 want, rel=1e-8)
 
@@ -213,7 +207,7 @@ class TestCoherentHomodyne:
     def test_circular_moment_against_grid(self):
         th, h = circle_grid(Circle(0.0, math.pi), 4096)
         for (alpha, q) in [(1.0, 1.0), (1.8, -0.7), (0.5, 2.0)]:
-            like = phase.coherent_hom_likelihood(alpha, q, th)
+            like = phase.squeezed_hom_likelihood(alpha, 0.0, 0.0, q, th)
             post = like / (like.sum() * h)
             want = complex((np.exp(1j * th) * post).sum() * h)
             got = phase.coherent_hom_circular_moment(alpha, q)
@@ -255,9 +249,9 @@ class TestCoherentHomodyne:
         alpha, q = 1.1, 0.6
         prior = phase.flat_prior(phase.HOM_SUPPORT)
         post_a = bayes.grid_update(
-            prior, lambda t, m: phase.coherent_hom_likelihood(alpha, m, t), q)
+            prior, lambda t, m: phase.squeezed_hom_likelihood(alpha, 0.0, 0.0, m, t), q)
         post_b = bayes.grid_update(
-            prior, lambda t, m: phase.coherent_hom_likelihood(alpha, m, t), -q)
+            prior, lambda t, m: phase.squeezed_hom_likelihood(alpha, 0.0, 0.0, m, t), -q)
         np.testing.assert_allclose(post_a.density, post_b.density[::-1], rtol=1e-10)
 
 

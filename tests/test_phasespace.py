@@ -191,14 +191,13 @@ class TestPurity:
             else:
                 st_ = ps.rotate(st_, rng.uniform(0, 2 * math.pi))
         assert abs(float(np.linalg.det(st_.cov)) - 0.25) <= det_rounding_bound(st_.cov)
-        assert st_.is_pure()
+        assert st_.det == 0.25
 
     def test_mixed_state_carries_its_invariant(self):
         thermal = ps.GaussianState(np.zeros(2), 1.5 * np.eye(2))
         out = ps.rotate(ps.displace(ps.squeeze(thermal, 1.2, 0.4), 0.3j), 0.7)
         assert out.det == thermal.det == 2.25
         assert abs(float(np.linalg.det(out.cov)) - 2.25) <= det_rounding_bound(out.cov)
-        assert not out.is_pure()
         with pytest.raises(ValueError):
             ps.GaussianState(np.zeros(2), 0.5 * np.eye(2), det=0.3)
 
@@ -214,11 +213,10 @@ class TestQfi:
         assert ps.qfi_fidelity(lambda t: ps.rotate(ps.vacuum(), t), 0.5) == 0.0
 
     def test_squeezing_family_bound(self):
-        from gaussbayes.squeezing import squeeze_channel
         for alpha, s, psi in [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.7, 0.5, 1.0),
                               (1.2, 0.8, math.pi / 2)]:
             probe = ps.ProbeSpec(alpha, s, psi)
             n = probe.mean_photon()
-            fam = lambda t: squeeze_channel(probe.state(), t)
+            fam = lambda t: ps.squeeze(probe.state(), t)
             qfi = ps.qfi_fidelity(fam, 0.0)
             assert qfi <= 2.0 * (2.0 * n + 1.0) ** 2 + 1e-2

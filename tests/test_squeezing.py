@@ -19,20 +19,16 @@ def rng_for(*lane):
 
 
 class TestChannel:
-    def test_matches_phasespace_squeeze(self):
-        for r in (-0.8, 0.0, 1.1):
-            a = sq.squeeze_channel(ps.vacuum(), r)
-            b = ps.squeeze(ps.vacuum(), r, 0.0)
-            np.testing.assert_allclose(a.cov, b.cov, rtol=1e-13)
+    """The estimated squeezer is ``phasespace.squeeze`` at phi = 0."""
 
     def test_coherent_mean_map(self):
-        st_ = sq.squeeze_channel(ps.coherent(2.0), 1.0)
+        st_ = ps.squeeze(ps.coherent(2.0), 1.0)
         np.testing.assert_allclose(st_.mean, [SQ2 * 2.0 * math.exp(-1.0), 0.0],
                                    rtol=1e-14)
 
     def test_identity_at_zero(self):
         probe = ProbeSpec(1.0 + 0j, 0.4, 0.9).state()
-        out = sq.squeeze_channel(probe, 0.0)
+        out = ps.squeeze(probe, 0.0)
         np.testing.assert_allclose(out.mean, probe.mean)
         np.testing.assert_allclose(out.cov, probe.cov)
 
@@ -40,14 +36,14 @@ class TestChannel:
     @given(st.floats(-1.5, 1.5), st.floats(-2, 2), st.floats(-2, 2))
     def test_hyperbolic_invariant(self, r, q0, p0):
         st_ = ps.GaussianState(np.array([q0, p0]), 0.5 * np.eye(2))
-        out = sq.squeeze_channel(st_, r)
+        out = ps.squeeze(st_, r)
         assert out.mean[0] * out.mean[1] == pytest.approx(q0 * p0, abs=1e-10)
 
 
 class TestLikelihood:
     def test_vacuum_reduction(self):
         r = 0.7
-        delta = sq.r_to_delta(r)
+        delta = math.exp(-r) / SQ2
         for q in (-0.5, 0.0, 1.0):
             want = math.exp(-q * q / (2 * delta**2)) / (delta * math.sqrt(2 * math.pi))
             got = sq.homodyne_likelihood(ProbeSpec(0.0), r, q)
@@ -56,7 +52,7 @@ class TestLikelihood:
     def test_matches_measurement_module(self):
         probe = ProbeSpec(1.4, 0.6, 0.9)
         for r in (-0.5, 0.3, 1.2):
-            channel_out = sq.squeeze_channel(probe.state(), r)
+            channel_out = ps.squeeze(probe.state(), r)
             for q in (-1.0, 0.7):
                 assert float(sq.homodyne_likelihood(probe, r, q)) == pytest.approx(
                     float(homodyne_density(channel_out, q)), rel=1e-12)
@@ -81,21 +77,19 @@ class TestLikelihood:
 
 class TestGammaConjugacy:
     def test_delta_r_mapping(self):
-        assert sq.delta_to_r(1.0 / SQ2) == pytest.approx(0.0, abs=1e-15)
-        assert sq.r_to_delta(0.0) == pytest.approx(1.0 / SQ2, rel=1e-15)
-        assert sq.precision_of_r(0.0) == pytest.approx(2.0)
-
-    def test_update_delegates(self):
-        post = sq.vacuum_gamma_update(GammaPrior(1.0, 1.0), [SQ2])
-        assert post == GammaPrior(1.5, 2.0)
+        # the precision is 1/delta^2 of the vacuum outcome width delta = e^{-r}/sqrt2
+        for r in (-0.6, 0.0, 1.3):
+            delta = float(sq.conditional_moments(ProbeSpec(0.0), r)[1])
+            assert delta == pytest.approx(math.exp(-r) / SQ2, rel=1e-15)
+            assert sq.precision_of_r(r) == pytest.approx(1.0 / delta**2, rel=1e-14)
 
     def test_chain_equals_batch_exactly(self):
         prior = GammaPrior(2.0, 1.0)
         qs = [0.3, -0.9, 1.4, 0.2]
         chained = prior
         for q in qs:
-            chained = sq.vacuum_gamma_update(chained, [q])
-        assert chained == sq.vacuum_gamma_update(prior, qs)
+            chained = bayes.gamma_update(chained, [q])
+        assert chained == bayes.gamma_update(prior, qs)
 
     def test_density_over_r_at_large_shape(self):
         # Gamma(a) overflows for a > 171.6, which a vacuum probe reaches
@@ -114,7 +108,7 @@ class TestGammaConjugacy:
         task = sq.SqueezeTask(ProbeSpec(0.0), GaussianPrior(0.0, 1.0))
         for q in (0.25, 0.7, -1.3):
             post = sq.posterior(task, q, prior_grid=grid)
-            closed = sq.gamma_density_over_r(sq.vacuum_gamma_update(gp, [q]), post.nodes)
+            closed = sq.gamma_density_over_r(bayes.gamma_update(gp, [q]), post.nodes)
             assert float(np.max(np.abs(post.density - closed))) < 1e-4
 
 
