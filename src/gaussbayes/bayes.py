@@ -845,7 +845,12 @@ class _SpreadCalculator:
             cols = [w, w * np.cos(nodes), w * np.sin(nodes),
                     w * np.cos(2.0 * nodes), w * np.sin(2.0 * nodes)]
         else:
-            cols = [w, w * nodes, w * nodes**2]
+            # about the support midpoint c, which every count shares: for
+            # a posterior narrow beside its mean, E[d^2] - E[d]^2 of
+            # d = theta - c cancels far less than E[theta^2] - E[theta]^2
+            support = self._prior.support
+            d = nodes - 0.5 * (support.lo + support.hi)
+            cols = [w, w * d, w * d**2]
         return np.column_stack(cols)
 
     @functools.cached_property
@@ -948,10 +953,13 @@ def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):
     ``rule(level)`` gives (points, weights) of trapezoid rules, trapezoid
     axis last, whose step halves with each level, so the points of one
     level are ``points[..., 0::2]`` of the next; ``integrand(points)``
-    gives one value per point.  Each point is evaluated once: a level
-    takes its even points' values from the level before and evaluates
-    only ``points[..., 1::2]``.  ``rule`` and ``integrand`` are each called
-    once per level, level 0 first.
+    gives one value per point.  Each point is evaluated once.  No level
+    before 1 can stop, so the first call gets level 1's whole grid, and
+    level 0 reads its values from the even points; from level 2 on a
+    level takes its even points' values from the level before and
+    evaluates only ``points[..., 1::2]``.  So ``integrand`` runs once per
+    level from level 1 on, ``max_level`` times at most (once, on level 0,
+    when ``max_level`` is 0), and ``rule`` once per level, level 0 first.
 
     Level k returns E_k = T_k + (T_k - T_{k-1})/3 of its trapezoid sum
     T_k, and quotes the error of that value: |T_1 - T_0|/3 at level 1,
@@ -961,31 +969,42 @@ def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):
     the last extrapolated value and its quoted error (T_0 and None when
     there is only level 0).
     """
-    prev = prev_points = prev_values = best = None
-    for level in range(max_level + 1):
-        points, weights = rule(level)
-        if prev_values is None:
-            values = integrand(points)
+    def check_nested(level, points, coarse):
+        # a rule that is not nested is a programming error, not a
+        # domain failure, so it is not a ValueError a caller may catch
+        if not np.array_equal(points[..., 0::2], coarse):
+            raise RuntimeError(f"outcome rule is not nested at level {level}")
+
+    points, weights = rule(0)
+    if max_level == 0:
+        values = integrand(points)
+    else:
+        fine = rule(1)
+        check_nested(1, fine[0], points)
+        fine_values = integrand(fine[0])
+        values = fine_values[..., 0::2]
+    prev, best = float(weights.ravel() @ values.ravel()), None
+    for level in range(1, max_level + 1):
+        if level == 1:
+            (points, weights), values = fine, fine_values
         else:
-            # a rule that is not nested is a programming error, not a
-            # domain failure, so it is not a ValueError a caller may catch
-            if not np.array_equal(points[..., 0::2], prev_points):
-                raise RuntimeError(f"outcome rule is not nested at level {level}")
+            coarse, coarse_values = points, values
+            points, weights = rule(level)
+            check_nested(level, points, coarse)
             values = np.empty(points.shape)
-            values[..., 0::2] = prev_values
+            values[..., 0::2] = coarse_values
             values[..., 1::2] = integrand(points[..., 1::2])
         value = float(weights.ravel() @ values.ravel())
-        if prev is not None:
-            # one Richardson step cancels the trapezoid h^2 error, so the
-            # returned value carries error well below |delta|/3; the gap
-            # between two extrapolated values is the error it does carry
-            delta = value - prev
-            extrapolated = value + delta / 3.0
-            err = abs(delta) / 3.0 if best is None else abs(extrapolated - best.value)
-            best = AverageVariance(extrapolated, err, "quadrature", levels=level + 1)
-            if err <= max(rel_tol * abs(value), 1e-300):
-                return best
-        prev, prev_points, prev_values = value, points, values
+        # one Richardson step cancels the trapezoid h^2 error, so the
+        # returned value carries error well below |delta|/3; the gap
+        # between two extrapolated values is the error it does carry
+        delta = value - prev
+        extrapolated = value + delta / 3.0
+        err = abs(delta) / 3.0 if best is None else abs(extrapolated - best.value)
+        best = AverageVariance(extrapolated, err, "quadrature", levels=level + 1)
+        if err <= max(rel_tol * abs(value), 1e-300):
+            return best
+        prev = value
     raise ToleranceError("outcome quadrature did not converge "
                          f"(last delta at level {max_level})",
                          estimate=prev if best is None else best.value,
@@ -1128,24 +1147,26 @@ def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, r
 def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, max_level):
     """Outcome quadrature (``_quadrature_outcome_grid``) on each calculator
     of ``_refine_count``.  Each level's rule and the features of the
-    outcomes it evaluates are made once, on the first count that reaches
-    the level, and every count shares them: a nested trapezoid count
-    reduces only its odd nodes at each level the count before reached, to
-    a few eps relative of its grid alone.  On a ``PriorRule`` the error is
-    the outcome-step error plus the gap between the last two counts: the
-    rules converge spectrally, so the gap bounds the finer count's
-    prior-grid error.  ToleranceError carries the last value when no two
-    counts agree; where no two successive counts gave values (a rule of
-    one count), which no second count can check, it says so.  A
-    ``radial_outcomes`` strategy on a prior that is not flat on the full
-    circle raises ``PriorSymmetryError``: its rule would integrate the
-    wrong outcome law.
+    outcomes the driver's integrand call evaluates are made once, on the
+    first count that reaches the level, and every count shares them.  The
+    driver's first call takes levels 0 and 1 at once, so a count that
+    stops at level k makes k ``spreads`` calls.  A nested trapezoid count
+    reduces only its odd prior nodes on each feature array the count
+    before reduced, to a few eps relative of its grid alone.  On a
+    ``PriorRule`` the error is the outcome-step error plus the gap between
+    the last two counts: the rules converge spectrally, so the gap bounds
+    the finer count's prior-grid error.  ToleranceError carries the last
+    value when no two counts agree; where no two successive counts gave
+    values (a rule of one count), which no second count can check, it
+    says so.  A ``radial_outcomes`` strategy on a prior that is not flat
+    on the full circle raises ``PriorSymmetryError``: its rule would
+    integrate the wrong outcome law.
     """
     if strategy.radial_outcomes and not _flat_full_circle(prior):
         raise PriorSymmetryError("a radial outcome rule needs a prior flat on the full "
                                  "circle [-pi, pi); use method='montecarlo'")
     rows = strategy.outcome_rows
-    fresh = []  # the features of the outcomes each level evaluates
+    fresh = []  # the features of the outcomes of each integrand call
 
     @functools.cache
     def rule(level):
@@ -1153,15 +1174,16 @@ def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, ma
         return outcomes.reshape(rows, -1), weights.reshape(rows, -1)
 
     def evaluate(calc):
-        level = 0
+        call = 0
 
         def integrand(outcomes):
-            # the driver evaluates each level once, level 0 first
-            nonlocal level
-            if level == len(fresh):
+            # every count's driver makes the same calls in the same order:
+            # level 1's whole grid, then the new points of each level
+            nonlocal call
+            if call == len(fresh):
                 fresh.append(strategy.outcome_features(outcomes.ravel()))
-            v, z = calc.spreads(fresh[level])
-            level += 1
+            v, z = calc.spreads(fresh[call])
+            call += 1
             return (z * v).reshape(outcomes.shape)
         res = _quadrature_outcome_grid(rule, integrand, rel_tol, max_level)
         return res.value, dataclasses.replace(res, prior_nodes=calc._prior.nodes.size)

@@ -264,8 +264,9 @@ def squeezed_het_average_variance(alpha: float, r: float) -> AverageVariance:
     Runs on the engine's radial rule, ``_radial_rule`` at ``_RADIAL_BASE``,
     the rule of ``HeterodynePhaseStrategy``, and on the engine's
     step-halving driver with one Richardson extrapolation, which evaluates
-    the series once per radial node across levels and stops when the gap
-    between two successive extrapolated values is within 1e-6 relative.
+    the series once per radial node across levels (levels 0 and 1 in one
+    call, one recurrence pass) and stops when the gap between two
+    successive extrapolated values is within 1e-6 relative.
     Returns the driver's result with ``method="series"``: ``std_error`` is
     that gap, ``levels`` the levels it ran.  Raises ToleranceError carrying
     the last extrapolated value when level 4 does not get there.

@@ -741,6 +741,27 @@ class TestGaussianOutcomeKernel:
         scale = 1.0 if strat.circular else float(np.max(prior.nodes**2))
         np.testing.assert_allclose(v[seen], v_ref[seen], rtol=1e-12, atol=1e-14 * scale)
 
+    def test_linear_variance_does_not_depend_on_the_support_offset(self):
+        # outcome mean theta, variance 0.01, flat 257-node grid; every node,
+        # outcome and product is dyadic, so only the moment reduction can
+        # round differently on [9, 11] than on [-1, 1]
+        class Unnormalized(bayes.GaussianOutcomeStrategy):
+            # without log(2 pi sigma^2)/2, the same at every node, which
+            # rounds differently beside mu^2/sigma^2 of another size
+            def node_coefficients(self, thetas):
+                c = super().node_coefficients(thetas)
+                c[0] += 0.5 * math.log(2.0 * math.pi * 0.01)
+                return c
+
+        def average(lo, hi):
+            strat = Unnormalized(
+                lambda thetas: (thetas, np.full_like(thetas, 0.01)),
+                lambda level: bayes.trapezoid(lo - 1.0, hi + 1.0, 64 * 2**level + 1), 1, False)
+            return average_posterior_variance(
+                strat, GridDistribution.uniform(Interval(lo, hi), 257)).value
+        near, far = average(-1.0, 1.0), average(9.0, 11.0)
+        assert abs(far - near) <= 1e-14 * near
+
     @settings(max_examples=60, deadline=None)
     @given(engine_cases())
     def test_likelihood_within_documented_rounding(self, case):
@@ -1294,6 +1315,31 @@ def full_reevaluation(level_value, rel_tol, max_level):
     raise AssertionError("no convergence")
 
 
+def level_by_level_driver(rule, integrand, rel_tol, max_level):
+    """The step-halving driver that calls ``integrand`` once per level,
+    level 0 first, each level on its odd points only."""
+    prev = prev_points = prev_values = best = None
+    for level in range(max_level + 1):
+        points, weights = rule(level)
+        if prev_values is None:
+            values = integrand(points)
+        else:
+            assert np.array_equal(points[..., 0::2], prev_points)
+            values = np.empty(points.shape)
+            values[..., 0::2] = prev_values
+            values[..., 1::2] = integrand(points[..., 1::2])
+        value = float(weights.ravel() @ values.ravel())
+        if prev is not None:
+            delta = value - prev
+            extrapolated = value + delta / 3.0
+            err = abs(delta) / 3.0 if best is None else abs(extrapolated - best.value)
+            best = bayes.AverageVariance(extrapolated, err, "quadrature", levels=level + 1)
+            if err <= max(rel_tol * abs(value), 1e-300):
+                return best
+        prev, prev_points, prev_values = value, points, values
+    raise AssertionError("no convergence")
+
+
 def series_integrand(alpha, r):
     """The squeezed-heterodyne series' radial integrand, written from the
     Bessel rows: rho e^{-(1-t)(rho-alpha)^2} s(rho) / cosh r."""
@@ -1384,7 +1430,8 @@ class TestNestedOutcomeNodes:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_outcome_node_is_evaluated_once(self, kind, monkeypatch):
-        # cost guard: the kernel sees exactly the nodes of the finest level
+        # cost guard: the kernel sees exactly the nodes of the finest level,
+        # level 1's whole grid in the first call
         strat, prior = _engine_row(kind)
         rows = []
         spreads = bayes._SpreadCalculator.spreads
@@ -1395,7 +1442,7 @@ class TestNestedOutcomeNodes:
         monkeypatch.setattr(bayes._SpreadCalculator, "spreads", counting)
         levels = _levels(average_posterior_variance(strat, prior))
         assert levels >= 2
-        assert len(rows) == levels
+        assert len(rows) == levels - 1
         assert sum(rows) == strat.outcome_nodes(levels - 1)[0].size
 
     @pytest.mark.parametrize("alpha,r", [(1.0, 0.25), (1.8, 1.0)])
@@ -1453,11 +1500,19 @@ class TestNestedOutcomeNodes:
         assert sum(radii) == 2 * phase._radial_rule(1.8, 1.0, phase._RADIAL_BASE, 2)[0].size
 
     def test_non_nested_rule_raises(self):
+        calls = []
+
         def shifted(level):
             return bayes.trapezoid(0.0, 1.0 + level, 4 * 2**level + 1)
-        with pytest.raises(RuntimeError, match="not nested") as err:
-            bayes._quadrature_outcome_grid(shifted, np.square, 1e-12, 3)
+
+        def integrand(points):
+            calls.append(points)
+            return np.square(points)
+        with pytest.raises(RuntimeError, match="not nested at level 1") as err:
+            bayes._quadrature_outcome_grid(shifted, integrand, 1e-12, 3)
         assert not isinstance(err.value, (ValueError, ToleranceError))
+        # checked before the first integrand call
+        assert calls == []
 
     def test_non_nested_rule_is_not_a_row_status(self, monkeypatch):
         from gaussbayes import harness
@@ -1471,6 +1526,61 @@ class TestNestedOutcomeNodes:
         monkeypatch.setattr(phase, "_sh_cutoff", lambda alpha, r, rho_max: 1)
         with pytest.raises(phase.TruncationError):
             phase.squeezed_het_average_variance(2.0, 0.75)
+
+
+def two_row_rule(level):
+    """Two trapezoid rules of different lengths laid as rows."""
+    nodes, weights = zip(*(bayes.trapezoid(lo, hi, 4 * 2**level + 1)
+                           for lo, hi in ((0.0, 1.0), (-1.0, 2.0))))
+    return np.stack(nodes), np.stack(weights)
+
+
+class TestOutcomeDriver:
+    def recording(self, calls):
+        def integrand(points):
+            calls.append(points.copy())
+            return np.exp(points)
+        return integrand
+
+    def test_first_call_gets_level_1_whole(self):
+        calls = []
+        res = bayes._quadrature_outcome_grid(two_row_rule, self.recording(calls), 1e-10, 8)
+        assert np.array_equal(calls[0], two_row_rule(1)[0])
+        for level, points in enumerate(calls[1:], start=2):
+            assert np.array_equal(points, two_row_rule(level)[0][:, 1::2])
+        assert res.levels >= 4
+
+    @pytest.mark.parametrize("rel_tol", [1e-2, 1e-6, 1e-10])
+    def test_integrand_runs_levels_minus_one_times(self, rel_tol):
+        calls = []
+        res = bayes._quadrature_outcome_grid(two_row_rule, self.recording(calls), rel_tol, 8)
+        assert len(calls) == res.levels - 1
+        # each point of the finest level once
+        assert sum(c.size for c in calls) == two_row_rule(res.levels - 1)[0].size
+
+    def test_level_0_alone_raises_with_its_sum(self):
+        calls = []
+        with pytest.raises(ToleranceError, match="level 0") as err:
+            bayes._quadrature_outcome_grid(two_row_rule, self.recording(calls), 1e-10, 0)
+        points, weights = two_row_rule(0)
+        assert len(calls) == 1 and np.array_equal(calls[0], points)
+        assert err.value.estimate == float(weights.ravel() @ np.exp(points).ravel())
+        assert err.value.std_error is None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_engine_equals_the_level_by_level_driver(self, kind, monkeypatch):
+        strat, prior = _engine_row(kind)
+        got = average_posterior_variance(strat, prior)
+        monkeypatch.setattr(bayes, "_quadrature_outcome_grid", level_by_level_driver)
+        want = average_posterior_variance(strat, prior)
+        assert (got.value, got.std_error, got.levels) == (want.value, want.std_error, want.levels)
+
+    @pytest.mark.parametrize("alpha,r", [(1.8, 1.0), (1.0, 0.25)])
+    def test_series_equals_the_level_by_level_driver(self, alpha, r, monkeypatch):
+        got = phase.squeezed_het_average_variance(alpha, r)
+        monkeypatch.setattr(phase, "_quadrature_outcome_grid", level_by_level_driver)
+        want = phase.squeezed_het_average_variance(alpha, r)
+        assert (got.value, got.std_error, got.levels) == (want.value, want.std_error, want.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -1594,9 +1704,10 @@ class TestPriorRefinement:
         cols = kernel_columns(monkeypatch)
         res = average_posterior_variance(strat, rule, rel_tol=1e-5)
         # the 129- and 257-node counts nest on the count before and run
-        # their odd nodes only: 64 and 128 kernel columns per level
-        assert cols == [65, 65, 64, 64, 128, 128] and (res.prior_nodes, res.levels) == (257, 2)
-        assert made == ["rule", "features"] * res.levels
+        # their odd nodes only, 64 and 128 kernel columns; each count's
+        # first call takes levels 0 and 1 at once
+        assert cols == [65, 64, 128] and (res.prior_nodes, res.levels) == (257, 2)
+        assert made == ["rule", "rule", "features"]
 
     def test_counts_double_up_to_the_ceiling(self):
         flat = bayes.PriorRule(phase.HET_SUPPORT, None, 2048)
