@@ -221,6 +221,30 @@ def trapezoid(lo: float, hi: float, n: int):
     return np.linspace(lo, hi, n), weights
 
 
+# level-0 node counts of a linear outcome rule, and its largest level-0
+# step in outcome sds
+_LINEAR_BASES = (128, 256, 512)
+_LINEAR_STEP_SDS = 0.4
+
+
+def _linear_outcome_rule(lo: float, hi: float, scale: float):
+    """The nested outcome rule level -> ``trapezoid(lo, hi, n0 2^level + 1)``
+    of a real Gaussian outcome whose narrowest law has the sd ``scale``.
+    n0 is the first of ``_LINEAR_BASES`` whose step (hi - lo) / n0 is at
+    most 0.4 ``scale``, and the last where none is; each level halves the
+    step.  On a Gaussian of sd ``scale`` the trapezoid rule at step h errs
+    by about e^{-2 pi^2 (scale / h)^2} (Trefethen and Weideman, SIAM Rev.
+    56, 385 (2014)): 6e-8 at h = 1.1 sd, far below rounding at 0.4 sd.  An
+    average posterior variance converges more slowly than its outcome
+    law: on the homodyne phase row (n, r, psi) = (1, 0.5, pi/2) level 0,
+    at 0.34 sd, errs by 3.7e-14 relative and level 1 by 2e-16, and the
+    Richardson step of ``_quadrature_outcome_grid`` keeps a third of the
+    first, within the error it quotes."""
+    n0 = next((n for n in _LINEAR_BASES if hi - lo <= _LINEAR_STEP_SDS * scale * n),
+              _LINEAR_BASES[-1])
+    return lambda level: trapezoid(lo, hi, n0 * 2**level + 1)
+
+
 def gauss_legendre(lo: float, hi: float, n: int):
     """Nodes and weights of the n-node Gauss-Legendre rule on [lo, hi]."""
     if n < 1:

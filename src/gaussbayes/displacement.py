@@ -144,14 +144,20 @@ def repeated_variance(sigma0sq: float, r: float, m: int) -> float:
 
 def _coordinate_model(prior: GaussianPrior, gain: float, like_var: float):
     """Moment map and outcome rule of an outcome ~ N(gain theta, like_var):
-    a trapezoid over the prior-induced mean range plus likelihood tails."""
+    ``bayes._linear_outcome_rule`` over the prior-induced mean range
+    gain (mu0 +- 9 sigma0) plus 9 likelihood sd on either side, sized by
+    the sd of the outcome's marginal, sqrt(gain^2 sigma0^2 + like_var).
+    That sd is at least the span / (18 sqrt2), so the rule always has 128
+    level-0 nodes.  9 sd, not 7: at 7 the span drops 1.0e-12 relative of
+    the (sigma0^2, r) = (100, 1) homodyne value, which ``std_error`` does
+    not count."""
     sd0 = math.sqrt(prior.var0)
-    locs = gain * np.array([prior.mu0 - 7.0 * sd0, prior.mu0 + 7.0 * sd0])
-    pad = 7.0 * math.sqrt(like_var)
+    locs = gain * np.array([prior.mu0 - 9.0 * sd0, prior.mu0 + 9.0 * sd0])
+    pad = 9.0 * math.sqrt(like_var)
     lo = float(min(locs)) - pad
     hi = float(max(locs)) + pad
     return (lambda t: (gain * t, np.full(t.shape, like_var)),
-            lambda level: bayes.trapezoid(lo, hi, 512 * 2**level + 1))
+            bayes._linear_outcome_rule(lo, hi, math.hypot(gain * sd0, math.sqrt(like_var))))
 
 
 class HeterodyneCoordinateStrategy(GaussianOutcomeStrategy):

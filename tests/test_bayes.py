@@ -1535,6 +1535,21 @@ def two_row_rule(level):
     return np.stack(nodes), np.stack(weights)
 
 
+class TestLinearOutcomeRule:
+    # 0.4 * 2.5 is 1.0 to the bit, so a span of 128 is exactly 0.4 sd per
+    # step at 128 nodes
+    @pytest.mark.parametrize("span,n0", [(128.0, 128), (128.5, 256), (256.0, 256),
+                                         (257.0, 512), (512.0, 512), (1e4, 512)])
+    def test_first_base_whose_step_is_at_most_0_4_sd(self, span, n0):
+        rule = bayes._linear_outcome_rule(-1.0, span - 1.0, 2.5)
+        for level in range(3):
+            points, weights = rule(level)
+            assert points.size == n0 * 2**level + 1
+            assert (points[0], points[-1]) == (-1.0, span - 1.0)
+            assert np.array_equal((points, weights), bayes.trapezoid(-1.0, span - 1.0,
+                                                                     points.size))
+
+
 class TestOutcomeDriver:
     def recording(self, calls):
         def integrand(points):
@@ -1573,7 +1588,13 @@ class TestOutcomeDriver:
         got = average_posterior_variance(strat, prior)
         monkeypatch.setattr(bayes, "_quadrature_outcome_grid", level_by_level_driver)
         want = average_posterior_variance(strat, prior)
-        assert (got.value, got.std_error, got.levels) == (want.value, want.std_error, want.levels)
+        assert got.levels == want.levels
+        # the kernel's BLAS products round a row by its place in the block,
+        # so level 0's rows read inside level 1's call and alone may differ
+        # in the last bits (2 of 129 disp_hom rows, in v)
+        tol = 4.0 * np.finfo(float).eps * abs(want.value)
+        assert abs(got.value - want.value) <= tol
+        assert abs(got.std_error - want.std_error) <= tol
 
     @pytest.mark.parametrize("alpha,r", [(1.8, 1.0), (1.0, 0.25)])
     def test_series_equals_the_level_by_level_driver(self, alpha, r, monkeypatch):

@@ -196,6 +196,19 @@ class TestEngines:
         got = disp.hom_avg_variance_q_numeric(100.0, 1.0)
         assert got.value == pytest.approx(disp.hom_avg_variance_q(100.0, 1.0), rel=1e-9)
 
+    def test_outcome_span_covers_the_tails(self):
+        # on +-(7 sigma0 gain + 7 sd) the span dropped 1.0e-12 relative of
+        # this value, 20x its quoted std_error
+        got = disp.hom_avg_variance_q_numeric(100.0, 1.0)
+        assert abs(got.value - disp.hom_avg_variance_q(100.0, 1.0)) <= got.std_error
+
+    @pytest.mark.parametrize("sigma0sq", [0.01, 1.0, 1e4])
+    @pytest.mark.parametrize("r", [-2.0, 0.0, 2.0])
+    def test_cost_guard_128_outcome_nodes(self, sigma0sq, r):
+        for strat in (disp.HomodyneQuadratureStrategy(sigma0sq, r, 0.7),
+                      disp.HeterodyneCoordinateStrategy(sigma0sq, r, "R", mu0=3.0)):
+            assert strat.outcome_nodes(0)[0].size == 129
+
     def test_total_tolerance_error_carries_both_coordinates(self):
         # at sigma0^2 = 1e4 the ceiling count of the R coordinate fails; the
         # total's error carries R counted twice, not R alone

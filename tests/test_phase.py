@@ -1,12 +1,14 @@
 """Phase estimation: closed forms, Bessel series vs quadrature, engine checks."""
 
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaussbayes import bayes, phase
+from gaussbayes import bayes, harness, phase
 from gaussbayes.bayes import Circle, GridDistribution
 from gaussbayes.measurement import HETERODYNE, homodyne
 from gaussbayes.phasespace import ProbeSpec
@@ -14,6 +16,7 @@ from gaussbayes.phase import TruncationError
 from test_bayes import PolarHeterodyne
 
 SQ2 = math.sqrt(2.0)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def circle_grid(support, k):
@@ -298,6 +301,49 @@ class TestNumericEngine:
             phase.PhaseTask(ProbeSpec(1.0, 0.5, 0.0), HETERODYNE)  # psi must be pi
         with pytest.raises(ValueError):
             phase.PhaseTask(ProbeSpec(1.0j), homodyne())  # alpha must be real
+
+
+def level0_nodes(alpha, r, psi=0.0):
+    return phase.HomodynePhaseStrategy(alpha, r, psi).outcome_nodes(0)[0].size - 1
+
+
+class TestHomodyneOutcomeRule:
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("psi", [0.0, math.pi / 2])
+    def test_value_matches_a_4096_node_rule(self, alpha, r, psi):
+        # the engine's value against a 4096-node outcome rule on the prior
+        # grid the engine chose
+        task = phase.PhaseTask(ProbeSpec(alpha, r, psi), homodyne())
+        got = phase.average_variance_numeric(task)
+        strat = phase.task_strategy(task)
+        points = strat.outcome_nodes(0)[0]
+        lo, hi = points[0], points[-1]
+        fine = bayes.GaussianOutcomeStrategy(
+            strat.outcome_moments, lambda level: bayes.trapezoid(lo, hi, 4096 * 2**level + 1),
+            dim=1, circular=True)
+        grid = GridDistribution.uniform(phase.HOM_SUPPORT, got.prior_nodes, bayes.GAUSS_LEGENDRE)
+        ref = bayes.average_posterior_variance(fine, grid, rel_tol=1e-12).value
+        assert abs(got.value - ref) <= max(got.std_error, 4.0 * np.finfo(float).eps * ref)
+        # and that error is small: a fixed 128 nodes are off by 4e-9 to
+        # 1.3e-8 relative at r = 1, and quote it
+        assert abs(got.value - ref) <= 1e-13 * ref
+
+    def test_cost_guard_128_nodes_on_config_and_benchmark_rows(self, monkeypatch):
+        config = harness.load_config(ROOT / "configs" / "phase_hom_squeezed.cfg")
+        rows = [dict(zip(config.sweep, values))
+                for values in itertools.product(*config.sweep.values())]
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import ops
+        rows += ops.PHASEHOM_COH + ops.PHASEHOM_SQ
+        assert len(rows) == 14 + 20
+        for p in rows:
+            assert level0_nodes(harness._resolve_alpha(p, "r"), p["r"], p["psi"]) == 128, p
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("r", [-2.0, 0.0, 0.75, 1.5, 4.0])
+    def test_at_most_512_nodes(self, alpha, r):
+        assert level0_nodes(alpha, r) in (128, 256, 512)
 
 
 class TestTruncation:
