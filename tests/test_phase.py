@@ -1,5 +1,6 @@
 """Phase estimation: closed forms, Bessel series vs quadrature, engine checks."""
 
+import functools
 import itertools
 import math
 from pathlib import Path
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaussbayes import bayes, harness, phase
+from gaussbayes import bayes, harness, phase, specfun
 from gaussbayes.bayes import Circle, GridDistribution
 from gaussbayes.measurement import HETERODYNE, homodyne
 from gaussbayes.phasespace import ProbeSpec
 from gaussbayes.phase import TruncationError
-from test_bayes import PolarHeterodyne
+from test_bayes import PolarHeterodyne, series_integrand, uniform_radial_rule
 
 SQ2 = math.sqrt(2.0)
 ROOT = Path(__file__).resolve().parents[1]
@@ -344,6 +345,55 @@ class TestHomodyneOutcomeRule:
     @pytest.mark.parametrize("r", [-2.0, 0.0, 0.75, 1.5, 4.0])
     def test_at_most_512_nodes(self, alpha, r):
         assert level0_nodes(alpha, r) in (128, 256, 512)
+
+
+@functools.lru_cache(maxsize=None)
+def uniform_rule_reference(alpha, r):
+    """The series on the uniform radial rule at base 512, driven to a gap
+    of 1e-12 relative: its h^4 error is about a fifteenth of that gap."""
+    return bayes._quadrature_outcome_grid(
+        lambda level: uniform_radial_rule(alpha, r, 512, level),
+        series_integrand(alpha, r), 1e-12, 8).value
+
+
+class TestRadialOutcomeRule:
+    @pytest.mark.parametrize("alpha,r", [(0.1, 0.05), (0.1, 1.25), (0.5, 0.75), (1.0, 0.5),
+                                         (2.0, 0.25), (3.0, 1.0), (4.0, 0.05), (4.0, 1.25)])
+    @pytest.mark.parametrize("path", ["series", "engine"])
+    def test_value_matches_the_uniform_rule(self, path, alpha, r):
+        # the mapped rule against an oracle that shares no node with it;
+        # 1e-13 relative is the rounding floor of a radial average
+        ref = uniform_rule_reference(alpha, r)
+        if path == "series":
+            got = phase.squeezed_het_average_variance(alpha, r)
+            # the series quotes an error at that floor
+            assert got.std_error <= 1e-13 * got.value
+        else:
+            got = phase.average_variance_numeric(
+                phase.PhaseTask(ProbeSpec(alpha, r, math.pi), HETERODYNE))
+        assert abs(got.value - ref) <= got.std_error + 1e-13 * abs(got.value)
+
+    @pytest.mark.parametrize("alpha,r", [(0.01, 1e-6), (2.0, 1e-6)])
+    def test_smallest_radius_reaches_finite_bessel_rows(self, alpha, r, monkeypatch):
+        calls = []
+        rows = specfun.bessel_i_scaled_rows
+
+        def recording(x, nmax):
+            out = rows(x, nmax)
+            calls.append((np.min(x), np.isfinite(out).all()))
+            return out
+        monkeypatch.setattr(specfun, "bessel_i_scaled_rows", recording)
+        got = phase.squeezed_het_average_variance(alpha, r)
+        rho_min = phase._radial_rule(alpha, r, phase._RADIAL_BASE, 0)[0][0]
+        assert rho_min == pytest.approx(1.523e-8, rel=1e-3)
+        # the smallest argument is u = rho^2 tanh r at the smallest radius
+        assert min(x for x, _ in calls) == pytest.approx(rho_min**2 * math.tanh(r), rel=1e-12)
+        assert all(finite for _, finite in calls)
+        # squeezing by r lowers the coherent variance, by at most r of it
+        # (about r / 2 of it as alpha -> 0, 0.8 r at alpha = 4)
+        coherent = phase.coherent_het_average_variance(alpha)
+        assert math.isfinite(got.value)
+        assert (1.0 - r) * coherent - got.std_error <= got.value < coherent
 
 
 class TestTruncation:
