@@ -273,11 +273,14 @@ class GridDistribution:
     interval) or ``GAUSS_LEGENDRE``.  The periodic midpoint rule
     integrates smooth periodic densities spectrally and non-periodic ones
     at second order; Gauss-Legendre is spectral for any smooth integrand.
-    Weights are computed on access from the rule alone, never stored:
-    stored, they would add a third N-length array to every grid a caller
-    holds.  Integrals do not build them: ``_dot`` takes the midpoint and
-    trapezoid sums from the rule's one step.  ``nodes`` and ``density``
-    are read-only copies of the arrays passed in.
+    Weights are computed on access from the rule alone, never stored on
+    a grid a caller holds: stored, they would add a third N-length array
+    to each.  Integrals do not build them: ``_dot`` takes the midpoint and
+    trapezoid sums from the rule's one step.  Only the engines' own grids
+    (``_EngineGrid``) keep ``weights * density``, with the other kernel
+    tables; an engine call on a grid a caller passes keeps them on a view
+    of it for that call alone.  ``nodes`` and ``density`` are read-only
+    copies of the arrays passed in.
     """
 
     support: Support
@@ -347,6 +350,19 @@ class GridDistribution:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inverse-CDF draws from the density, constant on one cell per node."""
+        cdf, edges = self._cdf
+        # np.interp is several times faster on sorted queries; each value
+        # is the same, so the draws are scattered back in generator order
+        u = rng.random(size)
+        order = np.argsort(u)
+        draws = np.empty(size)
+        draws[order] = np.interp(u[order], cdf, edges)
+        return draws
+
+    @property
+    def _cdf(self):
+        """(cdf, edges) of ``sample``: the cell edges, one cell per node,
+        and the normalized cumulative mass at each edge."""
         if self.rule == MIDPOINT:
             h = (self.support.hi - self.support.lo) / self.nodes.size
             edges = np.concatenate([self.nodes - h / 2.0, [self.nodes[-1] + h / 2.0]])
@@ -364,13 +380,7 @@ class GridDistribution:
             mass = np.diff(edges) * self.density
         cdf = np.concatenate([[0.0], np.cumsum(mass)])
         cdf /= cdf[-1]
-        # np.interp is several times faster on sorted queries; each value
-        # is the same, so the draws are scattered back in generator order
-        u = rng.random(size)
-        order = np.argsort(u)
-        draws = np.empty(size)
-        draws[order] = np.interp(u[order], cdf, edges)
-        return draws
+        return cdf, edges
 
     # constructors -----------------------------------------------------
 
@@ -454,11 +464,120 @@ class PriorRule:
     @staticmethod
     def gaussian(prior: GaussianPrior, max_nodes: int,
                  span_sigmas: float = 6.0) -> "PriorRule":
-        """``prior`` truncated to mu0 +- span_sigmas sd, on trapezoid grids."""
+        """``prior`` truncated to mu0 +- span_sigmas sd, on trapezoid grids.
+        Its density is a ``_GaussianDensity``, a value: rules of equal
+        priors and spans share their engine grids (``_engine_grid``)."""
         sd = math.sqrt(prior.var0)
         support = Interval(prior.mu0 - span_sigmas * sd, prior.mu0 + span_sigmas * sd)
-        return PriorRule(support, lambda t: np.exp(-0.5 * ((t - prior.mu0) / sd) ** 2),
-                         max_nodes)
+        return PriorRule(support, _GaussianDensity(prior.mu0, sd), max_nodes)
+
+
+@dataclass(frozen=True)
+class _GaussianDensity:
+    """The unnormalized density exp(-((t - mu0) / sd)^2 / 2), compared and
+    hashed by value."""
+
+    mu0: float
+    sd: float
+
+    def __call__(self, t):
+        return np.exp(-0.5 * ((t - self.mu0) / self.sd) ** 2)
+
+
+class _EngineGrid(GridDistribution):
+    """A prior grid as the engines run it, with the kernel tables that
+    depend on the grid alone, read-only and shared by every engine call
+    that gets the grid.  The strategy's arrays (node coefficients, the
+    folded kernel's, the scratch buffer) are made per calculator.  ``of``
+    makes one as a view on a grid's arrays: ``_engine_grid`` keeps such
+    views, and an engine call on a grid a caller passes views it for that
+    call alone, so the caller's grid gains nothing."""
+
+    @staticmethod
+    def of(grid: GridDistribution) -> "_EngineGrid":
+        """``grid`` itself, or a view of it with the tables every
+        calculator reads made at once: ``w``, weights * density, and
+        ``z_low``; the others are made on first use."""
+        if isinstance(grid, _EngineGrid):
+            return grid
+        view = object.__new__(_EngineGrid)
+        view.__dict__.update(vars(grid))
+        w = _read_only(grid.weights * grid.density)
+        # floored cells add at most e^-707 sum(w) to a row's evidence, less
+        # than eps/2 of any evidence above e^-670 sum(w)
+        view.__dict__.update(w=w, z_low=math.exp(_LOG_FLOOR + 37.0) * float(w.sum()),
+                             _moments={})
+        return view
+
+    @functools.cached_property
+    def mirror(self) -> bool:
+        return _mirror_flat(self)
+
+    @functools.cached_property
+    def folded(self):
+        """The nodes theta > 0 of a ``mirror`` grid, and the folded
+        kernel's moment columns on them, (2w, 2w cos 2theta)."""
+        n = self.nodes.size
+        half = self.nodes[n // 2:]
+        w2 = 2.0 * self.w[n // 2:]
+        return half, _read_only(np.column_stack([w2, w2 * np.cos(2.0 * half)]))
+
+    def moments(self, circular: bool, odd: bool = False) -> np.ndarray:
+        """The weighted moment columns of the full kernel, on every node or,
+        with ``odd``, contiguous on the odd nodes: (1, cos, sin, cos 2,
+        sin 2)(theta) when ``circular``, else (1, d, d^2) of d = theta - c,
+        about the support midpoint c, which every count shares: for a
+        posterior narrow beside its mean, E[d^2] - E[d]^2 cancels far
+        less than E[theta^2] - E[theta]^2."""
+        key = circular, odd
+        if key not in self._moments:
+            if odd:
+                cols = np.ascontiguousarray(self.moments(circular)[1::2])
+            elif circular:
+                w, nodes = self.w, self.nodes
+                cols = np.column_stack([w, w * np.cos(nodes), w * np.sin(nodes),
+                                        w * np.cos(2.0 * nodes), w * np.sin(2.0 * nodes)])
+            else:
+                w, d = self.w, self.nodes - 0.5 * (self.support.lo + self.support.hi)
+                cols = np.column_stack([w, w * d, w * d**2])
+            self._moments[key] = _read_only(cols)
+        return self._moments[key]
+
+    @functools.cached_property
+    def _cdf(self):
+        cdf, edges = GridDistribution._cdf.fget(self)
+        return _read_only(cdf), _read_only(edges)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# the engine grid cache's bounds: 32 grids of at most 4097 nodes, with
+# their tables about 0.4 MB each at 4097 nodes
+_ENGINE_GRIDS = 32
+_ENGINE_GRID_NODES = 4097
+
+
+def _engine_grid(prior: PriorRule, n: int, rule: Optional[str]) -> _EngineGrid:
+    """``prior.grid(n, rule)`` as an ``_EngineGrid``, built once per process
+    and kept, among the ``_ENGINE_GRIDS`` grids used last, when its density
+    is flat or a ``_GaussianDensity`` and it has at most
+    ``_ENGINE_GRID_NODES`` nodes.  The key is (support, density, n, rule),
+    not ``max_nodes``: rules of every ceiling share their counts.  Any
+    other grid, a density function that is not a value among them, is
+    built afresh and not kept."""
+    rule = rule or _default_rule(prior.support)
+    value = prior.density is None or isinstance(prior.density, _GaussianDensity)
+    if not value or n > _ENGINE_GRID_NODES:
+        return _EngineGrid.of(prior.grid(n, rule))
+    return _cached_engine_grid(prior.support, prior.density, n, rule)
+
+
+@functools.lru_cache(maxsize=_ENGINE_GRIDS)
+def _cached_engine_grid(support: Support, density, n: int, rule: str) -> _EngineGrid:
+    return _EngineGrid.of(PriorRule(support, density, n, rule).grid(n, rule))
 
 
 LikelihoodFn = Callable[[np.ndarray, object], np.ndarray]
@@ -803,6 +922,10 @@ class _SpreadCalculator:
     log p shifted to 0, so no posterior is flattened.  The kernel buffer
     is a view into ``scratch``, a ``_kernel_scratch`` made for the prior's
     node count, which calculators on grids of other counts may share.
+    The prior's own tables (its weighted density and moment columns, the
+    mirror check, the folded columns) are read from the ``_EngineGrid``,
+    which keeps them for every calculator on the same grid; a plain grid
+    is viewed as one for this calculator alone.
 
     Nesting: ``coarse`` is a calculator on this grid's even nodes, built
     with ``keep``, which holds the unshifted moment sums of each feature
@@ -813,7 +936,7 @@ class _SpreadCalculator:
     shared nodes (one number on a trapezoid rule, exactly 1/2 on a flat
     prior); the coarse sums are released then.  The sums are added in
     another order than the full kernel's, so (v, z) moves by a few eps
-    relative; a row whose combined evidence is below ``_z_low`` is redone
+    relative; a row whose combined evidence is below ``z_low`` is redone
     on the full kernel with its shift, as on any other calculator.
 
     Folding: when the strategy is ``phase_symmetric`` and the prior is a
@@ -832,50 +955,33 @@ class _SpreadCalculator:
                  keep: bool = False):
         self.strategy = strategy
         self.circular = strategy.circular
-        self._prior = prior
-        self._w = w = prior.weights * prior.density
-        # floored cells add at most e^-707 sum(w) to a row's evidence, less
-        # than eps/2 of any evidence above e^-670 sum(w)
-        self._z_low = math.exp(_LOG_FLOOR + 37.0) * float(w.sum())
+        self._prior = prior = _EngineGrid.of(prior)
         n = prior.nodes.size
         rows = _block_rows(n)
         self._scratch = scratch
         self._buf = scratch[:rows * n].reshape(rows, n)
         self._coarse = coarse
         if coarse is not None:
-            self._ratio = float(w[0::2].sum()) / float(coarse._w.sum())
+            self._ratio = float(prior.w[0::2].sum()) / float(coarse._prior.w.sum())
         # (features, unshifted moment sums) by id(features); the features
         # are held so that their id is not reused
         self._sums = {} if keep else None
-        self.symmetric = strategy.phase_symmetric and _mirror_flat(prior)
+        self.symmetric = strategy.phase_symmetric and prior.mirror
         if self.symmetric:
-            half = prior.nodes[n // 2:]
-            w2 = 2.0 * w[n // 2:]
+            half, cols = prior.folded
             rows = scratch.size // half.size
-            self._fold = (strategy.node_coefficients(half)[_X_FEATURES],
-                          np.column_stack([w2, w2 * np.cos(2.0 * half)]),
+            self._fold = (strategy.node_coefficients(half)[_X_FEATURES], cols,
                           scratch[:rows * half.size].reshape(rows, half.size))
 
-    # the full kernel's arrays, made on first use: a folding calculator may
-    # never need them
+    # the full kernel's coefficients, made on first use: a folding
+    # calculator may never need them
     @functools.cached_property
     def coeffs(self):
         return self.strategy.node_coefficients(self._prior.nodes)
 
     @functools.cached_property
     def moments(self):
-        w, nodes = self._w, self._prior.nodes
-        if self.circular:
-            cols = [w, w * np.cos(nodes), w * np.sin(nodes),
-                    w * np.cos(2.0 * nodes), w * np.sin(2.0 * nodes)]
-        else:
-            # about the support midpoint c, which every count shares: for
-            # a posterior narrow beside its mean, E[d^2] - E[d]^2 of
-            # d = theta - c cancels far less than E[theta^2] - E[theta]^2
-            support = self._prior.support
-            d = nodes - 0.5 * (support.lo + support.hi)
-            cols = [w, w * d, w * d**2]
-        return np.column_stack(cols)
+        return self._prior.moments(self.circular)
 
     @functools.cached_property
     def _odd(self):
@@ -883,7 +989,7 @@ class _SpreadCalculator:
         coeffs = np.ascontiguousarray(self.coeffs[:, 1::2])
         n = coeffs.shape[1]
         rows = self._scratch.size // n
-        return (coeffs, np.ascontiguousarray(self.moments[1::2]),
+        return (coeffs, self._prior.moments(self.circular, odd=True),
                 self._scratch[:rows * n].reshape(rows, n))
 
     def finish(self, m):
@@ -944,7 +1050,7 @@ class _SpreadCalculator:
             self._sums[id(sent)] = sent, m
         # a row whose evidence the floor may have flattened is redone with
         # its largest log p at 0, and the shift goes back into the evidence
-        low = np.flatnonzero(m[:, 0] < self._z_low)
+        low = np.flatnonzero(m[:, 0] < self._prior.z_low)
         if low.size == 0:
             return self.finish(m)
         m = m.copy()  # the kept sums stay unshifted
@@ -1039,7 +1145,8 @@ def _refine_count(strategy, prior: Union[GridDistribution, PriorRule], evaluate,
     """``evaluate(calc) -> (value, result)`` on ``_SpreadCalculator``s of
     ``strategy``, one kernel buffer for all of them.  A
     ``GridDistribution`` is evaluated once, as it is: (result, None, True).
-    A ``PriorRule`` is evaluated on ``prior.grid(n, prior.rule)`` for the
+    A ``PriorRule`` is evaluated on ``_engine_grid(prior, n, prior.rule)``,
+    built once per process with its kernel tables, for the
     counts n of ``prior.counts()`` up to the first whose value agrees with
     the previous count's within rel_tol |value|: its (result, gap, True),
     or at ``prior.max_nodes`` (result, last gap or None, False).  A count
@@ -1058,7 +1165,7 @@ def _refine_count(strategy, prior: Union[GridDistribution, PriorRule], evaluate,
     if isinstance(prior, GridDistribution):
         counts, grid, trapezoid = [prior.nodes.size], lambda n: prior, False
     else:
-        counts, grid = list(prior.counts()), lambda n: prior.grid(n, prior.rule)
+        counts, grid = list(prior.counts()), lambda n: _engine_grid(prior, n, prior.rule)
         trapezoid = (prior.rule or _default_rule(prior.support)) == TRAPEZOID
     # one kernel buffer for every count: a buffer per count would have its
     # pages faulted in afresh each time
@@ -1104,9 +1211,11 @@ def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, r
     """Seeded Monte Carlo in chunks of ``_MC_CHUNK`` draws.
 
     Theta is drawn from a ``GridDistribution``, or from a ``PriorRule``'s
-    ``grid(max_nodes)`` on the support's own rule, and one outcome per
-    theta.  Where every calculator folds (``_folds_every_count``) a draw
-    enters only through |beta|, whose law is the same at every theta: the
+    grid of ``max_nodes`` on the support's own rule (``_engine_grid``,
+    whose inverse CDF is built once per process), and one outcome per
+    theta; the inverse CDF of a grid passed in serves every chunk.  Where
+    every calculator folds (``_folds_every_count``) a draw enters only
+    through |beta|, whose law is the same at every theta: the
     law at theta is the theta = 0 law rotated by -theta.  There no theta
     is drawn and no ceiling grid built; each outcome is drawn from the
     theta = 0 law, exactly the law of |beta| under the prior.  The first
@@ -1123,13 +1232,16 @@ def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, r
         raise ValueError("Monte Carlo requires a seeded generator")
     if samples < 1:
         raise ValueError(f"Monte Carlo needs at least one sample, got {samples}")
+    if isinstance(prior, GridDistribution):
+        prior = _EngineGrid.of(prior)
     if _folds_every_count(strategy, prior):
         moments = strategy.outcome_moments(0.0)
 
         def draw_outcomes(m):
             return sample_gaussian_outcomes(*moments, rng, m)
     else:
-        draw = prior if isinstance(prior, GridDistribution) else prior.grid(prior.max_nodes)
+        draw = (prior if isinstance(prior, GridDistribution)
+                else _engine_grid(prior, prior.max_nodes, None))
 
         def draw_outcomes(m):
             return strategy.sample_outcomes_given(draw.sample(rng, m), rng)

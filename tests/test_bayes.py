@@ -1,8 +1,10 @@
 """Prior updates, grid machinery, estimators, bounds, and the engines."""
 
 import copy
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +31,13 @@ def rng_for(*lane):
 def spreads_at(calc, outcomes):
     """The kernel's (posterior variance, evidence) at single outcomes."""
     return calc.spreads(calc.strategy.outcome_features(outcomes))
+
+
+@pytest.fixture
+def cold_engine_grids():
+    """An empty engine grid cache: a test that counts grid builds counts
+    every one, whatever ran before it."""
+    bayes._cached_engine_grid.cache_clear()
 
 
 class TestGaussianUpdate:
@@ -984,7 +993,8 @@ class TestPhaseFold:
                else phase.squeezed_het_average_variance(alpha, r).value)
         assert abs(res.value - ref) <= 4.0 * res.std_error
 
-    def test_cost_guard_folded_monte_carlo_draws_no_theta(self, monkeypatch):
+    def test_cost_guard_folded_monte_carlo_draws_no_theta(self, monkeypatch,
+                                                          cold_engine_grids):
         # an mc_phasehet-sized op: 8192 draws on a 512-node ceiling; no
         # theta drawn, no outcome drawn per theta, no ceiling grid built
         from gaussbayes.measurement import HETERODYNE
@@ -2141,3 +2151,121 @@ class TestNestedPriorCounts:
         got = np.concatenate([v for n, v in seen if n == res.prior_nodes])
         v = replay_monte_carlo(strat, rule, 6000, res.prior_nodes, rng_for(29))[0]
         assert np.array_equal(got, v)
+
+
+# ---------------------------------------------------------------------------
+# engine prior grids: built once per process with their kernel tables
+
+
+class TestEngineGrids:
+    @pytest.mark.parametrize("task,p", [
+        ("PhaseHom", dict(alpha=1.5, r=0.3, psi=math.pi / 2)),
+        ("PhaseHet", dict(alpha=1.0, r=0.25)),
+        ("Squeeze", dict(n=3.0, s=0.5, r0=-0.5, sigma0sq=1.0)),
+        ("DisplacementHom", dict(sigma0sq=1.0, r=0.3)),
+        ("DisplacementHet", dict(sigma0sq=0.5, r=0.3)),
+    ])
+    def test_warm_quadrature_equals_cold(self, task, p, cold_engine_grids):
+        cold, _ = _task_engine(task, p)
+        built = bayes._cached_engine_grid.cache_info().misses
+        warm, parts = _task_engine(task, p)
+        info = bayes._cached_engine_grid.cache_info()
+        assert info.misses == built and info.hits >= built > 0
+        # value, std_error, levels and prior_nodes, bit for bit
+        assert warm == cold
+        # the same prior as a density function, which is never kept
+        for strat, rule in parts:
+            if rule.density is not None:
+                fn = bayes.PriorRule(rule.support, lambda t, f=rule.density: f(t),
+                                     rule.max_nodes, rule.rule)
+                assert (average_posterior_variance(strat, fn, rel_tol=1e-5)
+                        == average_posterior_variance(strat, rule, rel_tol=1e-5))
+
+    @pytest.mark.parametrize("case", ["Squeeze", "PhaseHet-folded"])
+    def test_warm_monte_carlo_equals_cold(self, case, cold_engine_grids):
+        strat, rule, rel_tol = MC_CASES[case]()
+        runs = []
+        for _ in range(2):
+            rng = rng_for(33)
+            res = average_posterior_variance(strat, rule, method="montecarlo", samples=6000,
+                                             rng=rng, rel_tol=rel_tol)
+            runs.append((res, rng.bit_generator.state))
+        assert bayes._cached_engine_grid.cache_info().hits > 0
+        assert runs[0] == runs[1]
+
+    def test_grids_and_tables_are_read_only(self, cold_engine_grids):
+        strat = phase.HeterodynePhaseStrategy(1.0, 0.3)
+        grid = bayes._engine_grid(bayes.PriorRule(phase.HET_SUPPORT, None, 512), 128, None)
+        calc = bayes._SpreadCalculator(grid, strat, bayes._kernel_scratch(128))
+        spreads_at(calc, strat.outcome_nodes(0)[0])
+        spreads_at(calc, strat.sample_outcomes_given(grid.sample(rng_for(34), 100),
+                                                     rng_for(35)))
+        arrays = [grid.nodes, grid.density, grid.w, *grid.folded, *grid._cdf,
+                  *(grid.moments(circular, odd) for circular in (False, True)
+                    for odd in (False, True))]
+        assert not any(a.flags.writeable for a in arrays)
+        # another ceiling and the support's rule named: the same grid
+        assert bayes._engine_grid(bayes.PriorRule(phase.HET_SUPPORT, None, 2048), 128,
+                                  bayes.MIDPOINT) is grid
+
+    def test_every_key_field_tells_grids_apart(self, cold_engine_grids):
+        gauss = bayes.PriorRule.gaussian(GaussianPrior(0.0, 1.0), 2001)
+        grid = bayes._engine_grid(gauss, 65, None)
+        others = [bayes._engine_grid(bayes.PriorRule(gauss.support, None, 2001), 65, None),
+                  bayes._engine_grid(bayes.PriorRule.gaussian(GaussianPrior(0.0, 1.0), 2001, 5.0),
+                                     65, None),
+                  bayes._engine_grid(gauss, 129, None),
+                  bayes._engine_grid(gauss, 65, bayes.MIDPOINT)]
+        assert len({id(g) for g in [grid, *others]}) == 5
+        assert not np.array_equal(others[0].density, grid.density)
+        # equal fields on another rule object, of another ceiling
+        again = bayes.PriorRule.gaussian(GaussianPrior(0.0, 1.0), 513)
+        assert bayes._engine_grid(again, 65, bayes.TRAPEZOID) is grid
+
+    def test_a_density_function_is_never_kept(self, cold_engine_grids):
+        strat, gauss = _squeeze_rule(3.0, 0.5)
+
+        def density(t):
+            return np.exp(-0.5 * ((t + 0.5) / 1.0) ** 2)
+        ref = weakref.ref(density)
+        rule = bayes.PriorRule(gauss.support, density, gauss.max_nodes)
+        got = average_posterior_variance(strat, rule, rel_tol=1e-5)
+        average_posterior_variance(strat, rule, method="montecarlo", samples=5000,
+                                   rng=rng_for(36), rel_tol=1e-5)
+        assert bayes._cached_engine_grid.cache_info().currsize == 0
+        assert got == average_posterior_variance(strat, gauss, rel_tol=1e-5)
+        del density, rule
+        gc.collect()
+        assert ref() is None
+
+    def test_the_cache_is_bounded(self, cold_engine_grids):
+        rules = [bayes.PriorRule(Circle(0.0, 1.0 + k), None, 64)
+                 for k in range(bayes._ENGINE_GRIDS + 8)]
+        for rule in rules:
+            bayes._engine_grid(rule, 64, None)
+        assert bayes._cached_engine_grid.cache_info().currsize == bayes._ENGINE_GRIDS
+        assert bayes._engine_grid(rules[-1], 64, None) is bayes._engine_grid(rules[-1], 64, None)
+        # a grid of more than _ENGINE_GRID_NODES nodes is built, not kept
+        wide = bayes.PriorRule(Interval(0.0, 1.0), None, 2 * bayes._ENGINE_GRID_NODES)
+        assert (bayes._engine_grid(wide, bayes._ENGINE_GRID_NODES, None)
+                is bayes._engine_grid(wide, bayes._ENGINE_GRID_NODES, None))
+        big = bayes._ENGINE_GRID_NODES + 1
+        assert bayes._engine_grid(wide, big, None) is not bayes._engine_grid(wide, big, None)
+        assert bayes._cached_engine_grid.cache_info().currsize == bayes._ENGINE_GRIDS
+
+    def test_a_callers_grid_gains_nothing(self):
+        het = phase.HeterodynePhaseStrategy(1.0, 0.3)
+        squeeze, rule = _squeeze_rule(3.0, 0.5)
+        for strat, grid in ((het, phase.flat_prior(phase.HET_SUPPORT, 256)),
+                            (squeeze, rule.grid(129)),
+                            (squeeze, GridDistribution.from_gaussian(GaussianPrior(-0.5, 1.0),
+                                                                     129))):
+            held = dict(vars(grid))
+            average_posterior_variance(strat, grid, rel_tol=1e-5)
+            average_posterior_variance(strat, grid, method="montecarlo", samples=5000,
+                                       rng=rng_for(37), rel_tol=1e-5)
+            assert type(grid) is GridDistribution
+            assert vars(grid).keys() == held.keys()
+            assert all(vars(grid)[k] is v for k, v in held.items())
+        # the public constructors build afresh
+        assert rule.grid(129) is not rule.grid(129)
