@@ -263,6 +263,14 @@ _RULES = {MIDPOINT: (midpoint, _midpoint_weights, _midpoint_dot),
           GAUSS_LEGENDRE: (gauss_legendre, _gauss_legendre_weights, _gauss_legendre_dot)}
 
 
+def _rule(name: str):
+    """The (rule, weights, dot) entry of ``_RULES`` named ``name``."""
+    try:
+        return _RULES[name]
+    except KeyError:
+        raise ValueError(f"unknown quadrature rule {name!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class GridDistribution:
     """Probability density tabulated on the nodes of a quadrature rule.
@@ -273,14 +281,14 @@ class GridDistribution:
     interval) or ``GAUSS_LEGENDRE``.  The periodic midpoint rule
     integrates smooth periodic densities spectrally and non-periodic ones
     at second order; Gauss-Legendre is spectral for any smooth integrand.
-    Weights are computed on access from the rule alone, never stored on
-    a grid a caller holds: stored, they would add a third N-length array
-    to each.  Integrals do not build them: ``_dot`` takes the midpoint and
-    trapezoid sums from the rule's one step.  Only the engines' own grids
-    (``_EngineGrid``) keep ``weights * density``, with the other kernel
-    tables; an engine call on a grid a caller passes keeps them on a view
-    of it for that call alone.  ``nodes`` and ``density`` are read-only
-    copies of the arrays passed in.
+    ``nodes`` and ``density`` are read-only copies of the arrays passed in.
+    Weights are computed on access from the rule alone; integrals do not
+    build them: ``_dot`` takes the midpoint and trapezoid sums from the
+    rule's one step.  The tables that depend on the grid alone (``_w``,
+    weights * density, ``_z_low``, ``_mirror``, ``_folded``,
+    ``_moments`` and ``sample``'s ``_cdf``) are made on first use, by an
+    engine or ``sample``, kept with the grid and read-only; a grid that
+    neither reaches, such as a ``grid_update`` posterior, holds none.
     """
 
     support: Support
@@ -310,34 +318,33 @@ class GridDistribution:
             raise ValueError("a grid needs at least one node")
         if dens.min() < 0.0:
             raise ValueError("density must be nonnegative")
-        if self.rule not in _RULES:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         dens.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "density", dens)
-        total = self._dot(dens)
+        total = self._dot(dens)  # raises on an unknown rule
         # written so that a nan total (a nan density) fails too
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"density integrates to {total!r}, not 1")
 
-    def _with_density(self, dens: np.ndarray) -> "GridDistribution":
-        """This grid's support, rule and nodes with the density ``dens``,
-        which is taken without a copy: no caller may hold it."""
+    @staticmethod
+    def _of(support: Support, rule: str, nodes: np.ndarray, dens: np.ndarray):
+        """The grid of the checked, read-only ``nodes`` and the density
+        ``dens``, both taken without a copy: no caller may hold ``dens``."""
         grid = object.__new__(GridDistribution)
-        object.__setattr__(grid, "support", self.support)
-        object.__setattr__(grid, "rule", self.rule)
-        grid._take(self.nodes, dens)
+        object.__setattr__(grid, "support", support)
+        object.__setattr__(grid, "rule", rule)
+        grid._take(nodes, dens)
         return grid
 
     @property
     def weights(self) -> np.ndarray:
-        _, weights, _ = _RULES[self.rule]
+        _, weights, _ = _rule(self.rule)
         return weights(self.support.lo, self.support.hi, self.nodes.size)
 
     def _dot(self, f: np.ndarray, g: Optional[np.ndarray] = None) -> float:
         """sum_i w_i f_i g_i over the grid's weights w (g = 1 when None),
         for node-length f and g."""
-        _, _, dot = _RULES[self.rule]
+        _, _, dot = _rule(self.rule)
         return dot(self.support.lo, self.support.hi, f, g)
 
     def integrate(self, values=None) -> float:
@@ -359,28 +366,81 @@ class GridDistribution:
         draws[order] = np.interp(u[order], cdf, edges)
         return draws
 
-    @property
+    # tables of the grid alone, made on first use and kept ------------
+
+    @functools.cached_property
     def _cdf(self):
         """(cdf, edges) of ``sample``: the cell edges, one cell per node,
         and the normalized cumulative mass at each edge."""
         if self.rule == MIDPOINT:
             h = (self.support.hi - self.support.lo) / self.nodes.size
             edges = np.concatenate([self.nodes - h / 2.0, [self.nodes[-1] + h / 2.0]])
-            mass = self.weights * self.density
+            mass = self._w
         elif self.rule == GAUSS_LEGENDRE:
             # cells of the nodes' own weights: each node lies inside its
             # cell (Chebyshev-Markov-Stieltjes separation)
             w = self.weights
             edges = np.concatenate([[self.support.lo], self.support.lo + np.cumsum(w)])
             edges[-1] = self.support.hi
-            mass = w * self.density
+            mass = self._w
         else:
             mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
             edges = np.concatenate([[self.nodes[0]], mids, [self.nodes[-1]]])
             mass = np.diff(edges) * self.density
         cdf = np.concatenate([[0.0], np.cumsum(mass)])
         cdf /= cdf[-1]
-        return cdf, edges
+        return _read_only(cdf), _read_only(edges)
+
+    @functools.cached_property
+    def _w(self) -> np.ndarray:
+        """weights * density, the kernel's weighted prior."""
+        return _read_only(self.weights * self.density)
+
+    @functools.cached_property
+    def _z_low(self) -> float:
+        """The evidence below which a kernel row is redone with a shift:
+        floored cells add at most e^-707 sum(w) to a row's evidence, less
+        than eps/2 of any evidence above e^-670 sum(w)."""
+        return math.exp(_LOG_FLOOR + 37.0) * float(self._w.sum())
+
+    @functools.cached_property
+    def _mirror(self) -> bool:
+        """True for a flat grid on an even number of midpoint nodes of the
+        full circle [-pi, pi): its nodes are +-(k + 1/2) h, mirror symmetric
+        about 0 to rounding, and a rotation of theta leaves the prior flat."""
+        n = self.nodes.size
+        return (self.rule == MIDPOINT and n % 2 == 0 and _flat_full_circle(self)
+                and np.array_equal(self.nodes, midpoint(-math.pi, math.pi, n)[0]))
+
+    @functools.cached_property
+    def _folded(self):
+        """The nodes theta > 0 of a ``_mirror`` grid, and the folded
+        kernel's moment columns on them, (2w, 2w cos 2theta)."""
+        n = self.nodes.size
+        half = self.nodes[n // 2:]
+        w2 = 2.0 * self._w[n // 2:]
+        return half, _read_only(np.column_stack([w2, w2 * np.cos(2.0 * half)]))
+
+    def _moments(self, circular: bool, odd: bool = False) -> np.ndarray:
+        """The weighted moment columns of the full kernel, on every node or,
+        with ``odd``, contiguous on the odd nodes: (1, cos, sin, cos 2,
+        sin 2)(theta) when ``circular``, else (1, d, d^2) of d = theta - c,
+        about the support midpoint c, which every count shares: for a
+        posterior narrow beside its mean, E[d^2] - E[d]^2 cancels far
+        less than E[theta^2] - E[theta]^2."""
+        memo, key = vars(self).setdefault("_moment_columns", {}), (circular, odd)
+        if key not in memo:
+            if odd:
+                cols = np.ascontiguousarray(self._moments(circular)[1::2])
+            elif circular:
+                w, nodes = self._w, self.nodes
+                cols = np.column_stack([w, w * np.cos(nodes), w * np.sin(nodes),
+                                        w * np.cos(2.0 * nodes), w * np.sin(2.0 * nodes)])
+            else:
+                w, d = self._w, self.nodes - 0.5 * (self.support.lo + self.support.hi)
+                cols = np.column_stack([w, w * d, w * d**2])
+            memo[key] = _read_only(cols)
+        return memo[key]
 
     # constructors -----------------------------------------------------
 
@@ -389,23 +449,31 @@ class GridDistribution:
                 rule: Optional[str] = None) -> "GridDistribution":
         """The flat density on ``n`` nodes of ``rule`` (default: the
         support's rule)."""
-        rule = _default_rule(support) if rule is None else rule
-        if n is None:
-            n = CIRCLE_GRID_NODES if isinstance(support, Circle) else LINEAR_GRID_NODES
-        rule_fn, _, _ = _RULES[rule]
-        nodes = rule_fn(support.lo, support.hi, n)[0]
-        return GridDistribution(support, nodes, np.full(n, 1.0 / (support.hi - support.lo)), rule)
+        return GridDistribution.from_function(support, None, n, rule)
 
     @staticmethod
     def from_function(support: Support, fn, n: Optional[int] = None,
                       rule: Optional[str] = None) -> "GridDistribution":
-        base = GridDistribution.uniform(support, n, rule)
-        dens = np.clip(np.asarray(fn(base.nodes), dtype=float), 0.0, None)
-        total = base._dot(dens)
-        if not total > 0:  # nan too
-            raise ValueError(f"density function integrates to {total!r}")
-        dens /= total
-        return base._with_density(dens)
+        """The density ``fn`` (None: flat), clipped at 0 and normalized, on
+        ``n`` nodes of ``rule`` (default: the support's rule)."""
+        rule = _default_rule(support) if rule is None else rule
+        if n is None:
+            n = CIRCLE_GRID_NODES if isinstance(support, Circle) else LINEAR_GRID_NODES
+        rule_fn, _, dot = _rule(rule)
+        nodes = _read_only(rule_fn(support.lo, support.hi, n)[0])
+        if np.any(np.diff(nodes) <= 0):  # a support too narrow for n distinct floats
+            raise ValueError("nodes must be strictly increasing")
+        if fn is None:
+            dens = np.full(n, 1.0 / (support.hi - support.lo))
+        else:
+            dens = np.clip(np.asarray(fn(nodes), dtype=float), 0.0, None)
+            if dens.shape != nodes.shape:
+                raise ValueError(f"density function gave shape {dens.shape} on {n} nodes")
+            total = dot(support.lo, support.hi, dens, None)
+            if not total > 0:  # nan too
+                raise ValueError(f"density function integrates to {total!r}")
+            dens /= total
+        return GridDistribution._of(support, rule, nodes, dens)
 
     @staticmethod
     def from_gaussian(prior: GaussianPrior, n: int = LINEAR_GRID_NODES,
@@ -438,13 +506,13 @@ class PriorRule:
     rule: Optional[str] = None
 
     def __post_init__(self):
-        least = 2 if (self.rule or _default_rule(self.support)) == TRAPEZOID else 1
+        rule = self.rule or _default_rule(self.support)
+        _rule(rule)  # raises on an unknown rule
+        least = 2 if rule == TRAPEZOID else 1
         if self.max_nodes < least:
             raise ValueError(f"max_nodes must be at least {least}, got {self.max_nodes}")
 
     def grid(self, n: int, rule: Optional[str] = None) -> GridDistribution:
-        if self.density is None:
-            return GridDistribution.uniform(self.support, n, rule)
         return GridDistribution.from_function(self.support, self.density, n, rule)
 
     def counts(self):
@@ -484,71 +552,6 @@ class _GaussianDensity:
         return np.exp(-0.5 * ((t - self.mu0) / self.sd) ** 2)
 
 
-class _EngineGrid(GridDistribution):
-    """A prior grid as the engines run it, with the kernel tables that
-    depend on the grid alone, read-only and shared by every engine call
-    that gets the grid.  The strategy's arrays (node coefficients, the
-    folded kernel's, the scratch buffer) are made per calculator.  ``of``
-    makes one as a view on a grid's arrays: ``_engine_grid`` keeps such
-    views, and an engine call on a grid a caller passes views it for that
-    call alone, so the caller's grid gains nothing."""
-
-    @staticmethod
-    def of(grid: GridDistribution) -> "_EngineGrid":
-        """``grid`` itself, or a view of it with the tables every
-        calculator reads made at once: ``w``, weights * density, and
-        ``z_low``; the others are made on first use."""
-        if isinstance(grid, _EngineGrid):
-            return grid
-        view = object.__new__(_EngineGrid)
-        view.__dict__.update(vars(grid))
-        w = _read_only(grid.weights * grid.density)
-        # floored cells add at most e^-707 sum(w) to a row's evidence, less
-        # than eps/2 of any evidence above e^-670 sum(w)
-        view.__dict__.update(w=w, z_low=math.exp(_LOG_FLOOR + 37.0) * float(w.sum()),
-                             _moments={})
-        return view
-
-    @functools.cached_property
-    def mirror(self) -> bool:
-        return _mirror_flat(self)
-
-    @functools.cached_property
-    def folded(self):
-        """The nodes theta > 0 of a ``mirror`` grid, and the folded
-        kernel's moment columns on them, (2w, 2w cos 2theta)."""
-        n = self.nodes.size
-        half = self.nodes[n // 2:]
-        w2 = 2.0 * self.w[n // 2:]
-        return half, _read_only(np.column_stack([w2, w2 * np.cos(2.0 * half)]))
-
-    def moments(self, circular: bool, odd: bool = False) -> np.ndarray:
-        """The weighted moment columns of the full kernel, on every node or,
-        with ``odd``, contiguous on the odd nodes: (1, cos, sin, cos 2,
-        sin 2)(theta) when ``circular``, else (1, d, d^2) of d = theta - c,
-        about the support midpoint c, which every count shares: for a
-        posterior narrow beside its mean, E[d^2] - E[d]^2 cancels far
-        less than E[theta^2] - E[theta]^2."""
-        key = circular, odd
-        if key not in self._moments:
-            if odd:
-                cols = np.ascontiguousarray(self.moments(circular)[1::2])
-            elif circular:
-                w, nodes = self.w, self.nodes
-                cols = np.column_stack([w, w * np.cos(nodes), w * np.sin(nodes),
-                                        w * np.cos(2.0 * nodes), w * np.sin(2.0 * nodes)])
-            else:
-                w, d = self.w, self.nodes - 0.5 * (self.support.lo + self.support.hi)
-                cols = np.column_stack([w, w * d, w * d**2])
-            self._moments[key] = _read_only(cols)
-        return self._moments[key]
-
-    @functools.cached_property
-    def _cdf(self):
-        cdf, edges = GridDistribution._cdf.fget(self)
-        return _read_only(cdf), _read_only(edges)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -560,24 +563,24 @@ _ENGINE_GRIDS = 32
 _ENGINE_GRID_NODES = 4097
 
 
-def _engine_grid(prior: PriorRule, n: int, rule: Optional[str]) -> _EngineGrid:
-    """``prior.grid(n, rule)`` as an ``_EngineGrid``, built once per process
-    and kept, among the ``_ENGINE_GRIDS`` grids used last, when its density
-    is flat or a ``_GaussianDensity`` and it has at most
-    ``_ENGINE_GRID_NODES`` nodes.  The key is (support, density, n, rule),
-    not ``max_nodes``: rules of every ceiling share their counts.  Any
-    other grid, a density function that is not a value among them, is
-    built afresh and not kept."""
+def _engine_grid(prior: PriorRule, n: int, rule: Optional[str]) -> GridDistribution:
+    """``prior.grid(n, rule)``, built once per process and kept, with the
+    kernel tables the engines make on it, among the ``_ENGINE_GRIDS``
+    grids used last, when its density is flat or a ``_GaussianDensity``
+    and it has at most ``_ENGINE_GRID_NODES`` nodes.  The key is (support,
+    density, n, rule), not ``max_nodes``: rules of every ceiling share
+    their counts.  Any other grid, a density function that is not a value
+    among them, is built afresh and not kept."""
     rule = rule or _default_rule(prior.support)
     value = prior.density is None or isinstance(prior.density, _GaussianDensity)
     if not value or n > _ENGINE_GRID_NODES:
-        return _EngineGrid.of(prior.grid(n, rule))
+        return prior.grid(n, rule)
     return _cached_engine_grid(prior.support, prior.density, n, rule)
 
 
 @functools.lru_cache(maxsize=_ENGINE_GRIDS)
-def _cached_engine_grid(support: Support, density, n: int, rule: str) -> _EngineGrid:
-    return _EngineGrid.of(PriorRule(support, density, n, rule).grid(n, rule))
+def _cached_engine_grid(support: Support, density, n: int, rule: str) -> GridDistribution:
+    return GridDistribution.from_function(support, density, n, rule)
 
 
 LikelihoodFn = Callable[[np.ndarray, object], np.ndarray]
@@ -639,7 +642,7 @@ def grid_update(prior: GridDistribution, like: LikelihoodFn, outcome) -> GridDis
     if total <= 0.0:
         raise InconsistentOutcomeError("outcome has zero probability under the prior")
     post /= total
-    return prior._with_density(post)
+    return GridDistribution._of(prior.support, prior.rule, prior.nodes, post)
 
 
 # ---------------------------------------------------------------------------
@@ -891,15 +894,6 @@ def _flat_full_circle(prior: Union[GridDistribution, PriorRule]) -> bool:
     return prior.density.min() == prior.density.max()
 
 
-def _mirror_flat(prior: GridDistribution) -> bool:
-    """True for a flat prior on an even number of midpoint nodes of the
-    full circle [-pi, pi): its nodes are +-(k + 1/2) h, mirror symmetric
-    about 0 to rounding, and a rotation of theta leaves the prior flat."""
-    n = prior.nodes.size
-    return (prior.rule == MIDPOINT and n % 2 == 0 and _flat_full_circle(prior)
-            and np.array_equal(prior.nodes, midpoint(-math.pi, math.pi, n)[0]))
-
-
 class _SpreadCalculator:
     """Posterior variance and evidence for batches of outcome features.
 
@@ -923,9 +917,8 @@ class _SpreadCalculator:
     is a view into ``scratch``, a ``_kernel_scratch`` made for the prior's
     node count, which calculators on grids of other counts may share.
     The prior's own tables (its weighted density and moment columns, the
-    mirror check, the folded columns) are read from the ``_EngineGrid``,
-    which keeps them for every calculator on the same grid; a plain grid
-    is viewed as one for this calculator alone.
+    mirror check, the folded columns) are the grid's, which keeps them for
+    every calculator on it.
 
     Nesting: ``coarse`` is a calculator on this grid's even nodes, built
     with ``keep``, which holds the unshifted moment sums of each feature
@@ -940,8 +933,8 @@ class _SpreadCalculator:
     on the full kernel with its shift, as on any other calculator.
 
     Folding: when the strategy is ``phase_symmetric`` and the prior is a
-    flat grid on an even number of midpoint nodes of [-pi, pi)
-    (``_mirror_flat``), a call whose y features are all zero (real
+    flat grid on an even number of midpoint nodes of [-pi, pi) (the
+    grid's ``_mirror``), a call whose y features are all zero (real
     outcomes) runs on the n/2 nodes theta > 0 with doubled weights, the
     features (1, x, x^2) and the moments (1, cos 2theta).  Its likelihood
     is even in theta and the nodes are mirror symmetric, so each dropped
@@ -955,20 +948,20 @@ class _SpreadCalculator:
                  keep: bool = False):
         self.strategy = strategy
         self.circular = strategy.circular
-        self._prior = prior = _EngineGrid.of(prior)
+        self._prior = prior
         n = prior.nodes.size
         rows = _block_rows(n)
         self._scratch = scratch
         self._buf = scratch[:rows * n].reshape(rows, n)
         self._coarse = coarse
         if coarse is not None:
-            self._ratio = float(prior.w[0::2].sum()) / float(coarse._prior.w.sum())
+            self._ratio = float(prior._w[0::2].sum()) / float(coarse._prior._w.sum())
         # (features, unshifted moment sums) by id(features); the features
         # are held so that their id is not reused
         self._sums = {} if keep else None
-        self.symmetric = strategy.phase_symmetric and prior.mirror
+        self.symmetric = strategy.phase_symmetric and prior._mirror
         if self.symmetric:
-            half, cols = prior.folded
+            half, cols = prior._folded
             rows = scratch.size // half.size
             self._fold = (strategy.node_coefficients(half)[_X_FEATURES], cols,
                           scratch[:rows * half.size].reshape(rows, half.size))
@@ -981,7 +974,7 @@ class _SpreadCalculator:
 
     @functools.cached_property
     def moments(self):
-        return self._prior.moments(self.circular)
+        return self._prior._moments(self.circular)
 
     @functools.cached_property
     def _odd(self):
@@ -989,7 +982,7 @@ class _SpreadCalculator:
         coeffs = np.ascontiguousarray(self.coeffs[:, 1::2])
         n = coeffs.shape[1]
         rows = self._scratch.size // n
-        return (coeffs, self._prior.moments(self.circular, odd=True),
+        return (coeffs, self._prior._moments(self.circular, odd=True),
                 self._scratch[:rows * n].reshape(rows, n))
 
     def finish(self, m):
@@ -1050,7 +1043,7 @@ class _SpreadCalculator:
             self._sums[id(sent)] = sent, m
         # a row whose evidence the floor may have flattened is redone with
         # its largest log p at 0, and the shift goes back into the evidence
-        low = np.flatnonzero(m[:, 0] < self._prior.z_low)
+        low = np.flatnonzero(m[:, 0] < self._prior._z_low)
         if low.size == 0:
             return self.finish(m)
         m = m.copy()  # the kept sums stay unshifted
@@ -1196,13 +1189,13 @@ def _refine_count(strategy, prior: Union[GridDistribution, PriorRule], evaluate,
 def _folds_every_count(strategy, prior: Union[GridDistribution, PriorRule]) -> bool:
     """True when every ``_SpreadCalculator`` that ``_refine_count`` can
     build on ``prior`` folds: a ``phase_symmetric`` strategy on a
-    ``_mirror_flat`` grid, or on a flat rule whose every grid is one (the
+    ``_mirror`` grid, or on a flat rule whose every grid is one (the
     midpoint rule on [-pi, pi) and an even ceiling, since the counts below
     it, 64 doubling, are even)."""
     if not strategy.phase_symmetric:
         return False
     if isinstance(prior, GridDistribution):
-        return _mirror_flat(prior)
+        return prior._mirror
     return ((prior.rule or MIDPOINT) == MIDPOINT and prior.max_nodes % 2 == 0
             and _flat_full_circle(prior))
 
@@ -1211,9 +1204,9 @@ def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, r
     """Seeded Monte Carlo in chunks of ``_MC_CHUNK`` draws.
 
     Theta is drawn from a ``GridDistribution``, or from a ``PriorRule``'s
-    grid of ``max_nodes`` on the support's own rule (``_engine_grid``,
-    whose inverse CDF is built once per process), and one outcome per
-    theta; the inverse CDF of a grid passed in serves every chunk.  Where
+    grid of ``max_nodes`` on the support's own rule (``_engine_grid``),
+    and one outcome per theta; the grid keeps its inverse CDF
+    (``GridDistribution._cdf``), which serves every chunk and call.  Where
     every calculator folds (``_folds_every_count``) a draw enters only
     through |beta|, whose law is the same at every theta: the
     law at theta is the theta = 0 law rotated by -theta.  There no theta
@@ -1232,8 +1225,6 @@ def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, r
         raise ValueError("Monte Carlo requires a seeded generator")
     if samples < 1:
         raise ValueError(f"Monte Carlo needs at least one sample, got {samples}")
-    if isinstance(prior, GridDistribution):
-        prior = _EngineGrid.of(prior)
     if _folds_every_count(strategy, prior):
         moments = strategy.outcome_moments(0.0)
 

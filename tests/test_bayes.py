@@ -143,6 +143,56 @@ class TestGridDistribution:
         prior = bayes.PriorRule(Interval(0, 1), None, least, rule)
         assert prior.grid(least, rule).integrate() == pytest.approx(1.0, rel=1e-15)
 
+    @pytest.mark.parametrize("rule", [bayes.MIDPOINT, bayes.TRAPEZOID, bayes.GAUSS_LEGENDRE])
+    @pytest.mark.parametrize("entry", ["uniform", "from_function", "PriorRule",
+                                       "average_posterior_variance"])
+    def test_unknown_rules_and_bad_density_functions_raise_value_errors(self, entry, rule):
+        strat, gauss = _squeeze_rule(3.0, 0.5)
+
+        def build(fn, rule, support=gauss.support):
+            if entry == "uniform":
+                return GridDistribution.uniform(support, 129, rule)
+            if entry == "from_function":
+                return GridDistribution.from_function(support, fn, 129, rule)
+            prior = bayes.PriorRule(support, fn, 129, rule)
+            if entry == "PriorRule":
+                return prior.grid(129, rule)
+            return average_posterior_variance(strat, prior, rel_tol=1e-3)
+        with pytest.raises(ValueError, match="unknown quadrature rule 'simpson'"):
+            build(gauss.density, "simpson")
+        build(gauss.density, rule)
+        # 129 nodes on a support 45 ulps wide: some round to the same float
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build(gauss.density, rule, Interval(1.0, 1.0 + 1e-14))
+        if entry != "uniform":
+            # a scalar, and one value too few, where one value per node is due
+            for fn in (lambda t: 1.0, lambda t: np.ones(t.size - 1)):
+                with pytest.raises(ValueError, match="density function gave shape"):
+                    build(fn, rule)
+
+    @pytest.mark.parametrize("rule", [bayes.MIDPOINT, bayes.TRAPEZOID, bayes.GAUSS_LEGENDRE])
+    @pytest.mark.parametrize("fn", [None, lambda t: np.exp(-0.5 * ((t - 0.3) / 0.7) ** 2),
+                                    lambda t: t])  # clipped at 0 below 0
+    def test_a_rule_grid_is_the_validated_constructors(self, fn, rule):
+        support = Interval(-1.3, 2.9)
+        for n in (1, 2, 129, 2000):
+            if rule == bayes.TRAPEZOID and n < 2:
+                continue
+            grid = GridDistribution.from_function(support, fn, n, rule)
+            rule_fn, _, dot = bayes._RULES[rule]
+            nodes = rule_fn(support.lo, support.hi, n)[0]
+            if fn is None:
+                dens = np.full(n, 1.0 / (support.hi - support.lo))
+            else:
+                dens = np.maximum(fn(nodes), 0.0)
+                dens = dens / dot(support.lo, support.hi, dens, None)
+            want = GridDistribution(support, nodes, dens, rule)
+            assert grid.rule == want.rule and grid.support == want.support
+            np.testing.assert_array_equal(grid.nodes, want.nodes)
+            np.testing.assert_array_equal(grid.density, want.density)
+            assert not grid.nodes.flags.writeable and not grid.density.flags.writeable
+            assert vars(grid).keys() == vars(want).keys()
+
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_caller_writes_do_not_reach_the_grid(self, read_only_view):
         nodes, dens = np.linspace(0.0, 1.0, 11), np.ones(11)
@@ -1001,13 +1051,13 @@ class TestPhaseFold:
         calls, grids = [], []
         sample = GridDistribution.sample
         given_ = phase.HeterodynePhaseStrategy.sample_outcomes_given
-        grid = bayes.PriorRule.grid
+        build = GridDistribution.from_function  # every prior grid's one builder
         monkeypatch.setattr(GridDistribution, "sample",
                             lambda *a: calls.append("sample") or sample(*a))
         monkeypatch.setattr(phase.HeterodynePhaseStrategy, "sample_outcomes_given",
                             lambda *a: calls.append("given") or given_(*a))
-        monkeypatch.setattr(bayes.PriorRule, "grid",
-                            lambda rule, n, *a: grids.append(n) or grid(rule, n, *a))
+        monkeypatch.setattr(GridDistribution, "from_function",
+                            lambda sup, fn, n, *a: grids.append(n) or build(sup, fn, n, *a))
         task = phase.PhaseTask(ProbeSpec(1.0, 0.25, math.pi), HETERODYNE)
         res = phase.average_variance_numeric(task, method="montecarlo", samples=8192,
                                              rng=rng_for(42), grid_nodes=512)
@@ -1118,8 +1168,8 @@ class TestRadialRulePrior:
         # no density evaluated
         def no_grid(*args, **kwargs):
             raise AssertionError("grid built")
-        monkeypatch.setattr(bayes.PriorRule, "grid", no_grid)
-        monkeypatch.setattr(GridDistribution, "uniform", no_grid)
+        # every prior grid's one builder: PriorRule.grid and uniform call it
+        monkeypatch.setattr(GridDistribution, "from_function", no_grid)
         for rule in (None, bayes.GAUSS_LEGENDRE):
             assert bayes._flat_full_circle(bayes.PriorRule(phase.HET_SUPPORT, None, 2048, rule))
         assert not bayes._flat_full_circle(
@@ -2200,8 +2250,8 @@ class TestEngineGrids:
         spreads_at(calc, strat.outcome_nodes(0)[0])
         spreads_at(calc, strat.sample_outcomes_given(grid.sample(rng_for(34), 100),
                                                      rng_for(35)))
-        arrays = [grid.nodes, grid.density, grid.w, *grid.folded, *grid._cdf,
-                  *(grid.moments(circular, odd) for circular in (False, True)
+        arrays = [grid.nodes, grid.density, grid._w, *grid._folded, *grid._cdf,
+                  *(grid._moments(circular, odd) for circular in (False, True)
                     for odd in (False, True))]
         assert not any(a.flags.writeable for a in arrays)
         # another ceiling and the support's rule named: the same grid
@@ -2253,19 +2303,33 @@ class TestEngineGrids:
         assert bayes._engine_grid(wide, big, None) is not bayes._engine_grid(wide, big, None)
         assert bayes._cached_engine_grid.cache_info().currsize == bayes._ENGINE_GRIDS
 
-    def test_a_callers_grid_gains_nothing(self):
+    def test_a_callers_grid_keeps_its_tables(self):
         het = phase.HeterodynePhaseStrategy(1.0, 0.3)
         squeeze, rule = _squeeze_rule(3.0, 0.5)
         for strat, grid in ((het, phase.flat_prior(phase.HET_SUPPORT, 256)),
                             (squeeze, rule.grid(129)),
                             (squeeze, GridDistribution.from_gaussian(GaussianPrior(-0.5, 1.0),
                                                                      129))):
-            held = dict(vars(grid))
-            average_posterior_variance(strat, grid, rel_tol=1e-5)
-            average_posterior_variance(strat, grid, method="montecarlo", samples=5000,
-                                       rng=rng_for(37), rel_tol=1e-5)
+            fields = {k: getattr(grid, k) for k in ("support", "nodes", "density", "rule")}
+            assert vars(grid).keys() == fields.keys()  # no tables before an engine call
+            runs = [(average_posterior_variance(strat, grid, rel_tol=1e-5),
+                     average_posterior_variance(strat, grid, method="montecarlo",
+                                                samples=5000, rng=rng_for(37), rel_tol=1e-5))
+                    for _ in range(2)]
             assert type(grid) is GridDistribution
-            assert vars(grid).keys() == held.keys()
-            assert all(vars(grid)[k] is v for k, v in held.items())
+            assert all(getattr(grid, k) is v for k, v in fields.items())
+            arrays = []
+            for k, v in vars(grid).items():
+                if k not in fields:  # a table: an array, or a tuple or dict of them
+                    arrays += (v.values() if isinstance(v, dict)
+                               else v if isinstance(v, tuple) else [v])
+            arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+            assert arrays and not any(a.flags.writeable for a in arrays)
+            # the second call reads the tables the first made: bit for bit
+            assert runs[0] == runs[1]
+        # a posterior that reaches no engine gains no table
+        post = bayes.grid_update(rule.grid(129), gaussian_like(0.8), -0.4)
+        bayes.variance_mse(post, bayes.mean_estimator(post))
+        assert vars(post).keys() == fields.keys()
         # the public constructors build afresh
         assert rule.grid(129) is not rule.grid(129)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussbayes import cli, harness, phase, squeezing
+from gaussbayes import bayes, cli, harness, phase, squeezing
 from gaussbayes import displacement as disp
 from gaussbayes.bayes import GaussianPrior
 from gaussbayes.harness import ConfigError, parse_config
@@ -403,6 +403,18 @@ class TestShippedConfigs:
                              ids=lambda path: path.name)
     def test_parses(self, path):
         assert harness.load_config(path).output
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")),
+                             ids=lambda path: path.name)
+    def test_force_both_csv_is_the_same_on_a_cold_and_a_warm_grid_cache(self, path, tmp_path):
+        texts = []
+        for name in ("cold", "warm"):
+            if name == "cold":
+                bayes._cached_engine_grid.cache_clear()
+            out = tmp_path / f"{name}.csv"
+            harness.write_csv(harness.run(harness.load_config(path, {"force_both": True})), out)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
     def test_readme_names_only_shipped_configs(self):
         named = set(re.findall(r"configs/[\w.-]+\.cfg", (ROOT / "README.md").read_text()))
