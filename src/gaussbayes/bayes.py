@@ -166,10 +166,6 @@ def _legendre(n: int):
     return x, w
 
 
-def _midpoint_weights(lo: float, hi: float, n: int):
-    return np.full(n, (hi - lo) / n)
-
-
 def _midpoint_dot(lo: float, hi: float, f: np.ndarray, g):
     return (hi - lo) / f.size * float(f.sum() if g is None else f @ g)
 
@@ -182,13 +178,6 @@ def _trapezoid_step(lo: float, hi: float, n: int) -> float:
     return (hi - lo) / (n - 1)
 
 
-def _trapezoid_weights(lo: float, hi: float, n: int):
-    weights = np.full(n, _trapezoid_step(lo, hi, n))
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return weights
-
-
 def _trapezoid_dot(lo: float, hi: float, f: np.ndarray, g):
     if g is None:
         total = f.sum() - 0.5 * (f[0] + f[-1])
@@ -197,12 +186,8 @@ def _trapezoid_dot(lo: float, hi: float, f: np.ndarray, g):
     return _trapezoid_step(lo, hi, f.size) * float(total)
 
 
-def _gauss_legendre_weights(lo: float, hi: float, n: int):
-    return _legendre(n)[1] * (0.5 * (hi - lo))
-
-
 def _gauss_legendre_dot(lo: float, hi: float, f: np.ndarray, g):
-    w = _gauss_legendre_weights(lo, hi, f.size)
+    w = gauss_legendre(lo, hi, f.size)[1]
     return float(w @ f if g is None else (w * f) @ g)
 
 
@@ -212,12 +197,14 @@ def midpoint(lo: float, hi: float, n: int):
     if n < 1:
         raise ValueError(f"the midpoint rule needs at least 1 node, got {n}")
     h = (hi - lo) / n
-    return lo + (np.arange(n) + 0.5) * h, _midpoint_weights(lo, hi, n)
+    return lo + (np.arange(n) + 0.5) * h, np.full(n, h)
 
 
 def trapezoid(lo: float, hi: float, n: int):
     """Nodes and weights of the n-node trapezoid rule on [lo, hi]."""
-    weights = _trapezoid_weights(lo, hi, n)  # checks n before linspace does
+    weights = np.full(n, _trapezoid_step(lo, hi, n))  # checks n before linspace does
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
     return np.linspace(lo, hi, n), weights
 
 
@@ -254,17 +241,16 @@ def gauss_legendre(lo: float, hi: float, n: int):
     return lo + (x + 1.0) * half, w * half
 
 
-# each rule's function, its weights alone for callers that hold the nodes,
-# and its integral sum_i w_i f_i g_i (g = 1 when None) on the n = f.size
-# nodes of [lo, hi], made without an array of weights where the rule has
-# one step
-_RULES = {MIDPOINT: (midpoint, _midpoint_weights, _midpoint_dot),
-          TRAPEZOID: (trapezoid, _trapezoid_weights, _trapezoid_dot),
-          GAUSS_LEGENDRE: (gauss_legendre, _gauss_legendre_weights, _gauss_legendre_dot)}
+# each rule's function, (lo, hi, n) -> (nodes, weights), and its integral
+# sum_i w_i f_i g_i (g = 1 when None) on the n = f.size nodes of [lo, hi],
+# made without an array of weights where the rule has one step
+_RULES = {MIDPOINT: (midpoint, _midpoint_dot),
+          TRAPEZOID: (trapezoid, _trapezoid_dot),
+          GAUSS_LEGENDRE: (gauss_legendre, _gauss_legendre_dot)}
 
 
 def _rule(name: str):
-    """The (rule, weights, dot) entry of ``_RULES`` named ``name``."""
+    """The (rule, dot) entry of ``_RULES`` named ``name``."""
     try:
         return _RULES[name]
     except KeyError:
@@ -282,7 +268,7 @@ class GridDistribution:
     integrates smooth periodic densities spectrally and non-periodic ones
     at second order; Gauss-Legendre is spectral for any smooth integrand.
     ``nodes`` and ``density`` are read-only copies of the arrays passed in.
-    Weights are computed on access from the rule alone; integrals do not
+    Weights are the rule function's, computed on access; integrals do not
     build them: ``_dot`` takes the midpoint and trapezoid sums from the
     rule's one step.  The tables that depend on the grid alone (``_w``,
     weights * density, ``_z_low``, ``_mirror``, ``_folded``,
@@ -338,13 +324,13 @@ class GridDistribution:
 
     @property
     def weights(self) -> np.ndarray:
-        _, weights, _ = _rule(self.rule)
-        return weights(self.support.lo, self.support.hi, self.nodes.size)
+        rule_fn, _ = _rule(self.rule)
+        return rule_fn(self.support.lo, self.support.hi, self.nodes.size)[1]
 
     def _dot(self, f: np.ndarray, g: Optional[np.ndarray] = None) -> float:
         """sum_i w_i f_i g_i over the grid's weights w (g = 1 when None),
         for node-length f and g."""
-        _, _, dot = _rule(self.rule)
+        _, dot = _rule(self.rule)
         return dot(self.support.lo, self.support.hi, f, g)
 
     def integrate(self, values=None) -> float:
@@ -459,7 +445,7 @@ class GridDistribution:
         rule = _default_rule(support) if rule is None else rule
         if n is None:
             n = CIRCLE_GRID_NODES if isinstance(support, Circle) else LINEAR_GRID_NODES
-        rule_fn, _, dot = _rule(rule)
+        rule_fn, dot = _rule(rule)
         nodes = _read_only(rule_fn(support.lo, support.hi, n)[0])
         if np.any(np.diff(nodes) <= 0):  # a support too narrow for n distinct floats
             raise ValueError("nodes must be strictly increasing")
@@ -478,7 +464,8 @@ class GridDistribution:
     @staticmethod
     def from_gaussian(prior: GaussianPrior, n: int = LINEAR_GRID_NODES,
                       span_sigmas: float = 6.0) -> "GridDistribution":
-        return PriorRule.gaussian(prior, n, span_sigmas).grid(n)
+        rule = PriorRule.gaussian(prior, n, span_sigmas)
+        return GridDistribution.from_function(rule.support, rule.density, n, rule.rule)
 
 
 def _default_rule(support: Support) -> str:
@@ -489,15 +476,23 @@ def _default_rule(support: Support) -> str:
 class PriorRule:
     """A prior that can be tabulated at any node count, n -> grid.
 
-    ``grid(n, rule)`` is the prior on ``n`` nodes of ``rule`` (default:
-    the support's own).  Both engines integrate posteriors on it with
-    ``rule``, doubling ``n`` over ``counts()`` until two counts agree and
-    using at most ``max_nodes`` nodes.  Monte Carlo draws theta from
-    ``grid(max_nodes)``, on the support's own rule, whatever count it
-    integrates on; where every count folds (a flat midpoint rule on
-    [-pi, pi) with an even ``max_nodes``, under a ``phase_symmetric``
-    strategy) it draws no theta and builds no such grid.  ``density`` is
-    the unnormalized density, None for the flat prior.
+    ``rule`` names the rule of its grids; None resolves to the support's
+    own on construction.  ``grid(n, rule)`` is the prior on ``n`` nodes
+    of ``rule`` (default: the prior's ``rule``).  A grid of a flat or
+    ``_GaussianDensity`` density on at most ``_ENGINE_GRID_NODES`` nodes
+    is built once per process and kept, with the kernel tables the
+    engines make on it, among the ``_ENGINE_GRIDS`` used last, keyed by
+    (support, density, n, rule): rules of every ``max_nodes`` share their
+    counts.  A grid of any other density function is built afresh.
+
+    Both engines integrate posteriors on ``grid(n)``, doubling ``n`` over
+    ``counts()`` until two counts agree and using at most ``max_nodes``
+    nodes.  Monte Carlo draws theta from ``grid(max_nodes)`` on the
+    support's own rule, whatever rule and count it integrates on; where
+    every count folds (a flat midpoint rule on [-pi, pi) with an even
+    ``max_nodes``, under a ``phase_symmetric`` strategy) it draws no theta
+    and builds no such grid.  ``density`` is the unnormalized density,
+    None for the flat prior.
     """
 
     support: Support
@@ -506,14 +501,19 @@ class PriorRule:
     rule: Optional[str] = None
 
     def __post_init__(self):
-        rule = self.rule or _default_rule(self.support)
-        _rule(rule)  # raises on an unknown rule
-        least = 2 if rule == TRAPEZOID else 1
+        if self.rule is None:
+            object.__setattr__(self, "rule", _default_rule(self.support))
+        _rule(self.rule)  # raises on an unknown rule
+        least = 2 if self.rule == TRAPEZOID else 1
         if self.max_nodes < least:
             raise ValueError(f"max_nodes must be at least {least}, got {self.max_nodes}")
 
     def grid(self, n: int, rule: Optional[str] = None) -> GridDistribution:
-        return GridDistribution.from_function(self.support, self.density, n, rule)
+        rule = self.rule if rule is None else rule
+        value = self.density is None or isinstance(self.density, _GaussianDensity)
+        if not value or n > _ENGINE_GRID_NODES:
+            return GridDistribution.from_function(self.support, self.density, n, rule)
+        return _cached_engine_grid(self.support, self.density, n, rule)
 
     def counts(self):
         """The node counts the engines try: 64 doubling (65, 129, ... on
@@ -522,7 +522,7 @@ class PriorRule:
         count n, bit for bit, so the engines run its kernel on its odd
         nodes only (``_refine_count``); a ceiling that is not 2n - 1, and
         every count of the other rules, is evaluated afresh."""
-        odd = int((self.rule or _default_rule(self.support)) == TRAPEZOID)
+        odd = int(self.rule == TRAPEZOID)
         n = 64 + odd
         while n < self.max_nodes:
             yield n
@@ -534,7 +534,7 @@ class PriorRule:
                  span_sigmas: float = 6.0) -> "PriorRule":
         """``prior`` truncated to mu0 +- span_sigmas sd, on trapezoid grids.
         Its density is a ``_GaussianDensity``, a value: rules of equal
-        priors and spans share their engine grids (``_engine_grid``)."""
+        priors and spans share their kept grids (``grid``)."""
         sd = math.sqrt(prior.var0)
         support = Interval(prior.mu0 - span_sigmas * sd, prior.mu0 + span_sigmas * sd)
         return PriorRule(support, _GaussianDensity(prior.mu0, sd), max_nodes)
@@ -557,25 +557,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# the engine grid cache's bounds: 32 grids of at most 4097 nodes, with
-# their tables about 0.4 MB each at 4097 nodes
+# the kept grids' bounds (``PriorRule.grid``): 32 grids of at most 4097
+# nodes, with their tables about 0.4 MB each at 4097 nodes
 _ENGINE_GRIDS = 32
 _ENGINE_GRID_NODES = 4097
-
-
-def _engine_grid(prior: PriorRule, n: int, rule: Optional[str]) -> GridDistribution:
-    """``prior.grid(n, rule)``, built once per process and kept, with the
-    kernel tables the engines make on it, among the ``_ENGINE_GRIDS``
-    grids used last, when its density is flat or a ``_GaussianDensity``
-    and it has at most ``_ENGINE_GRID_NODES`` nodes.  The key is (support,
-    density, n, rule), not ``max_nodes``: rules of every ceiling share
-    their counts.  Any other grid, a density function that is not a value
-    among them, is built afresh and not kept."""
-    rule = rule or _default_rule(prior.support)
-    value = prior.density is None or isinstance(prior.density, _GaussianDensity)
-    if not value or n > _ENGINE_GRID_NODES:
-        return prior.grid(n, rule)
-    return _cached_engine_grid(prior.support, prior.density, n, rule)
 
 
 @functools.lru_cache(maxsize=_ENGINE_GRIDS)
@@ -1138,9 +1123,9 @@ def _refine_count(strategy, prior: Union[GridDistribution, PriorRule], evaluate,
     """``evaluate(calc) -> (value, result)`` on ``_SpreadCalculator``s of
     ``strategy``, one kernel buffer for all of them.  A
     ``GridDistribution`` is evaluated once, as it is: (result, None, True).
-    A ``PriorRule`` is evaluated on ``_engine_grid(prior, n, prior.rule)``,
-    built once per process with its kernel tables, for the
-    counts n of ``prior.counts()`` up to the first whose value agrees with
+    A ``PriorRule`` is evaluated on ``prior.grid(n)``, kept with its kernel
+    tables where ``PriorRule.grid`` keeps it, for the counts n of
+    ``prior.counts()`` up to the first whose value agrees with
     the previous count's within rel_tol |value|: its (result, gap, True),
     or at ``prior.max_nodes`` (result, last gap or None, False).  A count
     whose ``evaluate`` raises ToleranceError gives no value, so the next is
@@ -1158,8 +1143,7 @@ def _refine_count(strategy, prior: Union[GridDistribution, PriorRule], evaluate,
     if isinstance(prior, GridDistribution):
         counts, grid, trapezoid = [prior.nodes.size], lambda n: prior, False
     else:
-        counts, grid = list(prior.counts()), lambda n: _engine_grid(prior, n, prior.rule)
-        trapezoid = (prior.rule or _default_rule(prior.support)) == TRAPEZOID
+        counts, grid, trapezoid = list(prior.counts()), prior.grid, prior.rule == TRAPEZOID
     # one kernel buffer for every count: a buffer per count would have its
     # pages faulted in afresh each time
     scratch = _kernel_scratch(*counts)
@@ -1196,15 +1180,14 @@ def _folds_every_count(strategy, prior: Union[GridDistribution, PriorRule]) -> b
         return False
     if isinstance(prior, GridDistribution):
         return prior._mirror
-    return ((prior.rule or MIDPOINT) == MIDPOINT and prior.max_nodes % 2 == 0
-            and _flat_full_circle(prior))
+    return prior.rule == MIDPOINT and prior.max_nodes % 2 == 0 and _flat_full_circle(prior)
 
 
 def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, rng, rel_tol):
     """Seeded Monte Carlo in chunks of ``_MC_CHUNK`` draws.
 
     Theta is drawn from a ``GridDistribution``, or from a ``PriorRule``'s
-    grid of ``max_nodes`` on the support's own rule (``_engine_grid``),
+    grid of ``max_nodes`` on the support's own rule (``PriorRule.grid``),
     and one outcome per theta; the grid keeps its inverse CDF
     (``GridDistribution._cdf``), which serves every chunk and call.  Where
     every calculator folds (``_folds_every_count``) a draw enters only
@@ -1232,7 +1215,7 @@ def _monte_carlo(strategy, prior: Union[GridDistribution, PriorRule], samples, r
             return sample_gaussian_outcomes(*moments, rng, m)
     else:
         draw = (prior if isinstance(prior, GridDistribution)
-                else _engine_grid(prior, prior.max_nodes, None))
+                else prior.grid(prior.max_nodes, _default_rule(prior.support)))
 
         def draw_outcomes(m):
             return strategy.sample_outcomes_given(draw.sample(rng, m), rng)

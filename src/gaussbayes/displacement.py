@@ -41,7 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DisplacementTask:
-    """Estimation of a complex displacement under an isotropic Gaussian prior."""
+    """Estimation of a complex displacement under an isotropic Gaussian prior.
+
+    Homodyne measures q, so a quadrature angle other than 0 is rejected;
+    so is a heterodyne probe squeezed at ``probe_phi`` other than 0.
+    """
 
     sigma0sq: float
     alpha0: complex = 0j
@@ -52,6 +56,10 @@ class DisplacementTask:
     def __post_init__(self):
         if self.sigma0sq <= 0:
             raise ValueError("prior variance must be positive")
+        if self.measurement.quadrature_angle != 0.0:
+            raise ValueError("displacement tasks measure q: the quadrature angle must be 0")
+        if self.measurement.kind is MeasurementKind.HETERODYNE and self.probe_phi != 0.0:
+            raise ValueError("heterodyne probes are squeezed along phi = 0")
 
     def prior_r(self) -> GaussianPrior:
         return GaussianPrior(complex(self.alpha0).real, self.sigma0sq)

@@ -118,7 +118,8 @@ class PhaseTask:
     Heterodyne tasks live on [-pi, pi) and need a strictly positive
     displacement (a rotation-invariant probe carries no phase reference);
     probe squeezing, when present, is along the optimal direction psi=pi.
-    Homodyne tasks live on [0, pi) and accept any squeezing angle.
+    Homodyne tasks live on [0, pi), accept any squeezing angle and
+    measure q; a quadrature angle other than 0 is rejected.
     """
 
     probe: ProbeSpec
@@ -128,6 +129,8 @@ class PhaseTask:
         alpha = complex(self.probe.alpha)
         if alpha.imag != 0.0 or alpha.real < 0.0:
             raise ValueError("probe displacement must be real and >= 0")
+        if self.measurement.quadrature_angle != 0.0:
+            raise ValueError("phase tasks measure q: the quadrature angle must be 0")
         if self.measurement.kind is MeasurementKind.HETERODYNE:
             if alpha.real <= 0.0:
                 raise ValueError("heterodyne phase estimation needs alpha > 0")

@@ -139,17 +139,18 @@ def bessel_i_scaled_rows(x, nmax) -> np.ndarray:
 
     The parity sign for negative arguments is applied, so
     ``rows[i, n] == exp(-|x_i|) * I_n(x_i)`` for every real x_i.  Orders
-    are nonnegative; use I_{-n} = I_n for negative orders.  ``nmax`` is
+    are nonnegative, and a negative one raises ``DomainError``; use
+    I_{-n} = I_n for negative orders.  ``nmax`` is
     one order for every argument, or one per argument, broadcast over x:
     then each row has max(nmax) + 1 entries, those past its own order 0,
     and its other entries are those of a call with that order alone.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    top = nmax
+    low = top = nmax
     if not isinstance(nmax, (int, np.integer)):
         nmax = np.broadcast_to(np.asarray(nmax, dtype=np.int64), x.shape)
-        top = nmax.max(initial=0)
-    if top > _MAX_ORDER:
+        low, top = nmax.min(initial=0), nmax.max(initial=0)
+    if low < 0 or top > _MAX_ORDER:
         raise DomainError("order out of supported range")
     # the recurrence starts above |x|: bound its length as the order's
     if not np.all(np.abs(x) <= _MAX_ORDER):

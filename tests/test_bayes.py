@@ -173,13 +173,12 @@ class TestGridDistribution:
     @pytest.mark.parametrize("rule", [bayes.MIDPOINT, bayes.TRAPEZOID, bayes.GAUSS_LEGENDRE])
     @pytest.mark.parametrize("fn", [None, lambda t: np.exp(-0.5 * ((t - 0.3) / 0.7) ** 2),
                                     lambda t: t])  # clipped at 0 below 0
-    def test_a_rule_grid_is_the_validated_constructors(self, fn, rule):
+    def test_a_rule_grid_is_the_validated_constructors(self, fn, rule, cold_engine_grids):
         support = Interval(-1.3, 2.9)
         for n in (1, 2, 129, 2000):
             if rule == bayes.TRAPEZOID and n < 2:
                 continue
-            grid = GridDistribution.from_function(support, fn, n, rule)
-            rule_fn, _, dot = bayes._RULES[rule]
+            rule_fn, dot = bayes._RULES[rule]
             nodes = rule_fn(support.lo, support.hi, n)[0]
             if fn is None:
                 dens = np.full(n, 1.0 / (support.hi - support.lo))
@@ -187,11 +186,14 @@ class TestGridDistribution:
                 dens = np.maximum(fn(nodes), 0.0)
                 dens = dens / dot(support.lo, support.hi, dens, None)
             want = GridDistribution(support, nodes, dens, rule)
-            assert grid.rule == want.rule and grid.support == want.support
-            np.testing.assert_array_equal(grid.nodes, want.nodes)
-            np.testing.assert_array_equal(grid.density, want.density)
-            assert not grid.nodes.flags.writeable and not grid.density.flags.writeable
-            assert vars(grid).keys() == vars(want).keys()
+            # the public builder, and the prior rule's grid on its own rule
+            for grid in (GridDistribution.from_function(support, fn, n, rule),
+                         bayes.PriorRule(support, fn, n, rule).grid(n)):
+                assert grid.rule == want.rule and grid.support == want.support
+                np.testing.assert_array_equal(grid.nodes, want.nodes)
+                np.testing.assert_array_equal(grid.density, want.density)
+                assert not grid.nodes.flags.writeable and not grid.density.flags.writeable
+                assert vars(grid).keys() == vars(want).keys()
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_caller_writes_do_not_reach_the_grid(self, read_only_view):
@@ -275,6 +277,15 @@ class TestGridRules:
             post = bayes.grid_update(prior, gaussian_like(0.8), -0.4)
             assert prior.rule == post.rule == rule
             np.testing.assert_array_equal(post.weights, prior.weights)
+
+    def test_a_prior_rule_grids_on_its_own_rule(self):
+        for support, rule in ((phase.HET_SUPPORT, bayes.MIDPOINT),
+                              (Interval(0.0, 1.0), bayes.TRAPEZOID)):
+            prior = bayes.PriorRule(support, None, 512)
+            assert prior.rule == prior.grid(128).rule == rule
+        grid = bayes.PriorRule(phase.HOM_SUPPORT, None, 512, bayes.GAUSS_LEGENDRE).grid(128)
+        assert grid.rule == bayes.GAUSS_LEGENDRE
+        np.testing.assert_array_equal(grid.nodes, bayes.gauss_legendre(0.0, math.pi, 128)[0])
 
     def test_default_rules_and_validation(self):
         assert GridDistribution.uniform(Circle(0.0, 1.0), 8).rule == bayes.MIDPOINT
@@ -1290,11 +1301,8 @@ class TestAllocationGuard:
             raise AssertionError("a weights array was built")
         # Gauss-Legendre may read its cached weights; the one-step rules
         # must build none
-        monkeypatch.setattr(bayes, "_midpoint_weights", no_weights)
-        monkeypatch.setattr(bayes, "_trapezoid_weights", no_weights)
         for r in (bayes.MIDPOINT, bayes.TRAPEZOID):
-            fn, _, dot = bayes._RULES[r]
-            monkeypatch.setitem(bayes._RULES, r, (fn, no_weights, dot))
+            monkeypatch.setitem(bayes._RULES, r, (no_weights, bayes._RULES[r][1]))
         for grid in grids:
             post = bayes.grid_update(grid, gaussian_like(0.5), 0.9)
             assert bayes.variance_mse(post, bayes.mean_estimator(post)) > 0.0
@@ -1850,11 +1858,11 @@ def replay_monte_carlo(strat, rule, samples, nodes, rng, folded=False):
     ceiling grid on the support's own rule, in the engine's chunks, and
     one outcome per theta, or, ``folded``, no theta and the outcomes of
     the theta = 0 law; then each draw's posterior spread on
-    ``rule.grid(nodes, rule.rule)``, at |beta| where that grid folds.
+    ``rule.grid(nodes)``, at |beta| where that grid folds.
     Returns the spreads, the thetas (None when ``folded``) and the
     generator after the draws."""
-    draw = rule.grid(rule.max_nodes)
-    calc = bayes._SpreadCalculator(rule.grid(nodes, rule.rule), strat,
+    draw = rule.grid(rule.max_nodes, bayes._default_rule(rule.support))
+    calc = bayes._SpreadCalculator(rule.grid(nodes), strat,
                                    bayes._kernel_scratch(nodes))
     vs, ts = [], []
     for start in range(0, samples, bayes._MC_CHUNK):
@@ -2072,7 +2080,8 @@ def drifting_heterodyne():
 
 def _sampled(strat, rule, size, seed):
     rng = rng_for(30, seed)
-    return strat.sample_outcomes_given(rule.grid(rule.max_nodes).sample(rng, size), rng)
+    draw = rule.grid(rule.max_nodes, bayes._default_rule(rule.support))
+    return strat.sample_outcomes_given(draw.sample(rng, size), rng)
 
 
 def _tail_case():
@@ -2245,7 +2254,7 @@ class TestEngineGrids:
 
     def test_grids_and_tables_are_read_only(self, cold_engine_grids):
         strat = phase.HeterodynePhaseStrategy(1.0, 0.3)
-        grid = bayes._engine_grid(bayes.PriorRule(phase.HET_SUPPORT, None, 512), 128, None)
+        grid = bayes.PriorRule(phase.HET_SUPPORT, None, 512).grid(128)
         calc = bayes._SpreadCalculator(grid, strat, bayes._kernel_scratch(128))
         spreads_at(calc, strat.outcome_nodes(0)[0])
         spreads_at(calc, strat.sample_outcomes_given(grid.sample(rng_for(34), 100),
@@ -2255,22 +2264,20 @@ class TestEngineGrids:
                     for odd in (False, True))]
         assert not any(a.flags.writeable for a in arrays)
         # another ceiling and the support's rule named: the same grid
-        assert bayes._engine_grid(bayes.PriorRule(phase.HET_SUPPORT, None, 2048), 128,
-                                  bayes.MIDPOINT) is grid
+        assert bayes.PriorRule(phase.HET_SUPPORT, None, 2048).grid(128, bayes.MIDPOINT) is grid
 
     def test_every_key_field_tells_grids_apart(self, cold_engine_grids):
         gauss = bayes.PriorRule.gaussian(GaussianPrior(0.0, 1.0), 2001)
-        grid = bayes._engine_grid(gauss, 65, None)
-        others = [bayes._engine_grid(bayes.PriorRule(gauss.support, None, 2001), 65, None),
-                  bayes._engine_grid(bayes.PriorRule.gaussian(GaussianPrior(0.0, 1.0), 2001, 5.0),
-                                     65, None),
-                  bayes._engine_grid(gauss, 129, None),
-                  bayes._engine_grid(gauss, 65, bayes.MIDPOINT)]
+        grid = gauss.grid(65)
+        others = [bayes.PriorRule(gauss.support, None, 2001).grid(65),
+                  bayes.PriorRule.gaussian(GaussianPrior(0.0, 1.0), 2001, 5.0).grid(65),
+                  gauss.grid(129),
+                  gauss.grid(65, bayes.MIDPOINT)]
         assert len({id(g) for g in [grid, *others]}) == 5
         assert not np.array_equal(others[0].density, grid.density)
         # equal fields on another rule object, of another ceiling
         again = bayes.PriorRule.gaussian(GaussianPrior(0.0, 1.0), 513)
-        assert bayes._engine_grid(again, 65, bayes.TRAPEZOID) is grid
+        assert again.grid(65, bayes.TRAPEZOID) is grid
 
     def test_a_density_function_is_never_kept(self, cold_engine_grids):
         strat, gauss = _squeeze_rule(3.0, 0.5)
@@ -2292,18 +2299,17 @@ class TestEngineGrids:
         rules = [bayes.PriorRule(Circle(0.0, 1.0 + k), None, 64)
                  for k in range(bayes._ENGINE_GRIDS + 8)]
         for rule in rules:
-            bayes._engine_grid(rule, 64, None)
+            rule.grid(64)
         assert bayes._cached_engine_grid.cache_info().currsize == bayes._ENGINE_GRIDS
-        assert bayes._engine_grid(rules[-1], 64, None) is bayes._engine_grid(rules[-1], 64, None)
+        assert rules[-1].grid(64) is rules[-1].grid(64)
         # a grid of more than _ENGINE_GRID_NODES nodes is built, not kept
         wide = bayes.PriorRule(Interval(0.0, 1.0), None, 2 * bayes._ENGINE_GRID_NODES)
-        assert (bayes._engine_grid(wide, bayes._ENGINE_GRID_NODES, None)
-                is bayes._engine_grid(wide, bayes._ENGINE_GRID_NODES, None))
+        assert wide.grid(bayes._ENGINE_GRID_NODES) is wide.grid(bayes._ENGINE_GRID_NODES)
         big = bayes._ENGINE_GRID_NODES + 1
-        assert bayes._engine_grid(wide, big, None) is not bayes._engine_grid(wide, big, None)
+        assert wide.grid(big) is not wide.grid(big)
         assert bayes._cached_engine_grid.cache_info().currsize == bayes._ENGINE_GRIDS
 
-    def test_a_callers_grid_keeps_its_tables(self):
+    def test_a_callers_grid_keeps_its_tables(self, cold_engine_grids):
         het = phase.HeterodynePhaseStrategy(1.0, 0.3)
         squeeze, rule = _squeeze_rule(3.0, 0.5)
         for strat, grid in ((het, phase.flat_prior(phase.HET_SUPPORT, 256)),
@@ -2331,5 +2337,10 @@ class TestEngineGrids:
         post = bayes.grid_update(rule.grid(129), gaussian_like(0.8), -0.4)
         bayes.variance_mse(post, bayes.mean_estimator(post))
         assert vars(post).keys() == fields.keys()
-        # the public constructors build afresh
-        assert rule.grid(129) is not rule.grid(129)
+        # a rule's grid is the kept one; the public constructors build afresh
+        assert rule.grid(129) is rule.grid(129)
+        assert (GridDistribution.from_function(rule.support, rule.density, 129)
+                is not GridDistribution.from_function(rule.support, rule.density, 129))
+        gauss = GaussianPrior(-0.5, 1.0)
+        assert (GridDistribution.from_gaussian(gauss, 129)
+                is not GridDistribution.from_gaussian(gauss, 129))

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaussbayes import bayes, harness, phase, specfun
+from gaussbayes import bayes, displacement as disp, harness, phase, specfun
 from gaussbayes.bayes import Circle, GridDistribution
-from gaussbayes.measurement import HETERODYNE, homodyne
+from gaussbayes.measurement import HETERODYNE, Measurement, MeasurementKind, homodyne
 from gaussbayes.phasespace import ProbeSpec
 from gaussbayes.phase import TruncationError
 from test_bayes import PolarHeterodyne, series_integrand, uniform_radial_rule
@@ -302,6 +302,19 @@ class TestNumericEngine:
             phase.PhaseTask(ProbeSpec(1.0, 0.5, 0.0), HETERODYNE)  # psi must be pi
         with pytest.raises(ValueError):
             phase.PhaseTask(ProbeSpec(1.0j), homodyne())  # alpha must be real
+
+    # settings the task's formulas never read: each gave the value of its
+    # default, silently
+    @pytest.mark.parametrize("build", [
+        lambda: phase.PhaseTask(ProbeSpec(1.0, 0.5, 0.3), homodyne(0.7)),
+        lambda: phase.PhaseTask(ProbeSpec(1.0), Measurement(MeasurementKind.HETERODYNE, 0.7)),
+        lambda: disp.DisplacementTask(1.0, measurement=homodyne(1.2)),
+        lambda: disp.DisplacementTask(1.0, probe_r=0.5, probe_phi=1.0),
+    ], ids=["phase-homodyne-angle", "phase-heterodyne-angle", "displacement-homodyne-angle",
+            "displacement-heterodyne-phi"])
+    def test_settings_no_formula_reads_are_rejected(self, build):
+        with pytest.raises(ValueError, match="angle must be 0|squeezed along phi = 0"):
+            build()
 
 
 def level0_nodes(alpha, r, psi=0.0):

@@ -290,6 +290,14 @@ class TestScaled:
         with pytest.raises(DomainError):
             bessel_i_scaled_rows([1.0, 2.0], [3, 10**6 + 1])
 
+    # a negative order raised IndexError, or gave an all-zero row where
+    # e^-2 I_0(2) = 0.308
+    @pytest.mark.parametrize("x,nmax", [([1.0], -1), ([1.0, 2.0], -1), ([1.0, 2.0], [2, -1]),
+                                        ([1.0, 2.0], np.array([-3]))])
+    def test_negative_order_raises(self, x, nmax):
+        with pytest.raises(DomainError, match="order out of supported range"):
+            bessel_i_scaled_rows(x, nmax)
+
     def test_rows_match_mpmath_across_orders_and_arguments(self):
         mpmath = pytest.importorskip("mpmath")
         xs = np.array([1e-3, 0.37, 2.0, 11.5, 48.0, 250.0])
