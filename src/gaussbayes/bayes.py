@@ -13,7 +13,6 @@ engines choose the prior grid they integrate posteriors on.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import warnings
@@ -202,10 +201,18 @@ def midpoint(lo: float, hi: float, n: int):
 
 def trapezoid(lo: float, hi: float, n: int):
     """Nodes and weights of the n-node trapezoid rule on [lo, hi]."""
-    weights = np.full(n, _trapezoid_step(lo, hi, n))  # checks n before linspace does
+    h = _trapezoid_step(lo, hi, n)
+    # np.linspace(lo, hi, n) bit for bit, by its own formula, without its
+    # argument handling, which took longer than the arithmetic
+    nodes = np.arange(n, dtype=float)
+    nodes *= h
+    nodes += lo
+    nodes[-1] = hi
+    weights = np.empty(n)
+    weights.fill(h)  # np.full's wrapper alone takes longer
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return np.linspace(lo, hi, n), weights
+    return nodes, weights
 
 
 # level-0 node counts of a linear outcome rule, and its largest level-0
@@ -288,7 +295,7 @@ class GridDistribution:
         dens = np.array(self.density, dtype=float)
         if nodes.ndim != 1:
             raise ValueError("nodes and density must be 1-D and equally long")
-        if np.any(np.diff(nodes) <= 0):
+        if not np.all(np.diff(nodes) > 0):  # a nan node fails too
             raise ValueError("nodes must be strictly increasing")
         if self.rule is None:
             object.__setattr__(self, "rule", _default_rule(self.support))
@@ -447,7 +454,7 @@ class GridDistribution:
             n = CIRCLE_GRID_NODES if isinstance(support, Circle) else LINEAR_GRID_NODES
         rule_fn, dot = _rule(rule)
         nodes = _read_only(rule_fn(support.lo, support.hi, n)[0])
-        if np.any(np.diff(nodes) <= 0):  # a support too narrow for n distinct floats
+        if not np.all(np.diff(nodes) > 0):  # a support too narrow for n distinct floats
             raise ValueError("nodes must be strictly increasing")
         if fn is None:
             dens = np.full(n, 1.0 / (support.hi - support.lo))
@@ -822,28 +829,50 @@ class GaussianOutcomeStrategy:
 
     def outcome_features(self, outcomes) -> np.ndarray:
         """a(m), one row per outcome."""
+        # each feature is written into its column of one array, without
+        # np.stack's wrapper and copies
         if self.dim == 1:
-            q = np.real(np.atleast_1d(outcomes)).astype(float)
-            return np.stack([np.ones_like(q), q, q * q], axis=1)
+            q = np.real(np.atleast_1d(outcomes))
+            a = np.empty((q.shape[0], 3) + q.shape[1:])
+            a[:, 0] = 1.0
+            a[:, 1] = q
+            np.multiply(a[:, 1], a[:, 1], out=a[:, 2])
+            return a
         b = np.atleast_1d(np.asarray(outcomes, dtype=complex))
         x, y = b.real, b.imag
-        return np.stack([np.ones_like(x), x, y, x * x, y * y, x * y], axis=1)
+        a = np.empty((b.shape[0], 6) + b.shape[1:])
+        a[:, 0] = 1.0
+        a[:, 1] = x
+        a[:, 2] = y
+        np.multiply(x, x, out=a[:, 3])
+        np.multiply(y, y, out=a[:, 4])
+        np.multiply(x, y, out=a[:, 5])
+        return a
 
     def node_coefficients(self, thetas) -> np.ndarray:
         """c(theta), one column per node."""
+        # each coefficient is written into its row of one array, without
+        # np.stack's wrapper and copies
         mean, cov = self.outcome_moments(thetas)
         if self.dim == 1:
             prec = 1.0 / cov
-            return np.stack([-0.5 * (mean * mean * prec + np.log(2.0 * math.pi * cov)),
-                             mean * prec, -0.5 * prec])
+            c = np.empty((3,) + np.shape(prec))
+            c[0] = -0.5 * (mean * mean * prec + np.log(2.0 * math.pi * cov))
+            c[1] = mean * prec
+            c[2] = -0.5 * prec
+            return c
         vxx, vyy, vxy = cov
         det = vxx * vyy - vxy * vxy
         pxx, pyy, pxy = vyy / det, vxx / det, -vxy / det
         mx, my = mean.real, mean.imag
-        gx = pxx * mx + pxy * my
-        gy = pxy * mx + pyy * my
-        c0 = -0.5 * (mx * gx + my * gy) - np.log(2.0 * math.pi * np.sqrt(det))
-        return np.stack([c0, gx, gy, -0.5 * pxx, -0.5 * pyy, -pxy])
+        c = np.empty((6,) + np.shape(det))
+        c[1] = gx = pxx * mx + pxy * my
+        c[2] = gy = pxy * mx + pyy * my
+        c[0] = -0.5 * (mx * gx + my * gy) - np.log(2.0 * math.pi * np.sqrt(det))
+        c[3] = -0.5 * pxx
+        c[4] = -0.5 * pyy
+        c[5] = -pxy
+        return c
 
     def likelihood_matrix(self, thetas, outcomes):
         """p(m | theta) with one row per outcome and one column per theta."""
@@ -975,7 +1004,10 @@ class _SpreadCalculator:
         the full kernel, or the folded kernel's (1, cos 2theta)."""
         z = m[:, 0]
         ok = z > 0.0
-        zi = np.where(ok, z, 1.0)
+        # a row of zero evidence divides by 1 and gets the variance 0; the
+        # np.where and the write are skipped where there is none
+        every = ok.all()
+        zi = z if every else np.where(ok, z, 1.0)
         if m.shape[1] == 2:
             v = 0.5 * (1.0 - m[:, 1] / zi)
         elif self.circular:
@@ -987,7 +1019,8 @@ class _SpreadCalculator:
         else:
             mean = m[:, 1] / zi
             v = np.maximum(m[:, 2] / zi - mean**2, 0.0)
-        v[~ok] = 0.0
+        if not every:
+            v[~ok] = 0.0
         return v, z
 
     @staticmethod
@@ -1277,11 +1310,13 @@ def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, ma
                                  "circle [-pi, pi); use method='montecarlo'")
     rows = strategy.outcome_rows
     fresh = []  # the features of the outcomes of each integrand call
+    rules = {}  # by level; a dict, not functools.cache, whose wrapper costs more per op
 
-    @functools.cache
     def rule(level):
-        outcomes, weights = strategy.outcome_nodes(level)
-        return outcomes.reshape(rows, -1), weights.reshape(rows, -1)
+        if level not in rules:
+            outcomes, weights = strategy.outcome_nodes(level)
+            rules[level] = outcomes.reshape(rows, -1), weights.reshape(rows, -1)
+        return rules[level]
 
     def evaluate(calc):
         call = 0
@@ -1296,10 +1331,10 @@ def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, ma
             call += 1
             return (z * v).reshape(outcomes.shape)
         res = _quadrature_outcome_grid(rule, integrand, rel_tol, max_level)
-        return res.value, dataclasses.replace(res, prior_nodes=calc._prior.nodes.size)
-    res, gap, agreed = _refine_count(strategy, prior, evaluate, rel_tol)
-    if gap is not None:
-        res = dataclasses.replace(res, std_error=res.std_error + gap)
+        return res.value, (res, calc._prior.nodes.size)
+    (res, nodes), gap, agreed = _refine_count(strategy, prior, evaluate, rel_tol)
+    res = AverageVariance(res.value, res.std_error if gap is None else res.std_error + gap,
+                          res.method, res.levels, nodes)
     if agreed:
         return res
     if gap is None:

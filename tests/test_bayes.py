@@ -108,6 +108,23 @@ class TestGridDistribution:
         with pytest.raises(ValueError):
             GridDistribution(Interval(0, 1), np.linspace(0, 1, 3), np.ones(3) * 3.0)
 
+    @pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan],
+                                       # 129 nodes on 45 ulps: some round alike
+                                       bayes.trapezoid(1.0, 1.0 + 1e-14, 129)[0]])
+    def test_nan_and_repeated_nodes_are_rejected(self, nodes):
+        # a nan node compares false both ways, so the order test must
+        # hold at every gap, not fail at none
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GridDistribution(Interval(0, 1), nodes, np.ones(len(nodes)))
+
+    def test_a_rule_grid_with_a_nan_node_is_rejected(self, monkeypatch):
+        # no finite support gives a rule a nan node; a stand-in rule does
+        dot = bayes._RULES[bayes.TRAPEZOID][1]
+        monkeypatch.setitem(bayes._RULES, bayes.TRAPEZOID,
+                            (lambda lo, hi, n: (np.array([0.0, np.nan, 1.0]), None), dot))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GridDistribution.from_function(Interval(0.0, 1.0), None, 3)
+
     def test_nan_density_is_rejected(self):
         with pytest.raises(ValueError, match="integrates to nan"):
             GridDistribution(Interval(0, 1), np.linspace(0, 1, 5), [1.0, np.nan, 1.0, 1.0, 1.0])
@@ -315,7 +332,39 @@ class TestGridRules:
         np.testing.assert_array_equal(grid.sample(np.random.default_rng(17), 10_000), want)
 
 
+def assert_same_bits(got, want):
+    """got and want hold the same floats, bit for bit: -0.0 is not 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def linspace_trapezoid(lo, hi, n):
+    """The trapezoid rule as np.linspace and np.full wrote it: the oracle of
+    ``bayes.trapezoid``."""
+    weights = np.full(n, (hi - lo) / (n - 1))
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return np.linspace(lo, hi, n), weights
+
+
+def radial_t_range(alpha, r):
+    """The t range of ``phase._radial_rule``."""
+    extent = phase._sh_radial_extent(alpha, r)
+    return phase._RADIAL_T_LO, extent + math.log(-math.expm1(-extent))
+
+
 class TestRuleTable:
+    # the outcome rules' 2^k + 1 nodes, where h = (hi - lo) / 2^k is exact,
+    # and the prior rules' 2001, where it rounds
+    @pytest.mark.parametrize("n", [2, 3, 129, 1025, 2001, 4097])
+    @pytest.mark.parametrize("lo,hi", [(-7.5, -2.25), (-1.3, 2.9),
+                                       (1.0, 1.0 + 1e-14),  # 45 ulps
+                                       radial_t_range(4.0, 1.25), radial_t_range(0.1, 0.05)])
+    def test_trapezoid_is_bitwise_the_linspace_form(self, lo, hi, n):
+        for got, want in zip(bayes.trapezoid(lo, hi, n), linspace_trapezoid(lo, hi, n)):
+            assert_same_bits(got, want)
+
     @pytest.mark.parametrize("rule,fn", [(bayes.MIDPOINT, bayes.midpoint),
                                          (bayes.TRAPEZOID, bayes.trapezoid),
                                          (bayes.GAUSS_LEGENDRE, bayes.gauss_legendre)])
@@ -796,6 +845,111 @@ def dense_spreads(strat, prior, outcomes):
     else:
         v = np.maximum(mom[:, 1] - mom[:, 0] ** 2, 0.0)
     return np.where(z > 0.0, v, 0.0), z
+
+
+def stacked_features(strat, outcomes):
+    """``outcome_features`` as np.stack wrote it: the oracle of its one-array form."""
+    if strat.dim == 1:
+        q = np.real(np.atleast_1d(outcomes)).astype(float)
+        return np.stack([np.ones_like(q), q, q * q], axis=1)
+    b = np.atleast_1d(np.asarray(outcomes, dtype=complex))
+    x, y = b.real, b.imag
+    return np.stack([np.ones_like(x), x, y, x * x, y * y, x * y], axis=1)
+
+
+def stacked_coefficients(strat, thetas):
+    """``node_coefficients`` as np.stack wrote it: the oracle of its one-array form."""
+    mean, cov = strat.outcome_moments(thetas)
+    if strat.dim == 1:
+        prec = 1.0 / cov
+        return np.stack([-0.5 * (mean * mean * prec + np.log(2.0 * math.pi * cov)),
+                         mean * prec, -0.5 * prec])
+    vxx, vyy, vxy = cov
+    det = vxx * vyy - vxy * vxy
+    pxx, pyy, pxy = vyy / det, vxx / det, -vxy / det
+    mx, my = mean.real, mean.imag
+    gx = pxx * mx + pxy * my
+    gy = pxy * mx + pyy * my
+    c0 = -0.5 * (mx * gx + my * gy) - np.log(2.0 * math.pi * np.sqrt(det))
+    return np.stack([c0, gx, gy, -0.5 * pxx, -0.5 * pyy, -pxy])
+
+
+def where_finish(calc, m):
+    """``_SpreadCalculator.finish`` as it took np.where and wrote the
+    zero-evidence rows on every call: its oracle."""
+    z = m[:, 0]
+    ok = z > 0.0
+    zi = np.where(ok, z, 1.0)
+    if m.shape[1] == 2:
+        v = 0.5 * (1.0 - m[:, 1] / zi)
+    elif calc.circular:
+        c1r, c1i = m[:, 1] / zi, m[:, 2] / zi
+        c2r, c2i = m[:, 3] / zi, m[:, 4] / zi
+        est = np.where(np.hypot(c1r, c1i) > 1e-12, np.arctan2(c1i, c1r), 0.0)
+        v = 0.5 * (1.0 - c2r * np.cos(2.0 * est) - c2i * np.sin(2.0 * est))
+    else:
+        mean = m[:, 1] / zi
+        v = np.maximum(m[:, 2] / zi - mean**2, 0.0)
+    v[~ok] = 0.0
+    return v, z
+
+
+def _squeeze_model():
+    strat, rule = _squeeze_rule(3.0, 0.5)
+    return strat, (rule.support.lo, rule.support.hi)
+
+
+# (strategy, theta range) of each outcome model, dim 1 then dim 2
+OUTCOME_MODELS = {
+    "PhaseHom": lambda: (phase.HomodynePhaseStrategy(1.5, 0.3, math.pi / 2), (0.0, math.pi)),
+    "Squeeze": _squeeze_model,
+    "DisplacementHom": lambda: (disp.HomodyneQuadratureStrategy(1.0, 0.3), (-8.0, 8.0)),
+    "PhaseHet": lambda: (phase.HeterodynePhaseStrategy(1.5, 0.25), (-math.pi, math.pi)),
+}
+
+
+class TestKernelHelpersBitwise:
+    """The kernel's helpers, rewritten in place, against the forms they
+    replaced, kept above as oracles: every bit the same."""
+
+    @pytest.mark.parametrize("model", sorted(OUTCOME_MODELS))
+    @pytest.mark.parametrize("size", [None, 1, 4096])  # a scalar, one element, an MC chunk
+    def test_features_and_coefficients(self, model, size):
+        strat, (lo, hi) = OUTCOME_MODELS[model]()
+        rng = rng_for(31, size or 0)
+        thetas = rng.uniform(lo, hi, size)
+        outcomes = 3.0 * rng.standard_normal(size)
+        if strat.dim == 2:
+            outcomes = outcomes + 3j * rng.standard_normal(size)
+        if size is None:  # Python scalars
+            thetas = float(thetas)
+            outcomes = complex(outcomes) if strat.dim == 2 else float(outcomes)
+        assert_same_bits(strat.outcome_features(outcomes), stacked_features(strat, outcomes))
+        assert_same_bits(strat.node_coefficients(thetas), stacked_coefficients(strat, thetas))
+
+    @pytest.mark.parametrize("model,columns", [("PhaseHet", 2), ("PhaseHom", 5),
+                                               ("DisplacementHom", 3)])
+    @pytest.mark.parametrize("rows", [257, 4096])
+    def test_finish(self, model, columns, rows):
+        # the folded kernel's (1, cos 2theta), the circular and the linear
+        # moment sums; the zero-evidence rows take the ~ok path
+        strat, _ = OUTCOME_MODELS[model]()
+        calc = object.__new__(bayes._SpreadCalculator)
+        calc.circular = strat.circular
+        rng = rng_for(32, rows)
+        z = rng.uniform(0.1, 2.0, rows)
+        m = np.column_stack([z] + [z * rng.uniform(-1.0, 1.0, rows)
+                                   for _ in range(columns - 1)])
+        if columns == 3:
+            m[:, 2] = np.abs(m[:, 2]) + 1e-3 * z
+        zeros = m.copy()
+        zeros[[0, 5, rows - 1]] = 0.0
+        zeros[7, 0] = -0.0
+        zeros[9, 0] = np.nan
+        for sums in (m, zeros):
+            got, want = calc.finish(sums.copy()), where_finish(calc, sums.copy())
+            for g, w in zip(got, want):
+                assert_same_bits(g, w)
 
 
 class TestGaussianOutcomeKernel:
@@ -1581,20 +1735,24 @@ class TestNestedOutcomeNodes:
         assert (rec.status, rec.method) == ("ok", "series")
         assert radii == [2 * phase._radial_rule(1.8, 1.0, phase._RADIAL_BASE, 1)[0].size]
 
-    def test_non_nested_rule_raises(self):
+    @pytest.mark.parametrize("rule,level", [
+        # nodes that move, a node count that is not 2n - 1, and a rule that
+        # nests at level 1 only
+        (lambda level: bayes.trapezoid(0.0, 1.0 + level, 4 * 2**level + 1), 1),
+        (lambda level: bayes.trapezoid(0.0, 1.0, 4 * 2**level + 2), 1),
+        (lambda level: bayes.trapezoid(0.0, 1.0 + (level > 1), 4 * 2**level + 1), 2),
+    ])
+    def test_non_nested_rule_raises(self, rule, level):
         calls = []
-
-        def shifted(level):
-            return bayes.trapezoid(0.0, 1.0 + level, 4 * 2**level + 1)
 
         def integrand(points):
             calls.append(points)
             return np.square(points)
-        with pytest.raises(RuntimeError, match="not nested at level 1") as err:
-            bayes._quadrature_outcome_grid(shifted, integrand, 1e-12, 3)
+        with pytest.raises(RuntimeError, match=f"not nested at level {level}") as err:
+            bayes._quadrature_outcome_grid(rule, integrand, 1e-12, 3)
         assert not isinstance(err.value, (ValueError, ToleranceError))
-        # checked before the first integrand call
-        assert calls == []
+        # checked on every level, before the integrand call that needs it
+        assert len(calls) == level - 1
 
     def test_non_nested_rule_is_not_a_row_status(self, monkeypatch):
         from gaussbayes import harness
@@ -1811,6 +1969,34 @@ class TestPriorRefinement:
         # first call takes levels 0 and 1 at once
         assert cols == [65, 64, 128] and (res.prior_nodes, res.levels) == (257, 2)
         assert made == ["rule", "rule", "features"]
+
+    @pytest.mark.parametrize("task,p,counts", [
+        # the Squeeze row above, and a PhaseHom row
+        ("Squeeze", dict(n=4.0, s=1.0, r0=-0.5, sigma0sq=1.0), 3),
+        ("PhaseHom", dict(alpha=1.5, r=0.3, psi=math.pi / 2), 2),
+    ])
+    def test_cost_guard_coefficients_once_per_count_and_finish_once_per_spreads(
+            self, task, p, counts, monkeypatch):
+        # each count makes its node coefficients once, its nested odd-node
+        # kernel taking its columns from them, and finishes each reduction
+        # once
+        made = []
+
+        def counting(owner, name):
+            method = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                made.append(name)
+                return method(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+        counting(bayes._SpreadCalculator, "__init__")
+        counting(bayes._SpreadCalculator, "spreads")
+        counting(bayes._SpreadCalculator, "finish")
+        counting(bayes.GaussianOutcomeStrategy, "node_coefficients")
+        _task_engine(task, p)
+        assert made.count("__init__") == made.count("node_coefficients") == counts
+        # each count stops at level 1, in one spreads call
+        assert made.count("spreads") == made.count("finish") == counts
 
     def test_counts_double_up_to_the_ceiling(self):
         flat = bayes.PriorRule(phase.HET_SUPPORT, None, 2048)
