@@ -791,9 +791,9 @@ class GaussianOutcomeStrategy:
     ``(mean, var)`` for a real homodyne outcome (``dim=1``),
     ``(mean, (vxx, vyy, vxy))`` for a heterodyne outcome beta = x + iy
     (``dim=2``, complex mean).  ``nodes(level)`` is the task's outcome
-    quadrature rule, (outcomes, weights): ``outcome_rows`` trapezoid rules
-    of equal length laid end to end, each with a step that halves with
-    the level, so its nodes at one level are its even nodes at the next.
+    quadrature rule, (outcomes, weights): a trapezoid rule, or a map of
+    one, whose step halves with the level, so its nodes at one level are
+    its even nodes at the next.
     The log-likelihood is quadratic in the outcome: log p(m | theta) =
     sum_k a_k(m) c_k(theta), with features a = (1, q, q^2) or
     (1, x, y, x^2, y^2, xy) and coefficients c(theta) from the moments.
@@ -809,7 +809,6 @@ class GaussianOutcomeStrategy:
     raises ``PriorSymmetryError`` on any other prior.
     """
 
-    outcome_rows = 1
     phase_symmetric = False
     radial_outcomes = False
 
@@ -1308,14 +1307,12 @@ def _quadrature(strategy, prior: Union[GridDistribution, PriorRule], rel_tol, ma
     if strategy.radial_outcomes and not _flat_full_circle(prior):
         raise PriorSymmetryError("a radial outcome rule needs a prior flat on the full "
                                  "circle [-pi, pi); use method='montecarlo'")
-    rows = strategy.outcome_rows
     fresh = []  # the features of the outcomes of each integrand call
     rules = {}  # by level; a dict, not functools.cache, whose wrapper costs more per op
 
     def rule(level):
         if level not in rules:
-            outcomes, weights = strategy.outcome_nodes(level)
-            rules[level] = outcomes.reshape(rows, -1), weights.reshape(rows, -1)
+            rules[level] = strategy.outcome_nodes(level)
         return rules[level]
 
     def evaluate(calc):

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bayes
+from . import bayes, specfun
 from .bayes import (AverageVariance, GammaPrior, GaussianOutcomeStrategy, GaussianPrior,
                     GridDistribution, Interval, PriorRule, average_posterior_variance,
                     gaussian_outcome_density, trapezoid)
@@ -119,21 +119,24 @@ class SqueezeStrategy(GaussianOutcomeStrategy):
     structure at every one of those scales down to the narrowest
     conditional (V(q -> 0) climbs back to the prior variance: an outcome
     at the origin only rules the small-r branch out).  The outcome
-    quadrature therefore runs on a two-sided geometrically spaced grid,
-    i.e. a uniform trapezoid in log |q|, which resolves all scales and
-    keeps clean step-halving behavior.  The two halves q < 0 and q > 0
-    are two trapezoid rules end to end, spanning the outcomes of the
-    prior ``support`` (``SqueezeTask.prior_rule().support``).
+    quadrature is therefore one trapezoid rule in v on [-V, V] under
+    q = a sinh v, linear within a of the origin and geometric beyond, so
+    it resolves every scale and covers q = 0.  Over the prior ``support``
+    (``SqueezeTask.prior_rule().support``), a is the narrowest conditional
+    sd and V = asinh(q_hi / a), q_hi the mean plus 9 sds of the widest.
+    A support whose (q_hi / a)^2, the kernel's log-likelihood scale,
+    overflows raises ``DomainError``.
     """
-
-    outcome_rows = 2
 
     def __init__(self, probe: ProbeSpec, support: Interval):
         self.probe = probe
-        mu_lo, sd_lo = conditional_moments(probe, np.array([support.lo]))
-        _, sd_hi = conditional_moments(probe, np.array([support.hi]))
-        self._u_hi = math.log(float(mu_lo[0]) + 9.0 * float(sd_lo[0]))
-        self._u_lo = math.log(float(sd_hi[0])) - 8.0
+        with np.errstate(all="ignore"):  # the check below rejects what overflows
+            mu, sd = conditional_moments(probe, np.array([support.lo, support.hi]))
+            x = float((mu[0] + 9.0 * sd[0]) / sd[1])
+        if not math.isfinite(x * x):
+            raise specfun.DomainError(f"the outcome range of the prior support [{support.lo:g}, "
+                                      f"{support.hi:g}] overflows the likelihood kernel")
+        self._a, self._v = float(sd[1]), math.asinh(x)
         super().__init__(self._moments, self._nodes, dim=1, circular=False)
 
     def _moments(self, rs):
@@ -141,10 +144,8 @@ class SqueezeStrategy(GaussianOutcomeStrategy):
         return mu, sd * sd
 
     def _nodes(self, level):
-        u, wu = trapezoid(self._u_lo, self._u_hi, 256 * 2**level + 1)
-        q = np.exp(u)
-        w = q * wu  # dq = e^u du
-        return np.concatenate([-q[::-1], q]), np.concatenate([w[::-1], w])
+        v, wv = trapezoid(-self._v, self._v, 256 * 2**level + 1)
+        return self._a * np.sinh(v), self._a * np.cosh(v) * wv  # dq = a cosh v dv
 
 
 def average_variance(task: SqueezeTask, method: str = "quadrature",

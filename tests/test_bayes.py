@@ -478,18 +478,19 @@ class TestRuleTable:
     ])
     def test_squeeze_outcome_grid_from_the_prior_support(self, probe, prior):
         strat = sq.SqueezeStrategy(probe, sq.SqueezeTask(probe, prior).prior_rule().support)
-        # the grid as the strategy built it from (prior, 6 sigma) before
+        # the rule from (prior, 6 sigma): a trapezoid in v under
+        # q = a sinh v, a the narrowest conditional sd and
+        # V = asinh(q_hi / a), q_hi the widest conditional's mean plus 9 sds
         sd0 = math.sqrt(prior.var0)
         mu_lo, sd_lo = sq.conditional_moments(probe, np.array([prior.mu0 - 6.0 * sd0]))
         _, sd_hi = sq.conditional_moments(probe, np.array([prior.mu0 + 6.0 * sd0]))
-        u_hi = math.log(float(mu_lo[0]) + 9.0 * float(sd_lo[0]))
-        u_lo = math.log(float(sd_hi[0])) - 8.0
+        a = float(sd_hi[0])
+        v_hi = math.asinh((float(mu_lo[0]) + 9.0 * float(sd_lo[0])) / a)
         for level in range(3):
-            u, wu = bayes.trapezoid(u_lo, u_hi, 256 * 2**level + 1)
-            q, w = np.exp(u), np.exp(u) * wu
+            v, wv = bayes.trapezoid(-v_hi, v_hi, 256 * 2**level + 1)
             nodes, weights = strat.outcome_nodes(level)
-            np.testing.assert_array_equal(nodes, np.concatenate([-q[::-1], q]))
-            np.testing.assert_array_equal(weights, np.concatenate([w[::-1], w]))
+            np.testing.assert_array_equal(nodes, a * np.sinh(v))
+            np.testing.assert_array_equal(weights, a * np.cosh(v) * wv)
 
 
 class TestGridUpdate:
@@ -756,21 +757,19 @@ def summed_features(strat, outcomes):
 class PolarHeterodyne(phase.HeterodynePhaseStrategy):
     """The heterodyne strategy on the full polar grid, the oracle of its
     radial quadrature: one radial rule per angle of the ``angular_nodes``
-    midpoint rule on [-pi, pi).  Its complex rows run the full kernel,
-    and its rule holds on any prior."""
+    midpoint rule on [-pi, pi), one row per angle.  Its complex outcomes
+    run the full kernel, and its rule holds on any prior."""
 
     radial_outcomes = False
 
     def __init__(self, alpha, r, angular_nodes, base_radial=128):
         super().__init__(alpha, r, base_radial)
-        self.angular_nodes = self.outcome_rows = angular_nodes
+        self.angular_nodes = angular_nodes
 
     def _nodes(self, level):
         rho, wr = phase._radial_rule(self.alpha, self.r, self.base_radial, level)
         ang, wa = bayes.midpoint(-math.pi, math.pi, self.angular_nodes)
-        betas = (np.exp(-1j * ang)[:, None] * rho[None, :]).ravel()
-        weights = (wa[:, None] * (rho * wr)[None, :]).ravel()
-        return betas, weights
+        return np.exp(-1j * ang)[:, None] * rho, wa[:, None] * (rho * wr)
 
 
 KINDS = ("het", "het_full", "hom", "squeeze", "disp_het", "disp_hom")
@@ -808,7 +807,7 @@ def engine_cases(draw, kinds=KINDS):
     if kind in ("het", "het_full", "hom"):
         prior = phase.flat_prior(strat.support, n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    nodes, _ = strat.outcome_nodes(0)
+    nodes = strat.outcome_nodes(0)[0].ravel()
     picked = rng.choice(nodes, size=min(nodes.size, draw(st.integers(1, 250))), replace=False)
     sampled = strat.sample_outcomes_given(prior.sample(rng, draw(st.integers(1, 250))), rng)
     return kind, strat, prior, np.concatenate([picked, sampled])
@@ -1134,7 +1133,7 @@ class TestPhaseFold:
             rho = radial.outcome_nodes(1)[0]
             v, z = spreads_at(bayes._SpreadCalculator(prior, radial, scratch), rho)
             v_p, z_p = spreads_at(bayes._SpreadCalculator(prior, polar, scratch),
-                                  polar.outcome_nodes(1)[0])
+                                  polar.outcome_nodes(1)[0].ravel())
             seen = np.broadcast_to(z > 1e-280, (k, rho.size)).ravel()
             np.testing.assert_allclose(z_p[seen], np.tile(z, k)[seen], rtol=1e-12)
             np.testing.assert_allclose(v_p[seen], np.tile(v, k)[seen], rtol=1e-12, atol=1e-14)
@@ -1595,12 +1594,12 @@ def _levels(result):
 class TestNestedOutcomeNodes:
     @pytest.mark.parametrize("kind", KINDS)
     def test_strategy_rules_are_nested(self, kind):
+        # along the last axis, the one the driver halves
         strat, _ = _engine_row(kind)
-        rows = strat.outcome_rows
         for level in range(5):
-            coarse = strat.outcome_nodes(level)[0].reshape(rows, -1)
-            fine = strat.outcome_nodes(level + 1)[0].reshape(rows, -1)
-            assert np.array_equal(fine[:, 0::2], coarse)
+            coarse = strat.outcome_nodes(level)[0]
+            fine = strat.outcome_nodes(level + 1)[0]
+            assert np.array_equal(fine[..., 0::2], coarse)
 
     @pytest.mark.parametrize("alpha,r", [(0.3, 0.0), (1.8, 1.0), (4.0, 1.25)])
     def test_radial_rule_is_nested(self, alpha, r):
@@ -1616,8 +1615,8 @@ class TestNestedOutcomeNodes:
 
         def level_value(level):
             outcomes, weights = strat.outcome_nodes(level)
-            v, z = spreads_at(calc, outcomes)
-            return float(weights @ (z * v))
+            v, z = spreads_at(calc, outcomes.ravel())
+            return float(weights.ravel() @ (z * v))
         want, err, levels = full_reevaluation(level_value, 1e-6, 5)
         got = average_posterior_variance(strat, prior)
         assert got.value == pytest.approx(want, rel=1e-14)
@@ -1680,6 +1679,27 @@ class TestNestedOutcomeNodes:
         assert levels >= 2
         assert len(rows) == levels - 1
         assert sum(rows) == strat.outcome_nodes(levels - 1)[0].size
+
+    @pytest.mark.parametrize("n,s", [(0.0, 0.0), (0.25, 0.25), (4.0, 1.0)])
+    def test_cost_guard_squeeze_one_rule_per_level(self, n, s, monkeypatch):
+        # cost guard: a Squeeze level is one trapezoid rule of 256 2^k + 1
+        # outcome nodes, not two laid end to end, and each node of the
+        # finest level has its features made once, for every prior count
+        strat, rule = _squeeze_rule(n, s)
+        shapes, made = [], []
+        nodes, features = strat.outcome_nodes, strat.outcome_features
+
+        def recording(level):
+            q, w = nodes(level)
+            shapes.append((q.shape, w.shape))
+            return q, w
+        monkeypatch.setattr(strat, "outcome_nodes", recording)
+        monkeypatch.setattr(strat, "outcome_features",
+                            lambda outcomes: made.append(outcomes.size) or features(outcomes))
+        res = average_posterior_variance(strat, rule, rel_tol=1e-5)
+        assert res.levels >= 2
+        assert shapes == [((256 * 2**k + 1,),) * 2 for k in range(res.levels)]
+        assert len(made) == res.levels - 1 and sum(made) == 256 * 2**(res.levels - 1) + 1
 
     @pytest.mark.parametrize("alpha,r", [(1.0, 0.25), (1.8, 1.0)])
     def test_phase_het_row_stops_at_level_1(self, alpha, r, monkeypatch):
@@ -1756,8 +1776,13 @@ class TestNestedOutcomeNodes:
 
     def test_non_nested_rule_is_not_a_row_status(self, monkeypatch):
         from gaussbayes import harness
-        # read as one rule, the two halves of the squeeze grid are not nested
-        monkeypatch.setattr(sq.SqueezeStrategy, "outcome_rows", 1)
+        nodes = sq.SqueezeStrategy._nodes
+
+        def moving(strat, level):
+            # nodes that move with the level: not nested
+            q, w = nodes(strat, level)
+            return q * (1.0 + level), w
+        monkeypatch.setattr(sq.SqueezeStrategy, "_nodes", moving)
         cfg = harness.parse_config("task = Squeeze\nalpha = 0.5\nsigma0sq = 1")
         with pytest.raises(RuntimeError, match="not nested"):
             harness.run(cfg)

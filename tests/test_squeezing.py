@@ -1,6 +1,7 @@
 """Squeezing-strength estimation tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,62 @@ class TestAverageVariance:
             n = task.probe.mean_photon()
             got = sq.average_variance(task)
             assert got.value >= sq.van_trees_bound(n, 1.0) - 3.0 * got.std_error
+
+
+class LogAbsQSqueeze(sq.SqueezeStrategy):
+    """The oracle of the Squeeze outcome rule: a trapezoid rule in
+    u = log |q| on each side of the origin, the two sides laid as rows,
+    from a cutoff 28 units below the log of the narrowest conditional sd
+    to the mean plus 9 sds of the widest.  The strip |q| < e^{u_lo} it
+    drops holds about e^{-28} of the narrowest law's mass."""
+
+    def __init__(self, probe, support):
+        super().__init__(probe, support)
+        mu_lo, sd_lo = sq.conditional_moments(probe, np.array([support.lo]))
+        _, sd_hi = sq.conditional_moments(probe, np.array([support.hi]))
+        self._u_hi = math.log(float(mu_lo[0]) + 9.0 * float(sd_lo[0]))
+        self._u_lo = math.log(float(sd_hi[0])) - 28.0
+
+    def _nodes(self, level):
+        u, wu = bayes.trapezoid(self._u_lo, self._u_hi, 256 * 2**level + 1)
+        q = np.exp(u)
+        w = q * wu  # dq = e^u du
+        return np.stack([-q[::-1], q]), np.stack([w[::-1], w])
+
+
+class TestOutcomeRange:
+    @pytest.mark.parametrize("s,n", [(0.0, 0.0), (0.0, 0.25), (0.25, 0.25), (0.5, 2.0),
+                                     (1.0, 4.0), (1.5, 8.0)])
+    def test_error_covers_the_whole_outcome_line(self, s, n):
+        # the low-energy rows' posterior variance climbs back to the prior
+        # variance near q = 0: a rule that drops a strip there errs by
+        # 1.5-2.3e-6 relative on them, hundreds of times their quoted error
+        probe = ProbeSpec(math.sqrt(n - math.sinh(s) ** 2), s, 0.0)
+        prior = GaussianPrior(-0.5, 1.0)
+        got = sq.average_variance(sq.SqueezeTask(probe, prior))
+        rule = sq.SqueezeTask(probe, prior, grid_nodes=8193).prior_rule()
+        ref = bayes.average_posterior_variance(LogAbsQSqueeze(probe, rule.support), rule,
+                                               rel_tol=1e-10, max_level=7)
+        assert abs(got.value - ref.value) <= got.std_error + 1e-13 * abs(ref.value)
+
+
+class TestKernelRange:
+    @pytest.mark.parametrize("sigma0sq,status", [(860.0, "ok"), (880.0, "error:DomainError"),
+                                                 (1000.0, "error:DomainError"),
+                                                 (1e4, "error:DomainError"),
+                                                 (3e4, "error:DomainError")])
+    def test_prior_too_wide_for_the_kernel_is_a_row_status(self, sigma0sq, status):
+        # from sigma0^2 = 880 at alpha = 0.5 the outcome range's
+        # (q_hi / a)^2 overflows, and with it the log-likelihood of q_hi
+        # in the kernel: the row reads a typed status, with no warning
+        from gaussbayes import harness
+        cfg = harness.parse_config(f"task = Squeeze\nalpha = 0.5\nr0 = 0\nsigma0sq = {sigma0sq!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (rec,) = harness.run(cfg)
+        assert rec.status.split(":")[:2] == status.split(":")
+        if status == "ok":
+            assert 0.0 < rec.avg_variance < sigma0sq
 
 
 def energy_split(n, points):
