@@ -13,8 +13,12 @@ engines choose the prior grid they integrate posteriors on.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import queue
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -917,8 +921,14 @@ class _SpreadCalculator:
     run them on.  Each block of rows costs exp(A @ C), in place in one
     reused cache-sized buffer, and one product with the weighted moment
     matrix, which collects every node-space reduction.  The dense outcome
-    x node likelihood is never formed.  Rounding: log p carries an
-    absolute error, hence p a relative error, of about
+    x node likelihood is never formed.  A call of two full blocks or more
+    shares its blocks between the calling thread and one helper thread
+    per further CPU the process may run on (``_KernelHelpers``), each
+    block in the buffer of the thread that runs it, one buffer per
+    thread; the blocks and their shapes are the serial loop's, so every
+    row's sums are the same bits on any number of CPUs.
+    Rounding: log p carries an absolute error, hence p a relative error,
+    of about
     c eps (|log p| + (|m|^2 + |mu|^2) / sigma^2) for the outcome m, its
     mean mu and its variance sigma^2 along the narrowest axis; the tests
     hold c = 16 (measured up to 6).
@@ -936,7 +946,8 @@ class _SpreadCalculator:
     Nesting: ``coarse`` is a calculator on this grid's even nodes, built
     with ``keep``, which holds the unshifted moment sums of each feature
     array it reduced, by identity.  When ``spreads`` gets such an array it
-    runs the kernel on its odd nodes only, on ``coeffs[:, 1::2]`` and
+    runs the kernel on its odd nodes only, on ``coeffs[:, 1::2]`` (made
+    on those nodes alone, so such a call never makes ``coeffs``) and
     ``moments[1::2]`` and a view of ``scratch``, and adds the coarse sums
     scaled by the ratio of this grid's weights to the coarse grid's at the
     shared nodes (one number on a trapezoid rule, exactly 1/2 on a flat
@@ -991,12 +1002,23 @@ class _SpreadCalculator:
 
     @functools.cached_property
     def _odd(self):
-        """The kernel on the odd nodes, which the coarse grid lacks."""
-        coeffs = np.ascontiguousarray(self.coeffs[:, 1::2])
+        """The kernel on the odd nodes, which the coarse grid lacks; their
+        coefficients are made on those nodes alone, bit for bit
+        ``coeffs[:, 1::2]``, so a count that meets only nested arrays never
+        makes ``coeffs``."""
+        coeffs = self.strategy.node_coefficients(self._prior.nodes[1::2])
         n = coeffs.shape[1]
         rows = self._scratch.size // n
         return (coeffs, self._prior._moments(self.circular, odd=True),
                 self._scratch[:rows * n].reshape(rows, n))
+
+    def _kernel(self, feats):
+        """(features, kernel) of a fresh call: the folded kernel on the x
+        features where the calculator folds and every y feature is zero,
+        else the full kernel, whose coefficients are made on first use."""
+        if self.symmetric and not feats[:, _Y_FEATURES].any():
+            return feats[:, _X_FEATURES], self._fold
+        return feats, (self.coeffs, self.moments, self._buf)
 
     def finish(self, m):
         """(posterior variance, evidence) from the moment sums m: those of
@@ -1027,33 +1049,30 @@ class _SpreadCalculator:
         """Moment sums of exp(log p) for the outcome rows ``feats`` into
         ``out``, on ``kernel`` = (coefficients, moments, buffer); with
         ``shift``, each row's largest log p is subtracted first and
-        written to ``shift``."""
-        coeffs, moments, kbuf = kernel
-        rows = kbuf.shape[0]
-        for i in range(0, feats.shape[0], rows):
-            blk = feats[i:i + rows]
-            buf = kbuf[:blk.shape[0]]
-            np.matmul(blk, coeffs, out=buf)
-            if shift is not None:
-                top = np.max(buf, axis=1, out=shift[i:i + rows])
-                buf -= top[:, None]
-            np.maximum(buf, _LOG_FLOOR, out=buf)
-            np.exp(buf, out=buf)
-            np.matmul(buf, moments, out=out[i:i + rows])
+        written to ``shift``.  A call of two full blocks or more runs them
+        on the kernel helpers too (``_KernelHelpers``), where there are
+        any; a shorter second block saves less than a helper takes to
+        wake (511 + 2 rows on 128 nodes: 100 us alone, 180 us split)."""
+        kbuf = kernel[2]
+        if feats.shape[0] >= 2 * kbuf.shape[0]:
+            helpers = _kernel_helpers()
+            if helpers.count:
+                helpers.run(feats, kernel, out, shift)
+                return
+        for i in range(0, feats.shape[0], kbuf.shape[0]):
+            _kernel_block(feats, kernel, kbuf, out, shift, i)
 
     def spreads(self, feats):
         """(posterior variance, evidence) per row of the outcome features
         ``feats`` (``strategy.outcome_features``, or sums of them)."""
         sent = feats
         kept = None if self._coarse is None else self._coarse._sums.pop(id(feats), None)
-        if self.symmetric and not feats[:, _Y_FEATURES].any():
-            feats, kernel = feats[:, _X_FEATURES], self._fold
-        else:
-            kernel = (self.coeffs, self.moments, self._buf)
-        m = np.empty((feats.shape[0], kernel[1].shape[1]))
         if kept is None:
+            feats, kernel = self._kernel(feats)
+            m = np.empty((feats.shape[0], kernel[1].shape[1]))
             self._reduce(feats, kernel, m)
         else:
+            m = np.empty((feats.shape[0], self._odd[1].shape[1]))
             self._reduce(feats, self._odd, m)
             m += self._ratio * kept[1]
         if self._sums is not None:
@@ -1063,6 +1082,8 @@ class _SpreadCalculator:
         low = np.flatnonzero(m[:, 0] < self._prior._z_low)
         if low.size == 0:
             return self.finish(m)
+        if kept is not None:
+            feats, kernel = self._kernel(feats)
         m = m.copy()  # the kept sums stay unshifted
         shift = np.empty(low.size)
         m_low = np.empty((low.size, m.shape[1]))
@@ -1073,18 +1094,158 @@ class _SpreadCalculator:
         return v, z
 
 
+def _kernel_block(feats, kernel, kbuf, out, shift, i):
+    """The rows ``i:i + len(kbuf)`` of ``_SpreadCalculator._reduce``, in the
+    buffer ``kbuf``."""
+    coeffs, moments, _ = kernel
+    rows = kbuf.shape[0]
+    blk = feats[i:i + rows]
+    buf = kbuf[:blk.shape[0]]
+    np.matmul(blk, coeffs, out=buf)
+    if shift is not None:
+        top = np.max(buf, axis=1, out=shift[i:i + rows])
+        buf -= top[:, None]
+    np.maximum(buf, _LOG_FLOOR, out=buf)
+    np.exp(buf, out=buf)
+    np.matmul(buf, moments, out=out[i:i + rows])
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or every CPU
+    on a platform without one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _KernelHelpers:
+    """``count`` threads that run row blocks of ``_SpreadCalculator._reduce``
+    beside its caller, each in a kernel buffer of its own that starts on a
+    cache line and is kept for the thread's life.
+
+    ``run`` hands the blocks out one at a time, in row order, to the
+    caller and to each helper that joins the call, and returns when every
+    block is done.  numpy's matmul, maximum and exp release the
+    interpreter lock, so the blocks run side by side; their boundaries and
+    shapes are the serial loop's, and each row's sums come out bit for bit
+    as from it.  A helper that has not joined when the caller has run out
+    of blocks stays out, so the caller never waits for a thread to wake.
+    A helper runs its blocks in a copy of the caller's context, which
+    carries numpy's error state, and its warnings meet the process's one
+    list of warning filters.  When blocks raise, the caller raises the
+    exception of the first of them in row order, as the serial loop would.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self._tasks = queue.SimpleQueue()
+        for _ in range(count):
+            threading.Thread(target=self._serve, name="gaussbayes-kernel", daemon=True).start()
+
+    def _serve(self):
+        own = np.empty(0)  # grown to the largest block this helper has run
+        while True:
+            ctx, join, shape = self._tasks.get()
+            size = shape[0] * shape[1]
+            if own.size < size:
+                try:
+                    own = _aligned_empty(size)
+                except MemoryError:  # the caller runs the blocks this helper would have
+                    continue
+            ctx.run(join, own[:size].reshape(shape))
+
+    def run(self, feats, kernel, out, shift):
+        kbuf = kernel[2]
+        rows = kbuf.shape[0]
+        starts = iter(range(0, feats.shape[0], rows))
+        lock = threading.Lock()  # guards starts, accepting and joined
+        failed = []  # (first row, exception) of each block that raised
+        done = queue.SimpleQueue()  # one item from each helper that joined
+        accepting, joined = True, 0
+        # emptied on return, so that a task still queued for a helper that
+        # never joined holds none of the caller's arrays
+        arrays = [feats, kernel, out, shift]
+
+        def work(buf):
+            feats, kernel, out, shift = arrays
+            # a block claimed before one that failed still runs, so the
+            # first failure in row order is always among these
+            while not failed:
+                with lock:
+                    i = next(starts, None)
+                if i is None:
+                    return
+                try:
+                    _kernel_block(feats, kernel, buf, out, shift, i)
+                except BaseException as exc:  # raised by the caller below
+                    failed.append((i, exc))
+
+        def join(buf):
+            nonlocal joined
+            with lock:
+                if not accepting:
+                    return
+                joined += 1
+            try:
+                work(buf)
+            finally:
+                done.put(None)
+
+        for _ in range(min(self.count, -(-feats.shape[0] // rows) - 1)):
+            self._tasks.put((contextvars.copy_context(), join, kbuf.shape))
+        work(kbuf)
+        with lock:
+            accepting = False
+        for _ in range(joined):
+            done.get()
+        arrays.clear()
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+
+
+# the process's kernel helpers, one per CPU beyond the first that it may
+# run on, made on the first call of two full blocks or more: the CPUs are
+# the process's, so one set serves every calculator and every caller thread
+_helpers: Optional[_KernelHelpers] = None
+_helpers_made = threading.Lock()
+
+
+def _kernel_helpers() -> _KernelHelpers:
+    global _helpers
+    if _helpers is None:
+        with _helpers_made:
+            if _helpers is None:
+                _helpers = _KernelHelpers(_usable_cpus() - 1)
+    return _helpers
+
+
+def _forget_helpers():
+    # a forked child has none of its parent's threads, so it makes its own
+    global _helpers, _helpers_made
+    _helpers, _helpers_made = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
 def _block_rows(nodes: int) -> int:
     """Outcome rows per kernel block on a grid of ``nodes`` nodes."""
     return max(8, _KERNEL_BLOCK_BYTES // (8 * nodes))
 
 
-def _kernel_scratch(*nodes: int) -> np.ndarray:
-    """An uninitialized buffer that starts on a cache line and holds one
-    kernel block on a grid of any of the node counts ``nodes``."""
-    size = max(_block_rows(n) * n for n in nodes)
+def _aligned_empty(size: int) -> np.ndarray:
+    """An uninitialized 1-D buffer of ``size`` floats that starts on a
+    cache line."""
     raw = np.empty(size + _KERNEL_ALIGN_BYTES // 8)
     start = -raw.ctypes.data % _KERNEL_ALIGN_BYTES // 8
     return raw[start:start + size]
+
+
+def _kernel_scratch(*nodes: int) -> np.ndarray:
+    """A ``_aligned_empty`` buffer that holds one kernel block on a grid of
+    any of the node counts ``nodes``."""
+    return _aligned_empty(max(_block_rows(n) * n for n in nodes))
 
 
 def _quadrature_outcome_grid(rule, integrand, rel_tol, max_level):

@@ -125,26 +125,40 @@ class SqueezeStrategy(GaussianOutcomeStrategy):
     (``SqueezeTask.prior_rule().support``), a is the narrowest conditional
     sd and V = asinh(q_hi / a), q_hi the mean plus 9 sds of the widest.
     A support whose (q_hi / a)^2, the kernel's log-likelihood scale,
-    overflows raises ``DomainError``.
+    overflows has no rule: ``outcome_nodes`` raises ``DomainError``, so
+    quadrature does, while Monte Carlo, which draws its outcomes, runs.
+    A support on which a node coefficient of the kernel overflows (the
+    precision e^{2r} or the mean square e^{-2r}, from sigma0sq = 3500 at
+    alpha = 0.5, r0 = 0) raises ``DomainError`` here, for either engine.  Each
+    coefficient is monotone or linear in r, so the support's ends decide.
     """
 
     def __init__(self, probe: ProbeSpec, support: Interval):
-        self.probe = probe
-        with np.errstate(all="ignore"):  # the check below rejects what overflows
-            mu, sd = conditional_moments(probe, np.array([support.lo, support.hi]))
-            x = float((mu[0] + 9.0 * sd[0]) / sd[1])
-        if not math.isfinite(x * x):
-            raise specfun.DomainError(f"the outcome range of the prior support [{support.lo:g}, "
-                                      f"{support.hi:g}] overflows the likelihood kernel")
-        self._a, self._v = float(sd[1]), math.asinh(x)
         super().__init__(self._moments, self._nodes, dim=1, circular=False)
+        self.probe = probe
+        self._support = support
+        ends = np.array([support.lo, support.hi])
+        with np.errstate(all="ignore"):  # the checks reject what overflows
+            mu, sd = conditional_moments(probe, ends)
+            self._x = float((mu[0] + 9.0 * sd[0]) / sd[1])  # q_hi / a
+            finite = np.isfinite(self.node_coefficients(ends)).all()
+        if not finite:
+            raise specfun.DomainError(f"the node coefficients of the prior support "
+                                      f"[{support.lo:g}, {support.hi:g}] overflow the "
+                                      "likelihood kernel")
+        self._a = float(sd[1])
 
     def _moments(self, rs):
         mu, sd = conditional_moments(self.probe, rs)
         return mu, sd * sd
 
     def _nodes(self, level):
-        v, wv = trapezoid(-self._v, self._v, 256 * 2**level + 1)
+        if not math.isfinite(self._x * self._x):
+            support = self._support
+            raise specfun.DomainError(f"the outcome range of the prior support [{support.lo:g}, "
+                                      f"{support.hi:g}] overflows the likelihood kernel")
+        v_hi = math.asinh(self._x)
+        v, wv = trapezoid(-v_hi, v_hi, 256 * 2**level + 1)
         return self._a * np.sinh(v), self._a * np.cosh(v) * wv  # dq = a cosh v dv
 
 

@@ -3,7 +3,11 @@
 import copy
 import gc
 import math
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -2002,10 +2006,9 @@ class TestPriorRefinement:
     ])
     def test_cost_guard_coefficients_once_per_count_and_finish_once_per_spreads(
             self, task, p, counts, monkeypatch):
-        # each count makes its node coefficients once, its nested odd-node
-        # kernel taking its columns from them, and finishes each reduction
-        # once
-        made = []
+        # each count makes its node coefficients once, a nested count on
+        # its odd nodes only, and finishes each reduction once
+        made, nodes = [], []
 
         def counting(owner, name):
             method = getattr(owner, name)
@@ -2017,9 +2020,21 @@ class TestPriorRefinement:
         counting(bayes._SpreadCalculator, "__init__")
         counting(bayes._SpreadCalculator, "spreads")
         counting(bayes._SpreadCalculator, "finish")
-        counting(bayes.GaussianOutcomeStrategy, "node_coefficients")
+        coefficients = bayes.GaussianOutcomeStrategy.node_coefficients
+        monkeypatch.setattr(bayes.GaussianOutcomeStrategy, "node_coefficients",
+                            lambda strat, thetas: nodes.append(np.size(thetas))
+                            or coefficients(strat, thetas))
         _task_engine(task, p)
-        assert made.count("__init__") == made.count("node_coefficients") == counts
+        if task == "Squeeze":
+            # each SqueezeStrategy checks the coefficients at its support's
+            # two ends; the engine's and the one _task_engine returns
+            assert nodes[:1] == [2] and nodes.count(2) == 2
+            nodes.remove(2)
+            nodes.remove(2)
+            assert nodes == [65, 64, 128]
+        else:
+            assert nodes == [64, 128]  # Gauss-Legendre counts never nest
+        assert made.count("__init__") == counts
         # each count stops at level 1, in one spreads call
         assert made.count("spreads") == made.count("finish") == counts
 
@@ -2555,3 +2570,274 @@ class TestEngineGrids:
         gauss = GaussianPrior(-0.5, 1.0)
         assert (GridDistribution.from_gaussian(gauss, 129)
                 is not GridDistribution.from_gaussian(gauss, 129))
+
+
+# ---------------------------------------------------------------------------
+# the odd-node kernel's coefficients, made on the odd nodes alone
+
+
+class TestOddNodeCoefficients:
+    @pytest.mark.parametrize("kind", KINDS + ("2-D",))
+    @pytest.mark.parametrize("n", [65, 129, 256, 401, 2001])
+    def test_odd_coefficients_are_the_full_ones_bit_for_bit(self, kind, n):
+        if kind == "2-D":
+            strat, support = drifting_heterodyne(), Interval(-1.0, 2.0)
+        else:
+            strat, prior = _engine_row(kind)
+            support = prior.support
+        calc = bayes._SpreadCalculator(GridDistribution.uniform(support, n), strat,
+                                       bayes._kernel_scratch(n))
+        odd = calc._odd[0]
+        assert "coeffs" not in vars(calc)  # the odd kernel did not make them
+        assert odd.flags.c_contiguous
+        assert odd.tobytes() == np.ascontiguousarray(calc.coeffs[:, 1::2]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# kernel helpers: a call's row blocks on every core, bit for bit
+
+_HELPERS = {}  # by count: a test pool's threads live as long as the process
+
+
+def with_helpers(monkeypatch, count, lag=0.0):
+    """Run the kernel on ``bayes._KernelHelpers(count)`` for the rest of the
+    test; returns ``record_blocks(monkeypatch, lag)``."""
+    if count not in _HELPERS:
+        _HELPERS[count] = bayes._KernelHelpers(count)
+    monkeypatch.setattr(bayes, "_helpers", _HELPERS[count])
+    return record_blocks(monkeypatch, lag)
+
+
+def record_blocks(monkeypatch, lag=0.0):
+    """A list that gets (thread, first row) of each kernel block run for
+    the rest of the test; ``lag`` seconds of sleep before each of the
+    calling thread's blocks leave the helpers time to claim blocks of
+    their own."""
+    ran = []
+    block = bayes._kernel_block
+    caller = threading.get_ident()
+
+    def recording(feats, kernel, kbuf, out, shift, i):
+        ran.append((threading.get_ident(), i))
+        if lag and threading.get_ident() == caller:
+            time.sleep(lag)
+        return block(feats, kernel, kbuf, out, shift, i)
+    monkeypatch.setattr(bayes, "_kernel_block", recording)
+    return ran
+
+
+def _split_full():
+    strat, prior = _engine_row("squeeze")  # 401 nodes: 163 rows a block
+    outcomes = strat.sample_outcomes_given(prior.sample(rng_for(41), 2500), rng_for(42))
+    feats = strat.outcome_features(outcomes)
+    return lambda: spreads_alone(strat, prior, feats), 2500, 163
+
+
+def _split_folded():
+    strat = phase.HeterodynePhaseStrategy(1.5, 0.25)
+    prior = phase.flat_prior(phase.HET_SUPPORT, 256)  # 128 folded nodes: 512 rows
+    outcomes = strat.sample_outcomes_given(prior.sample(rng_for(43), 3000), rng_for(44))
+    feats = strat.outcome_features(np.abs(outcomes))
+
+    def spreads():
+        calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(256))
+        assert calc.symmetric
+        return calc.spreads(feats)
+    return spreads, 3000, 512
+
+
+def _split_nested():
+    strat, rule, outcomes = _drifting_case()
+    outcomes = np.concatenate([outcomes, _sampled(strat, rule, 1800, 5)])
+    feats = strat.outcome_features(outcomes)
+
+    def spreads():
+        # 64 odd nodes in a buffer of 65 and 129 nodes: 1023 rows a block
+        scratch = bayes._kernel_scratch(65, 129)
+        coarse = bayes._SpreadCalculator(rule.grid(65), strat, scratch, keep=True)
+        coarse.spreads(feats)
+        fine = bayes._SpreadCalculator(rule.grid(129), strat, scratch, coarse)
+        v, z = fine.spreads(feats)
+        assert coarse._sums == {}  # the odd kernel ran
+        return v, z
+    return spreads, feats.shape[0], 1023
+
+
+def _split_redo():
+    strat, rule, _ = _tail_case()
+    grid = rule.grid(257)  # 255 rows a block
+    feats = strat.outcome_features(np.linspace(-60.0, 60.0, 2001))
+    low = spreads_alone(strat, grid, feats)[1] < grid._z_low
+    assert low.sum() > 3 * 255  # the shift redo is a call of its own blocks
+    return lambda: spreads_alone(strat, grid, feats), 2001, 255
+
+
+SPLIT_CASES = {"full": _split_full, "folded": _split_folded, "nested": _split_nested,
+               "redo": _split_redo}
+
+
+def _overflow_rows(rows):
+    """(kernel, feature rows) whose log-likelihood overflows to -inf in
+    the kernel's first product, on every row: q^2 = 1.5e308 on a homodyne
+    outcome of variance 1/3."""
+    strat = disp.HomodyneQuadratureStrategy(0.7, 0.2)
+    grid = bayes.PriorRule.gaussian(strat.prior, 257, 8.0).grid(257)
+    calc = bayes._SpreadCalculator(grid, strat, bayes._kernel_scratch(257))
+    assert calc.coeffs[2].max() < -1.2
+    feats = strat.outcome_features(np.zeros(rows))
+    feats[:, 2] = 1.5e308
+    return (calc.coeffs, calc.moments, calc._buf), feats
+
+
+class TestKernelHelpers:
+    @pytest.mark.parametrize("case", list(SPLIT_CASES))
+    def test_helpers_give_the_serial_bits(self, case, monkeypatch):
+        spreads, rows, block = SPLIT_CASES[case]()
+        assert rows > block and rows % block != 0  # several blocks, a short last one
+        with_helpers(monkeypatch, 0)
+        want = spreads()
+        for count in (1, 2):
+            ran = with_helpers(monkeypatch, count, lag=0.002)
+            got = spreads()
+            assert len({thread for thread, _ in ran}) > 1  # a helper ran blocks
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_many_helpers_and_callers_lose_no_block(self, monkeypatch):
+        # more threads than cores, switching every microsecond: each block
+        # is claimed once, and two callers sharing the helpers get their
+        # serial bits
+        cases = [SPLIT_CASES["full"](), SPLIT_CASES["folded"]()]
+        with_helpers(monkeypatch, 0)
+        want = [spreads() for spreads, _, _ in cases]
+        ran = with_helpers(monkeypatch, 3)
+        got, errors = [None, None], []
+
+        def call(k):
+            try:
+                for _ in range(5):
+                    v, z = cases[k][0]()
+                    assert v.tobytes() == want[k][0].tobytes()
+                    assert z.tobytes() == want[k][1].tobytes()
+                got[k] = True
+            except BaseException as exc:
+                errors.append(exc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in (0, 1)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert errors == [] and got == [True, True]
+        # 5 calls of 16 blocks and 5 of 6, each block once
+        starts = sorted(i for _, i in ran)
+        assert starts == sorted(5 * list(range(0, 2500, 163)) + 5 * list(range(0, 3000, 512)))
+
+    def test_a_task_no_helper_took_holds_no_array(self):
+        # a helper that never wakes: the caller runs every block, and the
+        # task left in the queue keeps none of the call's arrays alive
+        pool = bayes._KernelHelpers(0)
+        pool.count = 1
+        strat, prior = _engine_row("squeeze")
+        calc = bayes._SpreadCalculator(prior, strat, bayes._kernel_scratch(401))
+        kernel = (calc.coeffs, calc.moments, calc._buf)
+        feats = strat.outcome_features(np.linspace(-3.0, 3.0, 2500))
+        out, want = np.empty((2500, 3)), np.empty((2500, 3))
+        bayes._SpreadCalculator._reduce(feats, kernel, want)
+        pool.run(feats, kernel, out, None)
+        assert pool._tasks.qsize() == 1 and out.tobytes() == want.tobytes()
+        held = [weakref.ref(a) for a in (feats, out)]
+        del feats, out
+        assert [ref() for ref in held] == [None, None]
+
+    @pytest.mark.parametrize("setting", ["ignore", "raise", "filter-error", "record"])
+    def test_errstate_and_warning_filters_act_as_on_one_block(self, setting, monkeypatch):
+        # every row's log p overflows; a helper runs blocks in the caller's
+        # numpy error state and meets the caller's warning filters
+        kernel, feats = _overflow_rows(1000)
+        block = kernel[2].shape[0]
+
+        def reduce(rows):
+            out = np.empty((rows, kernel[1].shape[1]))
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("error" if setting == "filter-error" else "always")
+                with np.errstate(over={"ignore": "ignore", "raise": "raise"}.get(setting, "warn")):
+                    try:
+                        bayes._SpreadCalculator._reduce(feats[:rows], kernel, out)
+                        raised = None
+                    except (FloatingPointError, RuntimeWarning) as exc:
+                        raised = type(exc)
+            return raised, [str(w.message) for w in seen]
+        with_helpers(monkeypatch, 0)
+        one = reduce(block)
+        serial = reduce(1000)
+        ran = with_helpers(monkeypatch, 1, lag=0.002)
+        split = reduce(1000)
+        assert len({thread for thread, _ in ran}) > 1
+        blocks = -(-1000 // block)
+        expected = {"ignore": (None, []), "raise": (FloatingPointError, []),
+                    "filter-error": (RuntimeWarning, [])}.get(
+            setting, (None, ["overflow encountered in matmul"]))
+        assert one == expected
+        if setting == "record":
+            assert serial == split == (None, blocks * expected[1])
+        else:
+            assert serial == split == expected
+
+    def test_a_forked_child_runs_a_monte_carlo_row(self, monkeypatch):
+        # the parent's helper thread is not in the child, which makes its
+        # own helper, runs blocks on it and gets the parent's value
+        import multiprocessing
+        monkeypatch.setattr(bayes, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(bayes, "_helpers", None)
+        ran = record_blocks(monkeypatch, lag=0.002)
+        strat, rule, rel_tol = MC_CASES["Squeeze"]()
+
+        def row():
+            return average_posterior_variance(strat, rule, method="montecarlo", samples=5000,
+                                              rng=rng_for(45), rel_tol=rel_tol)
+        want = row()
+        parents = bayes._helpers
+        assert parents.count == 1 and len({thread for thread, _ in ran}) == 2
+
+        def child_row():
+            ran.clear()
+            got = row()
+            send.send((got, bayes._helpers is not parents,
+                       len({thread for thread, _ in ran})))
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=child_row)
+        child.start()
+        try:
+            arrived = recv.poll(120)
+            if arrived:
+                child.join(timeout=120)
+            assert arrived and not child.is_alive() and child.exitcode == 0
+            assert recv.recv() == (want, True, 2)
+        finally:
+            if child.is_alive():
+                child.kill()
+
+    @pytest.mark.parametrize("task,p", [
+        ("PhaseHom", dict(alpha=2.0, r=0.5, psi=math.pi / 2)),
+        ("PhaseHom", dict(alpha=2.0, r=0.0, psi=0.0)),
+        ("PhaseHet", dict(alpha=2.0, r=0.5)),
+        ("Squeeze", dict(n=4.0, s=1.0, r0=-0.5, sigma0sq=1.0)),
+        ("Squeeze", dict(n=2.0, s=0.0, r0=-0.5, sigma0sq=1.0)),
+        ("DisplacementHet", dict(sigma0sq=1.0, r=0.3)),
+        ("DisplacementHom", dict(sigma0sq=0.25, r=0.0)),
+    ])
+    def test_cost_guard_one_block_calls_never_reach_the_helpers(self, task, p, monkeypatch):
+        # a benchmark quadrature row's kernel calls are one block each (at
+        # most 513 rows on 129 nodes), which run serially with no hand-off
+        reached, rows = [], []
+        monkeypatch.setattr(bayes, "_kernel_helpers", lambda: reached.append(1))
+        kernel_columns(monkeypatch, rows)
+        _task_engine(task, p)
+        assert rows and reached == []

@@ -208,23 +208,47 @@ class TestOutcomeRange:
         assert abs(got.value - ref.value) <= got.std_error + 1e-13 * abs(ref.value)
 
 
+def kernel_range_row(sigma0sq, method, strict):
+    """The harness row at alpha = 0.5, r0 = 0; Monte Carlo at seed 1 on
+    2000 samples; ``strict``: with every warning an error."""
+    from gaussbayes import harness
+    cfg = harness.parse_config(f"task = Squeeze\nalpha = 0.5\nr0 = 0\nsigma0sq = {sigma0sq!r}\n"
+                               f"method = {method}\nsamples = 2000\nseed = 1")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("error" if strict else "always")
+        (rec,) = harness.run(cfg)
+    assert seen == []
+    return rec
+
+
 class TestKernelRange:
+    @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("sigma0sq,status", [(860.0, "ok"), (880.0, "error:DomainError"),
                                                  (1000.0, "error:DomainError"),
                                                  (1e4, "error:DomainError"),
                                                  (3e4, "error:DomainError")])
-    def test_prior_too_wide_for_the_kernel_is_a_row_status(self, sigma0sq, status):
+    def test_prior_too_wide_for_the_kernel_is_a_row_status(self, sigma0sq, status, strict):
         # from sigma0^2 = 880 at alpha = 0.5 the outcome range's
         # (q_hi / a)^2 overflows, and with it the log-likelihood of q_hi
         # in the kernel: the row reads a typed status, with no warning
-        from gaussbayes import harness
-        cfg = harness.parse_config(f"task = Squeeze\nalpha = 0.5\nr0 = 0\nsigma0sq = {sigma0sq!r}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            (rec,) = harness.run(cfg)
+        rec = kernel_range_row(sigma0sq, "quadrature", strict)
         assert rec.status.split(":")[:2] == status.split(":")
         if status == "ok":
             assert 0.0 < rec.avg_variance < sigma0sq
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("sigma0sq,status,value", [
+        (880.0, "ok", 0.95459), (1000.0, "ok", 0.95470),
+        (1e4, "error:DomainError", None)])
+    def test_monte_carlo_meets_only_the_kernel_limit(self, sigma0sq, status, value, strict):
+        # Monte Carlo draws its outcomes, so the rule's range does not
+        # bound it; from sigma0^2 = 3500 a node coefficient at the
+        # support's ends overflows, where the kernel read 0.0 with 21
+        # warnings: the row reads a typed status, with no warning
+        rec = kernel_range_row(sigma0sq, "montecarlo", strict)
+        assert rec.status.split(":")[:2] == status.split(":")
+        if status == "ok":
+            assert rec.avg_variance == pytest.approx(value, abs=5e-6)
 
 
 def energy_split(n, points):
